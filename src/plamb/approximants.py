@@ -4,9 +4,12 @@ An approximant is a finite tree over a bottom element, abstractions, and
 open applications, with rational weights.  ``approx_check`` decides
 fuel-bounded membership at an index k: the candidate's non-bottom mass must
 match strictly below the evolved value mass of the program (strictly, on
-every relation-closed subset), with bodies and spine arguments checked
-recursively one index down.  Bottom entries need no support at all, so the
-bottom-only candidates approximate every program at every index.
+every set of entries), with bodies and spine arguments checked recursively
+one index down.  The strict matching is one exact max-flow of
+``plamb.lifting``, with every supply raised by a bump too small to undo any
+strict inequality and large enough to break every tie.  Bottom entries need
+no support at all, so the bottom-only candidates approximate every program
+at every index.
 
 ``approx_generate`` produces approximants constructively: evolve, truncate
 the value trees at a depth, and round every weight strictly down to a
@@ -16,6 +19,7 @@ membership rules, so generated candidates always pass the check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .syntax import (
@@ -28,9 +32,11 @@ from .syntax import (
     ZERO,
     check_name,
     check_weight,
+    fresh_name,
     parse as _parse_lambda,
     unit,
 )
+from .lifting import max_flow
 from .reduction import AbsView, SpineView, evolve, whnf_view
 
 
@@ -295,9 +301,18 @@ def approx_check(c, m, k, fuel):
     """Fuel-bounded membership of candidate ``c`` at index ``k``.
 
     Bottom-only candidates pass at any index.  Otherwise the evolved value
-    mass of ``m`` must strictly dominate the candidate on every closed
-    subset (the strict matching realizes the strict weight inequalities of
-    the membership rules), with bodies and arguments checked at k-1.
+    mass of ``m`` must strictly dominate the candidate: every nonempty set
+    of non-bottom entries must weigh strictly less than the value entries
+    compatible with it (strict Hall), with compatibility checking bodies
+    and spine arguments at k-1.
+
+    Strict Hall is decided by one max-flow.  Every weight is a multiple of
+    1/L, for L the lcm of all their denominators, so a set that fits
+    strictly fits with room 1/L to spare.  Adding 1/(nL) to each of the n
+    supplies raises a nonempty set's weight by at most 1/L and by more
+    than 0, so it turns strict Hall into ordinary Hall: membership holds
+    iff the bumped supplies flow in full, i.e. the flow equals their
+    total plus 1/L.
     """
     if not isinstance(c, FinDist):
         raise LambError("candidate must be a FinDist")
@@ -308,37 +323,26 @@ def approx_check(c, m, k, fuel):
         return False
     values = evolve(m, fuel).values
     targets = values.entries()
-    edges = {}
+    edges = set()
     for i, (ct, _) in enumerate(non_bottom):
         for j, (wt, _) in enumerate(targets):
             if _compat(ct, wt, k, fuel):
-                edges.setdefault(i, set()).add(j)
-    return _strict_match(
-        [w for _, w in non_bottom], [w for _, w in targets], edges
+                edges.add((i, j))
+    weights = [w for _, w in non_bottom]
+    lcm = math.lcm(
+        *(w.denominator for w in weights), *(w.denominator for _, w in targets)
     )
-
-
-def _strict_match(supplies, demands, edges):
-    """Strict Hall criterion: every nonempty subset of sources must weigh
-    strictly less than its neighborhood's capacity."""
-    n = len(supplies)
-    for mask in range(1, 1 << n):
-        srcs = [i for i in range(n) if mask >> i & 1]
-        nbhd = set()
-        for i in srcs:
-            nbhd |= edges.get(i, set())
-        if sum(supplies[i] for i in srcs) >= sum(
-            (demands[j] for j in nbhd), ZERO
-        ):
-            return False
-    return True
+    bump = Fraction(1, len(weights) * lcm)
+    supplies = {i: w + bump for i, w in enumerate(weights)}
+    demands = {j: w for j, (_, w) in enumerate(targets)}
+    return max_flow(supplies, demands, edges) == sum(weights) + Fraction(1, lcm)
 
 
 def _compat(ct, wt, k, fuel):
     view = whnf_view(wt)
     if isinstance(ct, FinAbs) and isinstance(view, AbsView):
         avoid = ct.free_names() | wt.free_names()
-        sym = _fresh(avoid)
+        sym = fresh_name(avoid)
         cbody = fin_subst_head(ct.body, ct.binder, sym)
         from .syntax import subst
 
@@ -352,13 +356,6 @@ def _compat(ct, wt, k, fuel):
             for ca, wa in zip(ct.args, view.args)
         )
     return False
-
-
-def _fresh(avoid):
-    i = 0
-    while "#%d" % i in avoid:
-        i += 1
-    return "#%d" % i
 
 
 def fin_subst_head(d, v, sym):

@@ -100,10 +100,8 @@ class NormalizationReport:
 def total_variation(a, b):
     """Half the pointwise absolute weight difference over the union of the
     canonical supports."""
-    keys = set(a._index) | set(b._index)
-    total = ZERO
-    for k in keys:
-        total += abs(a._index.get(k, ZERO) - b._index.get(k, ZERO))
+    total = sum((abs(w - b.weight_of(t)) for t, w in a.entries()), ZERO)
+    total += sum((w for t, w in b.entries() if not a.weight_of(t)), ZERO)
     return total / 2
 
 

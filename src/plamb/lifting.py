@@ -66,7 +66,8 @@ class LiftVerdict:
     def __repr__(self):
         if self.holds:
             return "LiftVerdict(holds)"
-        return "LiftVerdict(deficit=%s, cut=%r)" % (self.deficit, set(self.witness_cut))
+        cut = ", ".join(sorted(map(repr, self.witness_cut)))
+        return "LiftVerdict(deficit=%s, cut={%s})" % (self.deficit, cut)
 
 
 class FlowNetwork:
@@ -147,33 +148,15 @@ class FlowNetwork:
                     q.append(e.dst)
         return seen
 
-    def min_cut_edges(self, source):
-        """Saturated edges crossing from the residual-reachable side."""
-        side = self.residual_reachable(source)
-        cut = []
-        for u in side:
-            for e in self.adj[u]:
-                if e.dst not in side and e.cap == 0:
-                    # only original forward edges (reverse edges start at 0
-                    # capacity but their mirror would then be unsaturated)
-                    mirror = self.adj[e.dst][e.rev]
-                    if mirror.cap > 0:
-                        cut.append((u, e.dst))
-        return side, cut
-
 
 def max_flow(supplies, demands, edges):
-    """Max flow of the bipartite lift network.
+    """Value of the maximum flow through the bipartite lift network.
 
     ``supplies``/``demands`` map points to capacities, ``edges`` is a set of
-    (source point, target point) pairs.  Returns (flow value, min cut edge
-    set).  Middle edges get capacity total-supply + 1, which no finite flow
-    can exhaust.
+    (source point, target point) pairs.  Middle edges get capacity
+    total-supply + 1, which no finite flow can exhaust.
     """
-    net = _build_network(supplies, demands, edges)
-    value = net.max_flow(_SRC, _SNK)
-    _, cut = net.min_cut_edges(_SRC)
-    return value, cut
+    return _build_network(supplies, demands, edges).max_flow(_SRC, _SNK)
 
 
 _SRC = ("src",)

@@ -58,10 +58,6 @@ def check_name(name):
     return name
 
 
-def is_machine_name(name):
-    return name.startswith("#")
-
-
 def fresh_name(avoid):
     """Smallest ``#i`` symbol not in ``avoid``; deterministic."""
     i = 0

@@ -85,6 +85,99 @@ class TestApproxCheck:
         assert approx_check(c, parse(r"\z. z"), 1, 2)
 
 
+def strict_hall(weights, demands, edges):
+    """Brute-force oracle: every nonempty set of sources weighs strictly
+    less than the demands of its neighbourhood."""
+    n = len(weights)
+    for mask in range(1, 1 << n):
+        srcs = {i for i in range(n) if mask >> i & 1}
+        nbhd = {j for i, j in edges if i in srcs}
+        if sum(weights[i] for i in srcs) >= sum(demands[j] for j in nbhd):
+            return False
+    return True
+
+
+HALF_Z = FinDist({FinSpine("z", ()): F(1, 2)})
+
+
+def matching_instance(weights, demands, edges):
+    """A candidate and a program whose compatibility graph is ``edges``.
+
+    Candidate entry i is ``y`` applied to n arguments, all bottom except
+    ``{1/2: z}`` at position i.  Value entry j is ``y`` applied to ``z`` at
+    the positions of its neighbours and ``w`` elsewhere, so entry i is
+    compatible with entry j iff (i, j) is an edge.
+    """
+    n = len(weights)
+    cand = FinDist(
+        (FinSpine("y", tuple(HALF_Z if r == i else FIN_BOTTOM for r in range(n))), w)
+        for i, w in enumerate(weights)
+    )
+    prog = "{%s}" % ", ".join(
+        "%s: y %s" % (d, " ".join("z" if (r, j) in edges else "w" for r in range(n)))
+        for j, d in enumerate(demands)
+    )
+    return cand, parse(prog)
+
+
+class TestStrictMatching:
+    GRID = 64
+
+    def grid_weights(self, rng, count):
+        nums = [rng.randint(1, 8) for _ in range(count)]
+        while sum(nums) > self.GRID // 2:
+            nums = [max(1, x // 2) for x in nums]
+        return nums
+
+    def test_flow_agrees_with_subset_oracle(self):
+        rng = random.Random(4242)
+        seen = {"tight": 0, "near_accepted": 0, "accepted": 0, "rejected": 0}
+        for _ in range(160):
+            n, m = rng.randint(1, 8), rng.randint(1, 8)
+            p = rng.random()
+            edges = {(i, j) for i in range(n) for j in range(m) if rng.random() < p}
+            dnums = self.grid_weights(rng, m)
+            cnums = self.grid_weights(rng, n)
+            mode = rng.choice(("free", "tight", "near"))
+            if mode != "free":
+                srcs = rng.sample(range(n), rng.randint(1, n))
+                cap = sum(dnums[j] for j in {j for i, j in edges if i in srcs})
+                # tight: the set's supply equals its neighbourhood's
+                # capacity; near: it falls short by one grid step
+                total = cap if mode == "tight" else cap - 1
+                if total < len(srcs):
+                    mode = "free"
+                else:
+                    cuts = sorted(rng.sample(range(1, total), len(srcs) - 1))
+                    for i, a, b in zip(srcs, [0] + cuts, cuts + [total]):
+                        cnums[i] = b - a
+            weights = [F(x, self.GRID) for x in cnums]
+            demands = [F(x, self.GRID) for x in dnums]
+            cand, prog = matching_instance(weights, demands, edges)
+            expect = strict_hall(weights, demands, edges)
+            assert approx_check(cand, prog, 2, 2) == expect, (weights, demands, edges)
+            if mode == "tight":
+                assert not expect
+                seen["tight"] += 1
+            elif mode == "near" and expect:
+                seen["near_accepted"] += 1
+            seen["accepted" if expect else "rejected"] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_sixteen_entries_at_grain_64(self):
+        names = "abcdefghijklmnop"
+        weights = [F(1, 32) if i % 2 else F(3, 32) for i in range(16)]
+        prog = parse("{%s}" % ", ".join("%s: %s" % wn for wn in zip(weights, names)))
+        assert len(evolve(prog, 4).values) == 16
+        rounded = FinDist(
+            (FinSpine(x, ()), w - F(1, 64)) for w, x in zip(weights, names)
+        )
+        assert rounded in approx_generate(prog, 1, 4, F(1, 64))
+        assert approx_check(rounded, prog, 1, 4)
+        truncated = FinDist((FinSpine(x, ()), w) for w, x in zip(weights, names))
+        assert not approx_check(truncated, prog, 1, 4)
+
+
 class TestApproxGenerate:
     def test_divergent_program_yields_bottoms(self):
         out = approx_generate(parse("omega"), 3, 8, F(1, 4))

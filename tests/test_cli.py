@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import plamb
 from plamb.cli import Config, main, normalize, total_variation
 from plamb.syntax import parse
 
@@ -144,6 +148,27 @@ class TestLift:
         code, out, _ = run(capsys, "lift", str(f), "--format", "json")
         assert code == 0
 
+    def test_text_cut_independent_of_hash_seed(self):
+        points = list("abcdefgh")
+        inst = json.dumps({
+            "source": {"points": points, "weights": ["1/8"] * 8},
+            "target": {"points": ["t"], "weights": ["1/2"]},
+            "relation": [[a, "t"] for a in points],
+        })
+        src = os.path.dirname(os.path.dirname(plamb.__file__))
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "plamb.cli", "lift", inst],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        cut = "cut={'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'})"
+        assert outs[0].decode().count(cut) == 2
+
 
 class TestApprox:
     def test_generate_output(self, capsys):
@@ -214,3 +239,4 @@ class TestTotalVariation:
         a = parse("{1/2: x, 1/2: y}")
         b = parse("{1/4: x, 3/4: y}")
         assert total_variation(a, b) == parse("{1/4: x}").mass()
+        assert total_variation(parse(r"\x. x"), parse(r"\y. y")) == 0

@@ -26,13 +26,12 @@ from .syntax import (
     Abs,
     App,
     Dist,
+    DistKey,
     LambError,
-    Term,
     Var,
-    ZERO,
     check_name,
-    check_weight,
     fresh_name,
+    merge_entries,
     parse as _parse_lambda,
     unit,
 )
@@ -56,10 +55,7 @@ class FinTerm:
 
 
 class Omega(FinTerm):
-    __slots__ = ("_hash",)
-
-    def __init__(self):
-        self._hash = None
+    __slots__ = ()
 
     def canon(self):
         return ("o",)
@@ -153,42 +149,24 @@ def _canon_fin(t, env, depth):
 
 
 def _canon_fin_dist(d, env, depth):
-    return ("d",) + tuple(
-        sorted((_canon_fin(t, env, depth), w) for t, w in d.entries())
+    if not env:
+        # outside any binder the key is the one d built for itself
+        return d._canon
+    return DistKey(
+        tuple(sorted((_canon_fin(t, env, depth), w) for t, w in d.entries()))
     )
 
 
 class FinDist:
     """Finite map from finite terms to rational weights, total mass <= 1,
-    alpha-equivalent keys merged."""
+    alpha-equivalent keys merged; built and keyed like ``Dist``."""
 
-    __slots__ = ("_entries", "_canon", "_mass", "_hash")
+    __slots__ = ("_entries", "_index", "_canon", "_mass")
 
     def __init__(self, pairs=()):
-        if isinstance(pairs, dict):
-            pairs = pairs.items()
-        merged = {}
-        display = {}
-        for t, w in pairs:
-            if not isinstance(t, FinTerm):
-                raise LambError("FinDist key must be a FinTerm: %r" % (t,))
-            w = check_weight(w)
-            if w == 0:
-                continue
-            key = t.canon()
-            if key in merged:
-                merged[key] += w
-            else:
-                merged[key] = w
-                display[key] = t
-        mass = sum(merged.values(), ZERO)
-        if mass > 1:
-            raise LambError("total mass %s exceeds 1" % mass)
-        keys = sorted(merged)
-        self._entries = tuple((display[k], merged[k]) for k in keys)
-        self._canon = ("d",) + tuple((k, merged[k]) for k in keys)
-        self._mass = mass
-        self._hash = None
+        self._entries, self._index, self._canon, self._mass = merge_entries(
+            pairs, FinTerm, "FinDist"
+        )
 
     def entries(self):
         return self._entries
@@ -215,9 +193,7 @@ class FinDist:
         return isinstance(other, FinDist) and other._canon == self._canon
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._canon)
-        return self._hash
+        return self._canon._hash
 
     def __repr__(self):
         return print_fin_dist(self)
@@ -454,7 +430,7 @@ def parse_fin(src):
     from .syntax import _tokenize
 
     p = _FinParser(_tokenize(src))
-    d = p.fin_dist()
+    d = p.parse_nested(p.fin_dist)
     if not p.at_kind("eof"):
         p.fail("trailing input after distribution")
     return d

@@ -7,8 +7,13 @@ with total mass at most 1; missing mass stands for divergence.
 
 Identity of distribution keys is alpha-equivalence: keys are merged by a
 de-Bruijn-style canonical form while the originally written binder names are
-kept for display.  Machine-generated names live in the reserved ``#``
-namespace, which the parser rejects.
+kept for display.  A distribution's canonical form is a ``DistKey``: its
+sorted (term key, weight) pairs with a hash computed once, when the key is
+built, from the term keys (nested keys contribute their cached hash) and
+each weight's numerator and denominator.  Outside any binder a term's key
+reuses its operands' keys, so the key of an application ``f a`` is
+``("a", f.canon(), a.canon())`` and costs O(1).  Machine-generated names
+live in the reserved ``#`` namespace, which the parser rejects.
 
 All values are immutable after construction and safe to share between
 threads; every function here is pure.
@@ -208,8 +213,82 @@ def _canon_term(t, env, depth):
 
 
 def _canon_dist(d, env, depth):
-    pairs = sorted((_canon_term(t, env, depth), w) for t, w in d.entries())
-    return ("d",) + tuple(pairs)
+    if not env:
+        # outside any binder the key is the one d built for itself
+        return d._canon
+    return DistKey(
+        tuple(sorted((_canon_term(t, env, depth), w) for t, w in d.entries()))
+    )
+
+
+class DistKey:
+    """Canonical form of a distribution: its (term key, weight) pairs in
+    canonical order.
+
+    The hash is computed once, at construction, from the term keys and
+    each weight's (numerator, denominator); a nested key contributes its
+    cached hash, so hashing a key costs O(width), not O(size).  Keys order
+    by their pairs, so weights compare by exact value.
+    """
+
+    __slots__ = ("pairs", "_hash")
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self._hash = hash(tuple([(k, w.numerator, w.denominator) for k, w in pairs]))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, DistKey):
+            return NotImplemented
+        return self._hash == other._hash and self.pairs == other.pairs
+
+    def __lt__(self, other):
+        return self.pairs < other.pairs
+
+    def __repr__(self):
+        return "DistKey(%r)" % (self.pairs,)
+
+
+def merge_entries(pairs, term_type, what):
+    """Merge weighted terms into a distribution's parts.
+
+    Alpha-equivalent terms (equal ``canon()``) add their weights, the first
+    one seen is kept for display, and zero weights are dropped.  Returns
+    ``(entries, index, key, mass)``: the (term, weight) entries in
+    canonical order, the map from term key to weight, the ``DistKey`` and
+    the total mass.  Raises MassError above total mass 1.
+    """
+    if isinstance(pairs, dict):
+        pairs = pairs.items()
+    merged = {}
+    display = []
+    for t, w in pairs:
+        if not isinstance(t, term_type):
+            raise LambError("%s key must be a %s: %r" % (what, term_type.__name__, t))
+        w = check_weight(w)
+        if w == 0:
+            continue
+        key = t.canon()
+        old = merged.get(key)
+        if old is None:
+            merged[key] = w
+            display.append(t)
+        else:
+            merged[key] = old + w
+    mass = sum(merged.values(), ZERO)
+    if mass > 1:
+        raise MassError("total mass %s exceeds 1" % mass)
+    keys = list(merged)
+    weights = list(merged.values())
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    entries = tuple((display[i], weights[i]) for i in order)
+    key = DistKey(tuple((keys[i], weights[i]) for i in order))
+    return entries, merged, key, mass
 
 
 # ---------------------------------------------------------------------------
@@ -222,38 +301,17 @@ class Dist:
     Alpha-equivalent keys are merged by weight addition at construction,
     zero-weight entries are dropped, and entries are kept in canonical-key
     order, so iteration, printing and hashing are deterministic and
-    alpha-invariant.
+    alpha-invariant.  The canonical form is a ``DistKey`` whose hash is
+    computed once, so equality, hashing and use as a memo key are cheap.
     """
 
-    __slots__ = ("_entries", "_index", "_canon", "_mass", "_fn", "_hash")
+    __slots__ = ("_entries", "_index", "_canon", "_mass", "_fn")
 
     def __init__(self, pairs=()):
-        if isinstance(pairs, dict):
-            pairs = pairs.items()
-        merged = {}
-        display = {}
-        for t, w in pairs:
-            if not isinstance(t, Term):
-                raise LambError("distribution key must be a Term: %r" % (t,))
-            w = check_weight(w)
-            if w == 0:
-                continue
-            key = t.canon()
-            if key in merged:
-                merged[key] += w
-            else:
-                merged[key] = w
-                display[key] = t
-        mass = sum(merged.values(), ZERO)
-        if mass > 1:
-            raise MassError("total mass %s exceeds 1" % mass)
-        keys = sorted(merged)
-        self._entries = tuple((display[k], merged[k]) for k in keys)
-        self._index = {k: merged[k] for k in keys}
-        self._canon = ("d",) + tuple((k, merged[k]) for k in keys)
-        self._mass = mass
+        self._entries, self._index, self._canon, self._mass = merge_entries(
+            pairs, Term, "distribution"
+        )
         self._fn = None
-        self._hash = None
 
     def entries(self):
         """Entries as (term, weight) pairs in canonical order."""
@@ -293,9 +351,7 @@ class Dist:
         return isinstance(other, Dist) and other._canon == self._canon
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._canon)
-        return self._hash
+        return self._canon._hash
 
     def __repr__(self):
         return print_dist(self)
@@ -517,6 +573,15 @@ class _Parser:
     def at_kind(self, kind):
         return self.peek()[0] == kind
 
+    def parse_nested(self, rule):
+        """Run the recursive ``rule``; input nested deeper than the
+        interpreter's recursion limit is a ParseError, not a crash."""
+        try:
+            return rule()
+        except RecursionError:
+            _, _, line, col = self.peek()
+            raise ParseError("nesting too deep", line, col) from None
+
     # dist ::= term | '{' weight ':' term (',' weight ':' term)* '}' | '{}'
     def dist(self):
         if self.at("{"):
@@ -633,7 +698,7 @@ def parse(src, prelude=None):
     if prelude:
         src = expand_prelude(src, prelude)
     p = _Parser(_tokenize(src))
-    d = p.dist()
+    d = p.parse_nested(p.dist)
     if not p.at_kind("eof"):
         p.fail("trailing input after distribution")
     return d

@@ -240,3 +240,26 @@ class TestFinSyntax:
         assert parse_fin("{1/4: \\a. _|_, 1/4: \\b. _|_}") == parse_fin(
             "{1/2: \\z. _|_}"
         )
+
+
+class TestFinDistKey:
+    def test_alpha_equivalent_by_parse_fin_and_truncation(self):
+        m = parse(r"{1/2: \a. {1/2: a}, 1/4: y (\b. b)}")
+        out = approx_generate(m, 2, 8, F(1, 8))
+        want = parse_fin(r"{1/8: y ({7/8: \z. _|_}), 3/8: \q. {3/8: q}}")
+        assert want in out
+        (got,) = [c for c in out if c == want]
+        assert hash(got) == hash(want) and got.canon() == want.canon()
+        assert print_fin_dist(got) == r"{3/8: \a. {3/8: a}, 1/8: y ({7/8: \b. _|_})}"
+
+    def test_nested_weights_order_by_value(self):
+        c = parse_fin(r"{1/2: \x. {1/2: x}, 1/2: \x. {1/3: x}}")
+        assert print_fin_dist(c) == r"{1/2: \x. {1/3: x}, 1/2: \x. {1/2: x}}"
+
+    def test_spine_key_reuses_argument_keys(self):
+        a = parse_fin("{1/2: _|_}")
+        key = FinSpine("y", (a,)).canon()
+        assert key == ("s", ("f", "y"), a.canon()) and key[2] is a.canon()
+        built = FinDist([(FinSpine("y", (a,)), F(1, 2))])
+        parsed = parse_fin("{1/2: y ({1/2: _|_})}")
+        assert built == parsed and hash(built) == hash(parsed)

@@ -44,6 +44,17 @@ class TestEval:
         assert code == 2
         assert "reserved" in err
 
+    def test_deep_nesting_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "(" * 400 + "x" + ")" * 400)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 1:") and "nesting too deep" in err
+
+    def test_moderate_nesting_parses(self, capsys):
+        code, out, _ = run(capsys, "eval", "(" * 50 + "x" + ")" * 50)
+        assert code == 0 and out == "{1: x}\n"
+        code, out, _ = run(capsys, "eval", "y (" * 50 + "x" + ")" * 50)
+        assert code == 0 and out.startswith("{1: y (y (y")
+
 
 class TestFiles:
     def test_file_operand(self, capsys, tmp_path):
@@ -193,6 +204,16 @@ class TestApprox:
             capsys, "approx", YT_SRC, "--check", str(f),
             "--depth", "2", "--fuel", "6",
         )
+        assert code == 1 and out.strip() == "false"
+
+    def test_check_file_nested_too_deep(self, capsys, tmp_path):
+        f = tmp_path / "cand.fin"
+        f.write_text("y (" * 1000 + "_|_" + ")" * 1000, encoding="utf-8")
+        code, out, err = run(capsys, "approx", "y", "--check", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: 1:") and "nesting too deep" in err
+        f.write_text("y (" * 50 + "_|_" + ")" * 50, encoding="utf-8")
+        code, out, _ = run(capsys, "approx", "y", "--check", str(f))
         assert code == 1 and out.strip() == "false"
 
 

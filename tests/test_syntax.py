@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from plamb.syntax import (
     Abs,
     App,
     Dist,
+    DistKey,
     EMPTY,
     MassError,
     ParseError,
@@ -217,3 +219,115 @@ class TestCanonicalization:
 
     def test_free_names_not_captured_by_canonical_form(self):
         assert P(r"\a. a x") != P(r"\a. a y")
+
+
+# Reference canonical form: plain nested tuples with Fraction weights, the
+# representation keys had before DistKey.  Entry order must not change.
+
+
+def ref_canon_term(t, env, depth, weight=lambda w: w):
+    if isinstance(t, Var):
+        lvl = env.get(t.name)
+        return ("f", t.name) if lvl is None else ("b", lvl)
+    if isinstance(t, Abs):
+        inner = dict(env)
+        inner[t.binder] = depth
+        return ("l", ref_canon_dist(t.body, inner, depth + 1, weight))
+    return (
+        "a",
+        ref_canon_dist(t.fun, env, depth, weight),
+        ref_canon_dist(t.arg, env, depth, weight),
+    )
+
+
+def ref_canon_dist(d, env, depth, weight=lambda w: w):
+    return ("d",) + tuple(
+        sorted((ref_canon_term(t, env, depth, weight), weight(w)) for t, w in d.entries())
+    )
+
+
+# weights whose value order differs from their (numerator, denominator) order
+KEY_WEIGHTS = (F(1, 2), F(1, 3), F(2, 5), F(1, 4), F(3, 8), F(2, 7))
+
+
+def gen_key_dist(rng, depth, bound=()):
+    pairs = []
+    for _ in range(rng.choice((1, 2, 2, 3))):
+        kind = rng.choice(("var", "abs", "app") if depth > 0 else ("var",))
+        if kind == "var":
+            t = Var(rng.choice(bound + ("u",)))
+        elif kind == "abs":
+            b = rng.choice(("a", "b"))
+            t = Abs(b, gen_key_dist(rng, depth - 1, bound + (b,)))
+        else:
+            t = App(gen_key_dist(rng, depth - 1, bound), gen_key_dist(rng, depth - 1, bound))
+        pairs.append((t, rng.choice(KEY_WEIGHTS)))
+    total = sum(w for _, w in pairs)
+    return Dist(pairs if total <= 1 else [(t, w / total) for t, w in pairs])
+
+
+def sub_dists(d):
+    yield d
+    for t, _ in d.entries():
+        if isinstance(t, Abs):
+            yield from sub_dists(t.body)
+        elif isinstance(t, App):
+            yield from sub_dists(t.fun)
+            yield from sub_dists(t.arg)
+
+
+class TestDistKey:
+    def test_nested_weights_order_by_value(self):
+        d = P(r"{1/2: \x. {1/2: x}, 1/2: \x. {1/3: x}}")
+        assert print_dist(d) == r"{1/2: \x. {1/3: x}, 1/2: \x. {1/2: x}}"
+        assert print_dist(P(print_dist(d))) == print_dist(d)
+
+    def test_entry_order_matches_fraction_tuples(self):
+        def as_pair(w):
+            return (w.numerator, w.denominator)
+
+        rng = random.Random(20240)
+        pair_order_differs = 0
+        for _ in range(400):
+            d = gen_key_dist(rng, 3)
+            for sub in sub_dists(d):
+                keys = [ref_canon_term(t, {}, 0) for t, _ in sub.entries()]
+                assert keys == sorted(keys), sub
+                pair_keys = [ref_canon_term(t, {}, 0, as_pair) for t, _ in sub.entries()]
+                pair_order_differs += pair_keys != sorted(pair_keys)
+        # the sample does separate value order from integer-pair order
+        assert pair_order_differs > 0
+
+    def test_alpha_equivalent_by_parse_subst_and_app(self):
+        want = P(r"{1/3: \a. {1/2: a u}, 1/3: \b. b, 1/3: (\c. c) ({1/2: u})}")
+        by_parse = P(r"{1/3: (\z. z) ({1/2: u}), 1/3: \q. q, 1/3: \p. {1/2: p u}}")
+        by_subst = subst(
+            P(r"{1/3: \a. {1/2: a v}, 1/3: \b. b, 1/3: (\c. c) ({1/2: v})}"),
+            "v",
+            unit(Var("u")),
+        )
+        by_app = Dist(
+            [
+                (Abs("r", Dist([(App(unit(Var("r")), P("u")), F(1, 2))])), F(1, 3)),
+                (Abs("s", unit(Var("s"))), F(1, 3)),
+                (App(P(r"\y. y"), P("{1/2: u}")), F(1, 3)),
+            ]
+        )
+        for d in (by_parse, by_subst, by_app):
+            assert d == want and hash(d) == hash(want)
+            assert d.canon() == want.canon() and hash(d.canon()) == hash(want.canon())
+
+    def test_capture_avoiding_subst_matches_parse(self):
+        out = subst(P(r"\u. {1/2: x u}"), "x", P("u"))
+        assert out == P(r"\z. {1/2: u z}")
+        assert hash(out) == hash(P(r"\z. {1/2: u z}"))
+
+    def test_application_key_reuses_operand_keys(self):
+        f, a = P(r"\x. x"), P("{1/2: y}")
+        key = App(f, a).canon()
+        assert key == ("a", f.canon(), a.canon())
+        assert key[1] is f.canon() and key[2] is a.canon()
+
+    def test_key_repr_deterministic(self):
+        assert repr(P("{1/2: x}").canon()) == "DistKey(((('f', 'x'), Fraction(1, 2)),))"
+        assert isinstance(P(r"\x. x").canon(), DistKey)

@@ -5,7 +5,8 @@ open applications, with rational weights.  ``approx_check`` decides
 fuel-bounded membership at an index k: the candidate's non-bottom mass must
 match strictly below the evolved value mass of the program (strictly, on
 every set of entries), with bodies and spine arguments checked recursively
-one index down.  The strict matching is one exact max-flow of
+one index down (a program abstraction's body is its ``ret`` target from
+``plamb.lts``).  The strict matching is one exact max-flow of
 ``plamb.lifting``, with every supply raised by a bump too small to undo any
 strict inequality and large enough to break every tie.  Bottom entries need
 no support at all, so the bottom-only candidates approximate every program
@@ -36,6 +37,7 @@ from .syntax import (
     unit,
 )
 from .lifting import max_flow
+from .lts import ret_target
 from .reduction import AbsView, SpineView, evolve, whnf_view
 
 
@@ -320,10 +322,7 @@ def _compat(ct, wt, k, fuel):
         avoid = ct.free_names() | wt.free_names()
         sym = fresh_name(avoid)
         cbody = fin_subst_head(ct.body, ct.binder, sym)
-        from .syntax import subst
-
-        wbody = subst(view.body, view.binder, unit(Var(sym)))
-        return approx_check(cbody, wbody, k - 1, fuel)
+        return approx_check(cbody, ret_target(view, sym), k - 1, fuel)
     if isinstance(ct, FinSpine) and isinstance(view, SpineView):
         if ct.head != view.head or len(ct.args) != len(view.args):
             return False

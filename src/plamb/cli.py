@@ -4,7 +4,8 @@ Subcommands: eval, trace, lts, sim, bisim, lift, approx, normalize,
 selftest.  Operands are inline expressions unless they name an existing
 file (or end in ``.lam``), in which case the file's contents are parsed.
 Exit codes: 0 success / no counterexample, 1 refuted or failed data
-condition, 2 usage, file, or parse errors.
+condition, 2 usage, file, parse or malformed-input errors, and terms nested
+too deeply for the recursion limit.
 
 The environment variable ``PLAMB_PRELUDE`` points at an alternative prelude
 file (``name = source`` lines).
@@ -46,19 +47,6 @@ from .syntax import (
 TV_EPSILON = Fraction(1, 1024)
 
 
-class Config:
-    """Run-wide defaults shared by the subcommands."""
-
-    __slots__ = ("fuel", "depth", "grain", "format", "seed")
-
-    def __init__(self, fuel=64, depth=4, grain=Fraction(1, 16), format="text", seed=0):
-        self.fuel = fuel
-        self.depth = depth
-        self.grain = grain
-        self.format = format
-        self.seed = seed
-
-
 def _prelude():
     path = os.environ.get("PLAMB_PRELUDE")
     if path:
@@ -73,6 +61,14 @@ def _load_operand(text):
     if text.endswith(".lam"):
         raise LambError("file not found: %s" % text)
     return parse(text, prelude=_prelude())
+
+
+def _fraction(text, what):
+    """An exact rational from command-line or JSON input, or a LambError."""
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise LambError("%s: not a rational number: %r" % (what, text)) from exc
 
 
 def _dist_json(d):
@@ -105,13 +101,13 @@ def total_variation(a, b):
     return total / 2
 
 
-def normalize(m, cfg):
+def normalize(m, fuel):
     """Evolve step by step, renormalizing the value mass at each fuel step;
     raises on programs whose value mass stays zero throughout."""
     rows = []
     cur = m
     small_run = 0
-    for s in range(1, cfg.fuel + 1):
+    for s in range(1, fuel + 1):
         cur = step(cur)
         v = vals(cur)
         mass = v.mass()
@@ -143,10 +139,10 @@ def normalize(m, cfg):
 # Subcommands
 
 
-def _cmd_eval(args, cfg):
+def _cmd_eval(args):
     d = _load_operand(args.expr)
-    report = evolve(d, cfg.fuel)
-    if cfg.format == "json":
+    report = evolve(d, args.fuel)
+    if args.format == "json":
         print(json.dumps({
             "values": _dist_json(report.values),
             "mass": str(report.values.mass()),
@@ -159,10 +155,10 @@ def _cmd_eval(args, cfg):
     return 0
 
 
-def _cmd_trace(args, cfg):
+def _cmd_trace(args):
     d = _load_operand(args.expr)
     cur = d
-    for i in range(cfg.fuel + 1):
+    for i in range(args.fuel + 1):
         v = vals(cur)
         print("%d\t%s\tvalue=%s\tresidual=%s" % (
             i, print_dist(cur), v.mass(), cur.mass() - v.mass()
@@ -173,13 +169,13 @@ def _cmd_trace(args, cfg):
     return 0
 
 
-def _cmd_lts(args, cfg):
+def _cmd_lts(args):
     d = _load_operand(args.expr)
-    report = evolve(d, cfg.fuel)
+    report = evolve(d, args.fuel)
     print("tau\t%s\tresidual=%s" % (print_dist(report.values, explicit=True), report.residual))
     sym = fresh_name(free_names(d))
     for label in available_labels(report.values, sym):
-        r = weak_max_transition(report.values, label, cfg.fuel)
+        r = weak_max_transition(report.values, label, args.fuel)
         print("%s\t%s\tresidual=%s" % (label, print_dist(r.values, explicit=True), r.residual))
     return 0
 
@@ -188,24 +184,24 @@ def _verdict_exit(verdicts):
     return 0 if all(v.holds for v in verdicts) else 1
 
 
-def _cmd_sim(args, cfg):
+def _cmd_sim(args):
     m = _load_operand(args.left)
     n = _load_operand(args.right)
-    params = SimParams(cfg.depth, cfg.fuel, not args.no_slack)
+    params = SimParams(args.depth, args.fuel, not args.no_slack)
     v = sim_check(m, n, params)
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps(v.to_dict()))
     else:
         print(repr(v))
     return _verdict_exit([v])
 
 
-def _cmd_bisim(args, cfg):
+def _cmd_bisim(args):
     m = _load_operand(args.left)
     n = _load_operand(args.right)
-    params = SimParams(cfg.depth, cfg.fuel, not args.no_slack)
+    params = SimParams(args.depth, args.fuel, not args.no_slack)
     fwd, bwd = bisim_check(m, n, params)
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps({
             "holds_at_bound": fwd.holds and bwd.holds,
             "forward": fwd.to_dict(),
@@ -217,28 +213,42 @@ def _cmd_bisim(args, cfg):
     return _verdict_exit([fwd, bwd])
 
 
+def _lift_instance(text, default_slack):
+    """The lift instance as (source, target, relation, slack)."""
+    try:
+        if os.path.exists(text):
+            with open(text, encoding="utf-8") as fh:
+                text = fh.read()
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise LambError("lift instance is not JSON: %s" % exc) from exc
+    if not isinstance(obj, dict):
+        raise LambError("lift instance must be a JSON object")
+    try:
+        d = _lift_dist(obj, "source")
+        e = _lift_dist(obj, "target")
+        relation = {(a, b) for a, b in obj.get("relation", [])}
+    except (TypeError, ValueError) as exc:
+        raise LambError("malformed lift instance: %s" % exc) from exc
+    return d, e, relation, _fraction(obj.get("slack", default_slack), "slack")
+
+
 def _lift_dist(obj, side):
     try:
-        return FinSupportDist(obj[side]["points"], [Fraction(w) for w in obj[side]["weights"]])
+        points, weights = obj[side]["points"], obj[side]["weights"]
     except KeyError as exc:
         raise LambError("lift instance missing %s.%s" % (side, exc)) from exc
+    what = "%s weight" % side
+    return FinSupportDist(points, [_fraction(w, what) for w in weights])
 
 
-def _cmd_lift(args, cfg):
-    if os.path.exists(args.instance):
-        with open(args.instance, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.loads(args.instance)
-    d = _lift_dist(obj, "source")
-    e = _lift_dist(obj, "target")
-    relation = {(a, b) for a, b in obj.get("relation", [])}
-    slack = Fraction(obj.get("slack", args.slack))
+def _cmd_lift(args):
+    d, e, relation, slack = _lift_instance(args.instance, args.slack)
     flow = lift_check_flow(d, e, relation, slack)
     subsets = None
     if len(d) <= 12 and slack == 0:
         subsets = lift_check_subsets(d, e, relation)
-    if cfg.format == "json":
+    if args.format == "json":
         out = {
             "flow": {
                 "holds": flow.holds,
@@ -260,24 +270,25 @@ def _cmd_lift(args, cfg):
     return 0 if flow.holds else 1
 
 
-def _cmd_approx(args, cfg):
+def _cmd_approx(args):
+    grain = _fraction(args.grain, "--grain")
     m = _load_operand(args.expr)
     if args.check:
         with open(args.check, encoding="utf-8") as fh:
             candidate = parse_fin(fh.read())
-        ok = approx_check(candidate, m, cfg.depth, cfg.fuel)
+        ok = approx_check(candidate, m, args.depth, args.fuel)
         print("true" if ok else "false")
         return 0 if ok else 1
-    out = approx_generate(m, cfg.depth, cfg.fuel, cfg.grain)
+    out = approx_generate(m, args.depth, args.fuel, grain)
     for c in sorted(out, key=lambda c: c.canon()):
         print(print_fin_dist(c))
     return 0
 
 
-def _cmd_normalize(args, cfg):
+def _cmd_normalize(args):
     m = _load_operand(args.expr)
-    report = normalize(m, cfg)
-    if cfg.format == "json":
+    report = normalize(m, args.fuel)
+    if args.format == "json":
         print(json.dumps({
             "rows": [
                 {
@@ -301,10 +312,10 @@ def _cmd_normalize(args, cfg):
 # Self-test battery
 
 
-def _selftest_checks(cfg):
+def _selftest_checks(seed):
     from .syntax import dist_leq, dist_union, parse as _p
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     terms = corpus_mod.corpus()
 
     def check_roundtrip():
@@ -403,10 +414,10 @@ def _selftest_checks(cfg):
     ]
 
 
-def _cmd_selftest(args, cfg):
+def _cmd_selftest(args):
     failures = 0
     passed = 0
-    for name, fn in _selftest_checks(cfg):
+    for name, fn in _selftest_checks(args.seed):
         bad = fn()
         if bad:
             failures += 1
@@ -495,17 +506,14 @@ def _build_parser():
 def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
-    cfg = Config(
-        fuel=getattr(args, "fuel", 64),
-        depth=getattr(args, "depth", 4),
-        grain=Fraction(getattr(args, "grain", "1/16")),
-        format=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", 0),
-    )
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except LambError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print("error: %s: nesting too deep (recursion limit %d)" % (args.command, limit), file=sys.stderr)
         return 2
 
 

@@ -11,11 +11,15 @@ lengths.
 The applicative test folds the beta step into the transition: ``ret s`` on
 ``\\x. B`` goes straight to ``B[s/x]`` instead of to the application, since
 the silent step would fire immediately anyway.
+
+This module alone knows which labels a whnf affords (``split_values``) and
+their targets (``strong_target``, ``ret_target``, ``ret_block``); the
+simulation check and approximant membership take theirs from here.
 """
 
 from __future__ import annotations
 
-from .syntax import Abs, LambError, Var, dist_scale, dist_union, EMPTY, unit
+from .syntax import Abs, EMPTY, LambError, Var, dist_scale, dist_union, subst, unit
 from .reduction import AbsView, SpineView, evolve, head_step, whnf_view
 
 IDENTITY = Abs("x", unit(Var("x")))
@@ -115,6 +119,77 @@ class Transition:
         return "%r -> %r" % (self.label, self.target)
 
 
+def split_values(d):
+    """Split the whnf entries of ``d`` by the labels they afford, as
+    ``(term, weight, view)`` triples in entry order: abstraction entries
+    (conv and ret) and spine entries (the call family of their head and
+    arity).  Entries that are not in weak head normal form afford no
+    visible label and are dropped."""
+    abs_entries = []
+    spine_entries = []
+    for t, w in d.entries():
+        view = whnf_view(t)
+        if isinstance(view, AbsView):
+            abs_entries.append((t, w, view))
+        elif isinstance(view, SpineView):
+            spine_entries.append((t, w, view))
+    return abs_entries, spine_entries
+
+
+def ret_target(view, sym):
+    """Strong ``ret sym`` target of one abstraction, at unit weight: its
+    body with the binder replaced by ``sym``."""
+    return subst(view.body, view.binder, unit(Var(sym)))
+
+
+def ret_block(abs_entries, sym):
+    """Strong ``ret sym`` target of an abstraction block: every body applied
+    to ``sym``, scaled by its entry weight."""
+    return _weighted(abs_entries, Ret(sym))
+
+
+def _unit_target(view, label):
+    if isinstance(label, Ret):
+        return ret_target(view, label.sym)
+    if label == CONVERGE or label.index == 0:
+        return unit(IDENTITY)
+    return view.args[label.index - 1]
+
+
+def _weighted(entries, label):
+    """Union, in entry order, of the entries' targets scaled by weight."""
+    out = EMPTY
+    for _, w, view in entries:
+        out = dist_union(out, dist_scale(w, _unit_target(view, label)))
+    return out
+
+
+def strong_target(d, label):
+    """Weighted strong target of a visible label on ``d``, before evolution:
+    the targets of the whnf entries affording the label, scaled by their
+    weights.  Raises ``LabelNotApplicableError`` when no entry affords it."""
+    abs_entries, spine_entries = split_values(d)
+    if isinstance(label, Call):
+        sig = (label.sym, label.arity)
+        hit = [e for e in spine_entries if (e[2].head, len(e[2].args)) == sig]
+    else:
+        hit = abs_entries if isinstance(label, (Ret, _Converge)) else []
+    if not hit:
+        raise LabelNotApplicableError("no entry affords %r" % label)
+    if isinstance(label, Ret) and any(label.sym in t.free_names() for t, _, _ in hit):
+        raise FreshNameCollisionError("%r occurs free in the term" % label.sym)
+    return _weighted(hit, label)
+
+
+def label_target(t, label):
+    """Target of a visible label on a whnf term, at unit weight, or None
+    when the term does not afford the label."""
+    try:
+        return strong_target(unit(t), label)
+    except LabelNotApplicableError:
+        return None
+
+
 def strong_transitions(t, fresh):
     """All strong transitions of a term, at unit weight.
 
@@ -125,98 +200,33 @@ def strong_transitions(t, fresh):
     """
     if fresh in t.free_names():
         raise FreshNameCollisionError("%r occurs free in the term" % fresh)
-    view = whnf_view(t)
-    if view is None:
+    if whnf_view(t) is None:
         return [Transition(TAU, head_step(t))]
-    if isinstance(view, AbsView):
-        return [
-            Transition(CONVERGE, unit(IDENTITY)),
-            Transition(Ret(fresh), _apply_ret(view, fresh)),
-        ]
-    n = len(view.args)
-    out = [Transition(Call(view.head, 0, n), unit(IDENTITY))]
-    for i in range(1, n + 1):
-        out.append(Transition(Call(view.head, i, n), view.args[i - 1]))
-    return out
-
-
-def _apply_ret(view, sym):
-    from .syntax import subst
-
-    return subst(view.body, view.binder, unit(Var(sym)))
-
-
-def _affords(view, label):
-    if isinstance(view, AbsView):
-        return isinstance(label, (Ret, _Converge))
-    if isinstance(view, SpineView):
-        return (
-            isinstance(label, Call)
-            and label.sym == view.head
-            and label.arity == len(view.args)
-        )
-    return False
-
-
-def label_target(t, label):
-    """Target of a visible label on a whnf term, at unit weight, or None
-    when the term does not afford the label."""
-    view = whnf_view(t)
-    if view is None or not _affords(view, label):
-        return None
-    if isinstance(label, _Converge):
-        return unit(IDENTITY)
-    if isinstance(label, Ret):
-        if label.sym in t.free_names():
-            raise FreshNameCollisionError(
-                "%r occurs free in the term" % label.sym
-            )
-        return _apply_ret(view, label.sym)
-    if label.index == 0:
-        return unit(IDENTITY)
-    return view.args[label.index - 1]
+    d = unit(t)
+    return [
+        Transition(label, strong_target(d, label))
+        for label in available_labels(d, fresh)
+    ]
 
 
 def weak_max_transition(d, label, fuel):
     """The unique weak max transition of a distribution under a label.
 
-    tau evolves the distribution.  A visible label applies to every whnf
-    entry affording it, scaled by entry weight, and the combined target is
-    then evolved; the result is deterministic.
+    tau evolves the distribution.  A visible label takes the strong target
+    of every whnf entry affording it, scaled by entry weight, and the
+    combined target is then evolved; the result is deterministic.
     """
     if label == TAU:
         return evolve(d, fuel)
-    combined = EMPTY
-    hit = False
-    for t, w in d.entries():
-        target = label_target(t, label)
-        if target is not None:
-            hit = True
-            combined = dist_union(combined, dist_scale(w, target))
-    if not hit:
-        raise LabelNotApplicableError("no entry affords %r" % label)
-    return evolve(combined, fuel)
+    return evolve(strong_target(d, label), fuel)
 
 
 def available_labels(d, fresh):
     """Visible labels afforded by the whnf entries of ``d``, deterministic
     order: conv/ret first when abstractions are present, then call families
     per (head, arity)."""
-    labels = []
-    have_abs = False
-    call_sigs = []
-    for t, _ in d.entries():
-        view = whnf_view(t)
-        if isinstance(view, AbsView):
-            have_abs = True
-        elif isinstance(view, SpineView):
-            sig = (view.head, len(view.args))
-            if sig not in call_sigs:
-                call_sigs.append(sig)
-    if have_abs:
-        labels.append(CONVERGE)
-        labels.append(Ret(fresh))
-    for head, arity in sorted(call_sigs):
-        for i in range(arity + 1):
-            labels.append(Call(head, i, arity))
+    abs_entries, spine_entries = split_values(d)
+    labels = [CONVERGE, Ret(fresh)] if abs_entries else []
+    for head, arity in sorted({(v.head, len(v.args)) for _, _, v in spine_entries}):
+        labels.extend(Call(head, i, arity) for i in range(arity + 1))
     return labels

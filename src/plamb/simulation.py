@@ -9,7 +9,10 @@ linear with respect to formal sums, so a single block is sound and
 complete).  Spine points are compared by an exact max-flow matching whose
 edges require equal head and arity and, for every argument position, a
 nested check at the same depth; merging spine points instead would conflate
-behaviorally different sums, so they stay separate.
+behaviorally different sums, so they stay separate.  The split and the
+abstraction block's ret target are the transition system's own
+(``lts.split_values`` and ``lts.ret_block``); this module only decides
+which pairs to compare and how much mass each comparison may miss.
 
 Depth therefore counts applicative (ret) unfoldings; spine argument edges
 do not consume depth, and re-entrant argument comparisons (possible only
@@ -33,19 +36,10 @@ from __future__ import annotations
 import enum
 
 from .lifting import FinSupportDist, lift_check_flow
-from .lts import Ret
-from .reduction import AbsView, SpineView, evolve, whnf_view
-from .syntax import (
-    EMPTY,
-    LambError,
-    Var,
-    ZERO,
-    dist_scale,
-    dist_union,
-    fresh_name,
-    subst,
-    unit,
-)
+from .lts import Ret, ret_block, split_values
+from .reduction import SpineView, evolve, whnf_view
+from .syntax import LambError, ZERO, fresh_name
+from .syntax import subst  # unused here; perfbench/tracing.py rebinds it
 
 
 class SimParams:
@@ -78,7 +72,12 @@ class WitnessKind(enum.Enum):
 class Witness:
     """Replayable refutation: the labels taken from the root pair to the
     failing comparison, which test failed, the violating source entries,
-    and the exact mass deficit after slack."""
+    and the exact mass deficit after slack.
+
+    Following the path with ``lts.weak_max_transition`` from both evolved
+    sides reaches the failing pair, and recomputing the slack there gives
+    the deficit back; ``tests/test_simulation.py`` replays every witness of
+    a seeded sample this way."""
 
     __slots__ = ("path", "kind", "cut", "deficit")
 
@@ -177,30 +176,6 @@ class _SimState:
         self.inprog = set()
 
 
-def _split_values(values):
-    """Decompose a value distribution into the abstraction block and the
-    spine points (term, weight, view)."""
-    abs_entries = []
-    spine_entries = []
-    for t, w in values.entries():
-        view = whnf_view(t)
-        if isinstance(view, AbsView):
-            abs_entries.append((t, w, view))
-        elif isinstance(view, SpineView):
-            spine_entries.append((t, w, view))
-    return abs_entries, spine_entries
-
-
-def _ret_block(abs_entries, sym):
-    """Bodies of an abstraction block applied to a shared fresh symbol,
-    combined with their weights."""
-    out = EMPTY
-    arg = unit(Var(sym))
-    for _, w, view in abs_entries:
-        out = dist_union(out, dist_scale(w, subst(view.body, view.binder, arg)))
-    return out
-
-
 def _sim(st, m, n, k, slack_in):
     """Returns (witness or None, exact).  Witness paths are relative to
     this pair; callers prepend their own label."""
@@ -228,8 +203,8 @@ def _sim_level(st, m, n, k, slack_in):
     live = ZERO if rn.limit_exact else rn.residual
     slack = slack_in + live if st.slack_enabled else ZERO
 
-    d_abs, d_app = _split_values(rm.values)
-    e_abs, e_app = _split_values(rn.values)
+    d_abs, d_app = split_values(rm.values)
+    e_abs, e_app = split_values(rn.values)
 
     # (a) abstraction block: convergence mass, then the shared applicative test
     d_abs_mass = sum((w for _, w, _ in d_abs), ZERO)
@@ -244,8 +219,8 @@ def _sim_level(st, m, n, k, slack_in):
         return wit, exact
     if d_abs:
         sym = fresh_name(_block_names(d_abs) | _block_names(e_abs))
-        d_body = _ret_block(d_abs, sym)
-        e_body = _ret_block(e_abs, sym)
+        d_body = ret_block(d_abs, sym)
+        e_body = ret_block(e_abs, sym)
         wit, sub_exact = _sim(st, d_body, e_body, k - 1, slack)
         exact = exact and sub_exact
         if wit is not None:

@@ -4,7 +4,9 @@ import subprocess
 import sys
 
 import plamb
-from plamb.cli import Config, main, normalize, total_variation
+import pytest
+
+from plamb.cli import main, normalize, total_variation
 from plamb.syntax import parse
 
 YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
@@ -241,9 +243,76 @@ class TestNormalize:
         assert "all mass divergent" in err
 
     def test_rows_sum_to_one(self):
-        report = normalize(parse(r"({1/2: \x. x, 1/4: y}) z"), Config(fuel=8))
+        report = normalize(parse(r"({1/2: \x. x, 1/4: y}) z"), 8)
         for _, d, _ in report.rows:
             assert d.mass() == 1
+
+
+class TestMalformedInput:
+    LIFT_TARGET = {"points": ["a"], "weights": ["1"]}
+
+    def lift(self, source):
+        return json.dumps({
+            "source": source, "target": self.LIFT_TARGET, "relation": [["a", "a"]],
+        })
+
+    @pytest.mark.parametrize("argv, message", [
+        (["approx", "I", "--grain", "abc"], "--grain: not a rational number: 'abc'"),
+        (["approx", "I", "--grain", "1/0"], "--grain: not a rational number: '1/0'"),
+        (["lift", "{bad"], "lift instance is not JSON"),
+        (["lift", "[1]"], "lift instance must be a JSON object"),
+        (["lift", '{"source": [], "target": []}'], "malformed lift instance"),
+    ])
+    def test_exit_2_with_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_lift_weight_and_slack(self, capsys):
+        bad_weight = self.lift({"points": ["a"], "weights": ["x"]})
+        code, out, err = run(capsys, "lift", bad_weight)
+        assert code == 2 and out == ""
+        assert err == "error: source weight: not a rational number: 'x'\n"
+        good = self.lift(self.LIFT_TARGET)
+        code, out, err = run(capsys, "lift", good, "--slack", "x")
+        assert code == 2 and out == ""
+        assert err == "error: slack: not a rational number: 'x'\n"
+        inline = json.dumps(dict(json.loads(good), slack="x"))
+        code, _, err = run(capsys, "lift", inline)
+        assert code == 2 and "slack: not a rational number" in err
+        code, _, _ = run(capsys, "lift", good)
+        assert code == 0
+
+    def test_relation_pairs(self, capsys):
+        inst = dict(json.loads(self.lift(self.LIFT_TARGET)), relation=[["a"]])
+        code, _, err = run(capsys, "lift", json.dumps(inst))
+        assert code == 2 and "malformed lift instance" in err
+
+
+def _stack_depth():
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+class TestRecursionLimit:
+    def test_deep_term_from_reduction_exit_2(self, capsys):
+        # the program parses shallowly, but each unfolding nests one more
+        # abstraction; under a lowered limit, evolving it overflows the
+        # stack outside the parser
+        prog = r"Y (\f. \x. {1/2: x, 1/2: f (\y. x)}) z"
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            shallow = run(capsys, "eval", prog, "--fuel", "40")
+            deep = run(capsys, "eval", prog, "--fuel", "200")
+        finally:
+            sys.setrecursionlimit(old)
+        assert shallow[0] == 0
+        code, out, err = deep
+        assert code == 2 and out == ""
+        assert err.startswith("error: eval: nesting too deep")
 
 
 class TestSelftest:

@@ -1,8 +1,16 @@
 import random
 from fractions import Fraction as F
 
-from conftest import gen_terminating
-from plamb.lts import Ret
+from conftest import gen_dist, gen_terminating
+from plamb.lts import (
+    CONVERGE,
+    Call,
+    LabelNotApplicableError,
+    Ret,
+    available_labels,
+    split_values,
+    weak_max_transition,
+)
 from plamb.reduction import evolve
 from plamb.simulation import (
     Refuted,
@@ -12,7 +20,7 @@ from plamb.simulation import (
     bisim_check,
     sim_check,
 )
-from plamb.syntax import App, dist_scale, dist_union, parse, unit
+from plamb.syntax import EMPTY, ZERO, App, dist_scale, dist_union, parse, unit
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
 XOR_A = parse("{1/2: x tt ff, 1/2: x ff tt}")
@@ -122,13 +130,101 @@ class TestAppEdge:
         assert not app_edge(u, v, 4, 8)
 
 
+def _slack(slack_in, rn, params):
+    """The refutation slack of a level, as the simulation computes it."""
+    if not params.slack_enabled:
+        return ZERO
+    return slack_in + (ZERO if rn.limit_exact else rn.residual)
+
+
+def _step(r, label, fuel):
+    """Weak max transition of an evolved side; a side that does not afford
+    the label (in particular an empty one) has the empty target."""
+    try:
+        return weak_max_transition(r.values, label, fuel)
+    except LabelNotApplicableError:
+        return evolve(EMPTY, fuel)
+
+
+def _conv_mass(r, fuel):
+    return _step(r, CONVERGE, fuel).values.mass()
+
+
+def replay(m, n, witness, params):
+    """Follow the witness path from both evolved sides with the LTS's weak
+    max transitions alone, then recheck the failing comparison; returns
+    the slack at the failing pair."""
+    fuel = params.fuel
+    rm, rn = evolve(m, fuel), evolve(n, fuel)
+    slack = _slack(ZERO, rn, params)
+    for label in witness.path:
+        assert isinstance(label, Ret)
+        rm = weak_max_transition(rm.values, label, fuel)
+        rn = _step(rn, label, fuel)
+        slack = _slack(slack, rn, params)
+    assert witness.deficit > 0
+    abs_entries, spine_entries = split_values(rm.values)
+    cut_mass = sum((rm.values.weight_of(t) for t in witness.cut), ZERO)
+    if witness.kind is WitnessKind.CONVERGE_DEFICIT:
+        assert set(witness.cut) == {t for t, _, _ in abs_entries}
+        deficit = _conv_mass(rm, fuel) - _conv_mass(rn, fuel) - slack
+        assert deficit == witness.deficit
+        assert cut_mass == _conv_mass(rm, fuel)
+        return slack
+    assert witness.cut
+    assert set(witness.cut) <= {t for t, _, _ in spine_entries}
+    if witness.kind is WitnessKind.KERNEL_TYPE_MISMATCH:
+        labels = available_labels(rn.values, "#0")
+        assert not any(isinstance(label, Call) for label in labels)
+        assert witness.deficit == cut_mass - slack
+    else:
+        assert witness.kind is WitnessKind.FLOW_DEFICIT
+        assert witness.deficit <= cut_mass - slack
+    return slack
+
+
 class TestWitnesses:
     def test_path_replays_to_failure(self):
-        v = sim_check(parse("tt"), parse("ff"), P(3, 8))
+        m, n, params = parse("tt"), parse("ff"), P(3, 8)
+        v = sim_check(m, n, params)
         assert isinstance(v, Refuted)
         assert v.witness.path == (Ret("#0"), Ret("#1"))
         assert v.witness.kind is WitnessKind.FLOW_DEFICIT
         assert v.witness.deficit == 1
+        replay(m, n, v.witness, params)
+
+    # refuted although the target's unconverged fixpoint grants slack
+    SLACK_PAIRS = [
+        (r"{1/2: \x. x, 1/2: y}", r"{1/4: Y (\x. {1/2: I, 1/2: x})}"),
+        ("{1/2: y, 1/2: z}", r"{1/2: Y (\t. {1/2: y, 1/2: t})}"),
+        ("{1/2: y}", r"{1/2: Y (\x. {1/2: I, 1/2: x})}"),
+        (r"\a. {1/2: \x. x, 1/2: a}", r"\a. {1/4: Y (\x. {1/2: I, 1/2: x}), 1/4: a}"),
+        (r"\a. {1/2: a, 1/2: b}", r"\a. Y (\t. {1/2: a, 1/2: t})"),
+        (r"\a. \x. x", r"Y (\r. {1/2: \a. {1/4: \x. x}, 1/2: r})"),
+    ]
+
+    def sample(self):
+        for i in range(100):
+            rng = random.Random(7000 + i)
+            m, n = gen_dist(rng, 3), gen_dist(rng, 3)
+            yield m, n
+            yield n, m
+        for a, b in self.SLACK_PAIRS:
+            yield parse(a), parse(b)
+
+    def test_seeded_refutations_replay(self):
+        for params in (P(3, 12), P(2, 8, slack=False)):
+            kinds, nested, slacked = set(), 0, 0
+            for a, b in self.sample():
+                v = sim_check(a, b, params)
+                if isinstance(v, Refuted):
+                    slack = replay(a, b, v.witness, params)
+                    kinds.add(v.witness.kind)
+                    nested += bool(v.witness.path)
+                    slacked += slack > 0
+            assert kinds == set(WitnessKind)
+            assert nested > 0
+            assert (slacked > 0) == params.slack_enabled
 
     def test_converge_witness_names_cut(self):
         v = sim_check(parse(r"{1/2: \x. x, 1/2: y}"), parse("{1/4: \\x. x, 1/2: y}"), P(1, 4))

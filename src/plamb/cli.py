@@ -30,7 +30,7 @@ from .approximants import (
 )
 from .lifting import FinSupportDist, lift_check_flow, lift_check_subsets
 from .lts import available_labels, weak_max_transition
-from .prelude import DEFAULT_PRELUDE, load_prelude_file
+from .prelude import DEFAULT_PRELUDE, parse_prelude
 from .reduction import evolve, step, vals
 from .simulation import SimParams, bisim_check, sim_check
 from .syntax import (
@@ -47,17 +47,28 @@ from .syntax import (
 TV_EPSILON = Fraction(1, 1024)
 
 
+def _read_file(path):
+    """The UTF-8 text of the file at ``path``; a file that cannot be read
+    or decoded is a LambError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise LambError("cannot read %s: %s" % (path, exc.strerror or exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise LambError("cannot read %s: not UTF-8 (%s)" % (path, exc.reason)) from exc
+
+
 def _prelude():
     path = os.environ.get("PLAMB_PRELUDE")
     if path:
-        return load_prelude_file(path)
+        return parse_prelude(_read_file(path), path)
     return DEFAULT_PRELUDE
 
 
 def _load_operand(text):
     if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            return parse(fh.read(), prelude=_prelude())
+        return parse(_read_file(text), prelude=_prelude())
     if text.endswith(".lam"):
         raise LambError("file not found: %s" % text)
     return parse(text, prelude=_prelude())
@@ -217,8 +228,7 @@ def _lift_instance(text, default_slack):
     """The lift instance as (source, target, relation, slack)."""
     try:
         if os.path.exists(text):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
+            text = _read_file(text)
         obj = json.loads(text)
     except ValueError as exc:
         raise LambError("lift instance is not JSON: %s" % exc) from exc
@@ -274,8 +284,7 @@ def _cmd_approx(args):
     grain = _fraction(args.grain, "--grain")
     m = _load_operand(args.expr)
     if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            candidate = parse_fin(fh.read())
+        candidate = parse_fin(_read_file(args.check))
         ok = approx_check(candidate, m, args.depth, args.fuel)
         print("true" if ok else "false")
         return 0 if ok else 1

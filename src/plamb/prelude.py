@@ -26,17 +26,17 @@ DEFAULT_PRELUDE = {
 _LINE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*)\s*=\s*(.+)")
 
 
-def load_prelude_file(path):
-    """Read a prelude file: one ``name = source-text`` per line, ``--``
-    comments and blank lines ignored."""
+def parse_prelude(text, source):
+    """Parse prelude text: one ``name = source-text`` per line, ``--``
+    comments and blank lines ignored; ``source`` names the text in error
+    messages."""
     prelude = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("--", 1)[0].strip()
-            if not line:
-                continue
-            m = _LINE_RE.fullmatch(line)
-            if not m:
-                raise LambError("%s:%d: bad prelude line" % (path, lineno))
-            prelude[m.group(1)] = m.group(2).strip()
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("--", 1)[0].strip()
+        if not line:
+            continue
+        m = _LINE_RE.fullmatch(line)
+        if not m:
+            raise LambError("%s:%d: bad prelude line" % (source, lineno))
+        prelude[m.group(1)] = m.group(2).strip()
     return prelude

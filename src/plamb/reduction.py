@@ -3,10 +3,12 @@
 Reduction stops at weak head normal forms: abstractions and open spines
 ``x M1 ... Mn``.  One parallel step rewrites every non-whnf component of a
 distribution by a single head reduction; fuel counts parallel steps.
-``evolve`` iterates the step and reports the value mass found, the residual
-mass still unreduced, and whether the residual is provably inert (the
-trajectory reached a fixpoint or a cycle, so no further value mass can ever
-appear).
+``evolve`` reports what iterating ``step`` reaches: the value mass found,
+the residual mass still unreduced, and whether the residual is provably
+inert (the trajectory reached a fixpoint or a cycle, so no further value
+mass can ever appear).  Values never change once reached, so ``evolve``
+splits them off once and steps only the residual; ``step`` is the
+whole-distribution reference it is tested against.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
@@ -142,26 +144,72 @@ class EvolveReport:
 
 def evolve(d, fuel):
     """Iterate the parallel step up to ``fuel`` times, stopping early when
-    all mass is on values or the trajectory repeats."""
-    cur = d
-    seen = {cur: 0}
+    all mass is on values or the trajectory repeats.
+
+    The result is that of iterating ``step``, but only the residual is
+    stepped: ``d`` is split once into its values (kept as canon ->
+    [display term, weight]) and its non-whnf residual, each step
+    head-reduces the residual's entries in canonical order, whnf reducts
+    add into the values and the others form the next residual.  The
+    values ``Dist`` is built once, at the end.
+
+    Displays follow ``step``: the first term seen in a class is kept, and
+    ``step`` sees a value class's old entry before the reducts of residual
+    entries whose keys sort after it.  So a reduct replaces the display of
+    a class that existed before the step only when it is the first reduct
+    into that class in this step and its residual entry sorts first.
+
+    The cycle check is keyed on (residual, value mass).  Along one
+    trajectory the values only grow pointwise, so two states' values are
+    equal exactly when their masses are, and the whole distribution
+    repeats exactly when this key does.
+    """
+    values = {}
+    pending = []
+    for t, w in d.entries():
+        if is_whnf(t):
+            values[t.canon()] = [t, w]
+        else:
+            pending.append((t, w))
+    if not pending:
+        return EvolveReport(d, ZERO, 0, True, True)
+    residual = d if not values else Dist(pending)
+    value_mass = d.mass() - residual.mass()
+    seen = {(residual, value_mass)}
     steps = 0
     cycled = False
     for _ in range(fuel):
-        v = vals(cur)
-        if v.mass() == cur.mass():
+        if residual.is_empty():
             break
-        nxt = step(cur)
+        pending = []
+        reached = set()
+        for t, w in residual.entries():
+            for rt, rw in head_step(t).entries():
+                rw = w * rw
+                if not is_whnf(rt):
+                    pending.append((rt, rw))
+                    continue
+                k = rt.canon()
+                slot = values.get(k)
+                if slot is None:
+                    values[k] = [rt, rw]
+                else:
+                    if k not in reached and t.canon() < k:
+                        slot[0] = rt
+                    slot[1] += rw
+                reached.add(k)
+                value_mass += rw
+        residual = Dist(pending)
         steps += 1
-        cur = nxt
-        if cur in seen:
+        key = (residual, value_mass)
+        if key in seen:
             cycled = True
             break
-        seen[cur] = steps
-    v = vals(cur)
-    residual = cur.mass() - v.mass()
-    converged = residual == 0
-    return EvolveReport(v, residual, steps, converged, converged or cycled)
+        seen.add(key)
+    converged = residual.is_empty()
+    return EvolveReport(
+        Dist(values.values()), residual.mass(), steps, converged, converged or cycled
+    )
 
 
 def step_entry(d, index):

@@ -74,7 +74,8 @@ def fresh_name(avoid):
 def check_weight(w):
     if not isinstance(w, Fraction):
         w = Fraction(w)
-    if w < 0 or w > 1:
+    # a Fraction's denominator is positive, so 0 <= w <= 1 is 0 <= n <= d
+    if not 0 <= w.numerator <= w.denominator:
         raise MassError("weight %s outside [0, 1]" % w)
     return w
 
@@ -271,7 +272,7 @@ def merge_entries(pairs, term_type, what):
         if not isinstance(t, term_type):
             raise LambError("%s key must be a %s: %r" % (what, term_type.__name__, t))
         w = check_weight(w)
-        if w == 0:
+        if w.numerator == 0:
             continue
         key = t.canon()
         old = merged.get(key)
@@ -281,7 +282,7 @@ def merge_entries(pairs, term_type, what):
         else:
             merged[key] = old + w
     mass = sum(merged.values(), ZERO)
-    if mass > 1:
+    if mass.numerator > mass.denominator:
         raise MassError("total mass %s exceeds 1" % mass)
     keys = list(merged)
     weights = list(merged.values())
@@ -413,9 +414,15 @@ def subst(body, v, replacement):
     into the enclosing distribution; occurrences in operator/operand
     position receive the whole distribution, so argument choices are
     resolved independently at each use site.
+
+    Where ``v`` is not free, nothing is rebuilt: ``subst`` returns ``body``
+    itself, and a term without ``v`` free is kept as it is, so the result
+    shares those parts (and their display names) with ``body``.
     """
     if not isinstance(replacement, Dist):
         raise LambError("replacement must be a Dist")
+    if v not in body.free_names():
+        return body
     pairs = []
     for t, w in body.entries():
         if isinstance(t, Var) and t.name == v:
@@ -427,17 +434,14 @@ def subst(body, v, replacement):
 
 
 def _subst_term(t, v, replacement):
-    if isinstance(t, Var):
-        # A free occurrence of v in term position only happens at the
-        # distribution level, which subst() splices; other vars unchanged.
+    # A free occurrence of v in term position only happens at the
+    # distribution level, which subst() splices; a binder of v or a term
+    # without v free is unchanged.
+    if v not in t.free_names():
         return t
     if isinstance(t, App):
         return App(subst(t.fun, v, replacement), subst(t.arg, v, replacement))
     if isinstance(t, Abs):
-        if t.binder == v:
-            return t
-        if v not in t.body.free_names():
-            return t
         if t.binder in replacement.free_names():
             avoid = set(replacement.free_names())
             avoid |= t.body.free_names()

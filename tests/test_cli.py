@@ -289,6 +289,44 @@ class TestMalformedInput:
         assert code == 2 and "malformed lift instance" in err
 
 
+class TestUnreadableFiles:
+    """A file that cannot be read or decoded is an error line naming the
+    path and exit code 2, never a traceback and exit 1 ("refuted")."""
+
+    def check(self, capsys, argv, path, reason):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read %s: " % path) and reason in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["eval"], ["lift"], ["approx", "I", "--check"]])
+    def test_directory(self, capsys, tmp_path, command):
+        self.check(capsys, command + [str(tmp_path)], tmp_path, "directory")
+
+    def test_missing_check_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.fin"
+        self.check(capsys, ["approx", "I", "--check", str(missing)], missing, "No such file")
+
+    @pytest.mark.parametrize("name, command", [
+        ("prog.lam", ["eval"]),
+        ("inst.json", ["lift"]),
+        ("cand.fin", ["approx", "I", "--check"]),
+    ])
+    def test_not_utf8(self, capsys, tmp_path, name, command):
+        f = tmp_path / name
+        f.write_bytes(b"\xff\xfe x")
+        self.check(capsys, command + [str(f)], f, "not UTF-8")
+
+    def test_missing_prelude(self, capsys, tmp_path, monkeypatch):
+        missing = tmp_path / "prelude.txt"
+        monkeypatch.setenv("PLAMB_PRELUDE", str(missing))
+        self.check(capsys, ["eval", "x"], missing, "No such file")
+
+    def test_prelude_is_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("PLAMB_PRELUDE", str(tmp_path))
+        self.check(capsys, ["eval", "x"], tmp_path, "directory")
+
+
 def _stack_depth():
     frame, n = sys._getframe(), 0
     while frame is not None:

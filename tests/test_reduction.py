@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings
 
-from conftest import dists, gen_terminating
+from conftest import dists, gen_dist, gen_terminating
 from plamb.reduction import (
     AbsView,
     SpineView,
@@ -13,7 +13,7 @@ from plamb.reduction import (
     vals,
     whnf_view,
 )
-from plamb.syntax import dist_leq, dist_scale, dist_union, parse
+from plamb.syntax import dist_leq, dist_scale, dist_union, parse, print_dist
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
 
@@ -100,6 +100,78 @@ class TestEvolve:
             cur = evolve(YT, fuel).values
             assert dist_leq(prev, cur)
             prev = cur
+
+
+def reference_evolve(d, fuel):
+    """``evolve`` by iterating the whole-distribution ``step``, with the
+    cycle check on the whole distribution, as a tuple of what a report
+    shows: printed values, residual, steps used, converged, limit exact."""
+    cur = d
+    seen = {cur}
+    steps = 0
+    cycled = False
+    for _ in range(fuel):
+        if vals(cur).mass() == cur.mass():
+            break
+        cur = step(cur)
+        steps += 1
+        if cur in seen:
+            cycled = True
+            break
+        seen.add(cur)
+    v = vals(cur)
+    residual = cur.mass() - v.mass()
+    converged = residual == 0
+    return print_dist(v, explicit=True), residual, steps, converged, converged or cycled
+
+
+def report_tuple(r):
+    return (
+        print_dist(r.values, explicit=True), r.residual, r.steps_used,
+        r.converged, r.limit_exact,
+    )
+
+
+class TestEvolveMatchesStep:
+    """``evolve`` steps only the residual; it must report exactly what
+    iterating ``step`` reports, display names included."""
+
+    def check(self, d, fuel):
+        got = report_tuple(evolve(d, fuel))
+        assert got == reference_evolve(d, fuel), (print_dist(d), fuel)
+        return got
+
+    def test_seeded_samples(self):
+        for seed in range(250):
+            rng = random.Random(seed)
+            d = gen_dist(rng, rng.choice((2, 3)))
+            for fuel in range(9):
+                self.check(d, fuel)
+
+    def test_redex_sorting_first_renames_the_value(self):
+        d = parse(r"{1/2: \y. y, 1/2: (\z. z) (\x. x)}")
+        assert self.check(d, 1)[0] == r"{1: \x. x}"
+
+    def test_value_sorting_first_keeps_its_name(self):
+        d = parse(r"{1/2: u (\a. a), 1/2: (\z. z) (u (\b. b))}")
+        assert self.check(d, 1)[0] == r"{1: u (\a. a)}"
+
+    def test_only_the_first_reduct_of_a_step_renames(self):
+        # both redexes sort before the value; the first one names the class
+        d = parse(r"{1/3: \v. v, 1/3: (\z. z) (\x. x), 1/3: (\w. \y. y) u}")
+        assert self.check(d, 1)[0] == r"{1: \x. x}"
+        d = parse(r"{1/2: (\z. z) (\x. x), 1/2: (\w. \y. y) u}")
+        assert self.check(d, 1)[0] == r"{1: \x. x}"
+
+    def test_omega_cycles(self):
+        for fuel in range(6):
+            self.check(parse("omega"), fuel)
+        assert self.check(parse("omega"), 3) == ("{}", 1, 1, False, True)
+
+    def test_fixpoint_runs_out_of_fuel(self):
+        for fuel in (0, 1, 5, 9, 12):
+            self.check(YT, fuel)
+        assert self.check(YT, 9) == ("{7/8: \\x. x}", F(1, 8), 9, False, False)
 
 
 class TestLaws:

@@ -15,6 +15,7 @@ from plamb.syntax import (
     ParseError,
     ReservedNameError,
     Var,
+    check_weight,
     dist_leq,
     dist_scale,
     dist_union,
@@ -150,6 +151,62 @@ class TestSubst:
     @settings(max_examples=100)
     def test_identity_substitution(self, d):
         assert subst(d, "u", unit(Var("u"))) == d
+
+    def test_no_free_occurrence_returns_body_itself(self):
+        r = P(r"{1/2: y, 1/2: \y. y}")
+        for src, v in [("x", "y"), (r"\x. x", "x"), (r"{1/2: u v, 1/4: \a. a}", "x")]:
+            d = P(src)
+            assert subst(d, v, r) is d
+
+    def test_unaffected_entries_are_shared(self):
+        d = P(r"{1/2: x, 1/4: u (\a. a), 1/4: \b. {1/2: x b}}")
+        out = subst(d, "x", P("z"))
+        kept = [t for t, _ in d.entries() if "x" not in t.free_names()]
+        assert len(kept) == 1
+        assert any(t is kept[0] for t, _ in out.entries())
+
+    @pytest.mark.parametrize("body, v, replacement, want", [
+        (r"\y. x", "x", "y", r"{1: \#0. y}"),
+        (r"\u. {1/2: x u}", "x", "u", r"{1: \#0. {1/2: u #0}}"),
+        (r"{1/2: \y. x y, 1/2: \z. z}", "x", r"{1/2: y, 1/2: \y. y}",
+         r"{1/2: \#0. ({1/2: y, 1/2: \y. y}) #0, 1/2: \z. z}"),
+        (r"\y. \x. x y", "x", "y", r"{1: \y. \x. x y}"),
+        (r"\y. \z. {1/3: x, 2/3: y z}", "x", "y z",
+         r"{1: \#0. \#1. {2/3: #0 #1, 1/3: y z}}"),
+        (r"\y. \w. x (\x. x)", "x", r"(\a. y) w", r"{1: \#0. \#0. (\a. y) w (\x. x)}"),
+        (r"\a. {1/2: x, 1/2: a}", "x", "{1/2: a, 1/4: b}",
+         r"{1: \#0. {1/2: #0, 1/4: a, 1/8: b}}"),
+    ])
+    def test_capture_avoiding_renames(self, body, v, replacement, want):
+        assert print_dist(subst(P(body), v, P(replacement)), explicit=True) == want
+
+
+class TestWeights:
+    @pytest.mark.parametrize("w", [F(0), F(1), F(1, 2), 1, 0])
+    def test_check_weight_accepts_unit_interval(self, w):
+        assert check_weight(w) == w and isinstance(check_weight(w), F)
+
+    @pytest.mark.parametrize("w", [F(-1, 2), F(3, 2), 2, -1, F(1) + F(1, 10**30)])
+    def test_check_weight_rejects_outside(self, w):
+        with pytest.raises(MassError, match=r"weight .* outside \[0, 1\]"):
+            check_weight(w)
+
+    def test_total_mass_exactly_one(self):
+        tiny = F(1, 10**30)
+        d = Dist([(Var("x"), F(1, 2)), (Var("y"), F(1, 2) - tiny), (Var("z"), tiny)])
+        assert d.mass() == 1
+
+    def test_total_mass_above_one_by_a_hair(self):
+        tiny = F(1, 10**30)
+        with pytest.raises(MassError, match="total mass .* exceeds 1"):
+            Dist([(Var("x"), F(1, 2)), (Var("y"), F(1, 2)), (Var("z"), tiny)])
+        with pytest.raises(MassError, match="total mass .* exceeds 1"):
+            Dist([(Var("x"), F(1)), (Var("x"), tiny)])
+
+    def test_zero_weights_dropped(self):
+        d = Dist([(Var("x"), F(0)), (Var("y"), F(1, 2)), (Var("z"), 0)])
+        assert d.support() == (Var("y"),)
+        assert Dist([(Var("x"), F(0))]) == EMPTY and len(Dist([(Var("x"), 0)])) == 0
 
 
 class TestDistAlgebra:

@@ -16,6 +16,13 @@ at every index.
 the value trees at a depth, and round every weight strictly down to a
 granularity grid.  Strict rounding realizes the strict inequalities of the
 membership rules, so generated candidates always pass the check.
+
+The finite terms (``Omega``, ``FinAbs``, ``FinSpine``) and ``FinDist`` are
+built on the node and distribution bases of ``plamb.syntax``: identity is
+alpha-equivalence, keys come from the same key function as the calculus's
+(an abstraction's key is the same in both worlds), and a finite term is
+never equal to a term of the calculus.  ``parse_fin`` is the core parser
+with finite terms and the ``_|_`` atom.
 """
 
 from __future__ import annotations
@@ -24,16 +31,23 @@ import math
 from fractions import Fraction
 
 from .syntax import (
+    ONE,
     Abs,
     App,
     Dist,
-    DistKey,
+    Distribution,
     LambError,
+    Node,
     Var,
+    _Parser,
+    _canon_dist,
+    _name_key,
+    _tokenize,
     check_name,
     fresh_name,
     merge_entries,
     parse as _parse_lambda,
+    print_dist,
     unit,
 )
 from .lifting import max_flow
@@ -49,7 +63,9 @@ class GranularityError(LambError):
 # Finite terms and distributions
 
 
-class FinTerm:
+class FinTerm(Node):
+    """Base class of the finite term forms; equality is alpha-equivalence."""
+
     __slots__ = ()
 
     def __repr__(self):
@@ -59,150 +75,70 @@ class FinTerm:
 class Omega(FinTerm):
     __slots__ = ()
 
-    def canon(self):
+    def __init__(self):
+        self._canon = self._fn = None
+
+    def _key(self, env, depth):
         return ("o",)
 
-    def free_names(self):
+    def _free(self):
         return frozenset()
-
-    def __eq__(self, other):
-        return isinstance(other, Omega)
-
-    def __hash__(self):
-        return hash(("o",))
 
 
 OMEGA = Omega()
 
 
 class FinAbs(FinTerm):
-    __slots__ = ("binder", "body", "_canon")
+    __slots__ = ("binder", "body")
 
     def __init__(self, binder, body):
         self.binder = check_name(binder)
         if not isinstance(body, FinDist):
             raise LambError("FinAbs body must be a FinDist")
         self.body = body
-        self._canon = None
+        self._canon = self._fn = None
 
-    def canon(self):
-        if self._canon is None:
-            self._canon = _canon_fin(self, {}, 0)
-        return self._canon
-
-    def free_names(self):
-        return self.body.free_names() - {self.binder}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinAbs)
-            and other.binder == self.binder
-            and other.body == self.body
-        )
-
-    def __hash__(self):
-        return hash(("fl", self.binder, self.body))
+    # keyed like an abstraction of the calculus
+    _key = Abs._key
+    _free = Abs._free
 
 
 class FinSpine(FinTerm):
-    __slots__ = ("head", "args", "_canon")
+    __slots__ = ("head", "args")
 
     def __init__(self, head, args):
         self.head = check_name(head)
         self.args = tuple(args)
         if not all(isinstance(a, FinDist) for a in self.args):
             raise LambError("FinSpine arguments must be FinDists")
-        self._canon = None
+        self._canon = self._fn = None
 
-    def canon(self):
-        if self._canon is None:
-            self._canon = _canon_fin(self, {}, 0)
-        return self._canon
+    def _key(self, env, depth):
+        head = _name_key(self.head, env)
+        return ("s", head) + tuple(_canon_dist(a, env, depth) for a in self.args)
 
-    def free_names(self):
+    def _free(self):
         names = {self.head}
         for a in self.args:
             names |= a.free_names()
         return frozenset(names)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinSpine)
-            and other.head == self.head
-            and other.args == self.args
-        )
 
-    def __hash__(self):
-        return hash(("fs", self.head, self.args))
-
-
-def _canon_fin(t, env, depth):
-    if isinstance(t, Omega):
-        return ("o",)
-    if isinstance(t, FinAbs):
-        inner = dict(env)
-        inner[t.binder] = depth
-        return ("l", _canon_fin_dist(t.body, inner, depth + 1))
-    if isinstance(t, FinSpine):
-        lvl = env.get(t.head)
-        head = ("f", t.head) if lvl is None else ("b", lvl)
-        return ("s", head) + tuple(_canon_fin_dist(a, env, depth) for a in t.args)
-    raise LambError("not a finite term: %r" % (t,))
-
-
-def _canon_fin_dist(d, env, depth):
-    if not env:
-        # outside any binder the key is the one d built for itself
-        return d._canon
-    return DistKey(
-        tuple(sorted((_canon_fin(t, env, depth), w) for t, w in d.entries()))
-    )
-
-
-class FinDist:
+class FinDist(Distribution):
     """Finite map from finite terms to rational weights, total mass <= 1,
     alpha-equivalent keys merged; built and keyed like ``Dist``."""
 
-    __slots__ = ("_entries", "_index", "_canon", "_mass")
+    __slots__ = ()
 
     def __init__(self, pairs=()):
         self._entries, self._index, self._canon, self._mass = merge_entries(
             pairs, FinTerm, "FinDist"
         )
-
-    def entries(self):
-        return self._entries
-
-    def mass(self):
-        return self._mass
-
-    def canon(self):
-        return self._canon
-
-    def free_names(self):
-        names = frozenset()
-        for t, _ in self._entries:
-            names |= t.free_names()
-        return names
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __eq__(self, other):
-        return isinstance(other, FinDist) and other._canon == self._canon
-
-    def __hash__(self):
-        return self._canon._hash
-
-    def __repr__(self):
-        return print_fin_dist(self)
+        self._fn = None
 
 
 FIN_EMPTY = FinDist()
-FIN_BOTTOM = FinDist(((OMEGA, Fraction(1)),))
+FIN_BOTTOM = FinDist(((OMEGA, ONE),))
 
 
 def print_fin_term(t):
@@ -211,8 +147,6 @@ def print_fin_term(t):
     if isinstance(t, FinAbs):
         return "\\%s. %s" % (t.binder, print_fin_dist(t.body))
     if isinstance(t, FinSpine):
-        if not t.args:
-            return t.head
         return " ".join([t.head] + [_fin_atom(a) for a in t.args])
     raise LambError("not a finite term: %r" % (t,))
 
@@ -228,15 +162,9 @@ def _fin_atom(d):
     return "(%s)" % print_fin_dist(d)
 
 
-def print_fin_dist(d):
-    e = d.entries()
-    if not e:
-        return "{}"
-    if len(e) == 1 and e[0][1] == 1:
-        return print_fin_term(e[0][0])
-    return "{%s}" % ", ".join(
-        "%s: %s" % (w, print_fin_term(t)) for t, w in e
-    )
+# one printer for the distributions of both worlds; a FinDist's terms
+# print through print_fin_term
+print_fin_dist = print_dist
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +189,9 @@ def _embed_term(t):
     if isinstance(t, FinAbs):
         return Abs(t.binder, embed(t.body))
     if isinstance(t, FinSpine):
-        if not t.args:
-            return Var(t.head)
-        d = unit(Var(t.head))
-        term = None
+        term = Var(t.head)
         for a in t.args:
-            term = App(d, embed(a))
-            d = unit(term)
+            term = App(unit(term), embed(a))
         return term
     raise LambError("not a finite term: %r" % (t,))
 
@@ -426,41 +350,22 @@ def _round_term(t, g):
 
 def parse_fin(src):
     """Parse a finite-approximant distribution; ``_|_`` denotes bottom."""
-    from .syntax import _tokenize
-
     p = _FinParser(_tokenize(src))
-    d = p.parse_nested(p.fin_dist)
+    d = p.parse_nested(p.dist)
     if not p.at_kind("eof"):
         p.fail("trailing input after distribution")
     return d
 
 
-from .syntax import _Parser as _BaseParser
+class _FinParser(_Parser):
+    """The core grammar with finite terms: a term is ``_|_``, an
+    abstraction, or a head name applied to atoms; an atom is also ``_|_``
+    or a bare head name."""
 
+    dist_type = FinDist
 
-class _FinParser(_BaseParser):
-    def fin_dist(self):
-        if self.at("{"):
-            _, _, line, col = self.next()
-            if self.at("}"):
-                self.next()
-                return FIN_EMPTY
-            pairs = []
-            while True:
-                w = self.weight()
-                self.expect(":")
-                t = self.fin_term()
-                pairs.append((t, w))
-                if self.at(","):
-                    self.next()
-                    continue
-                self.expect("}")
-                break
-            return FinDist(pairs)
-        return FinDist(((self.fin_term(), Fraction(1)),))
-
-    def fin_term(self):
-        if self.at("_") and self._bottom_ahead():
+    def term(self):
+        if self._bottom_ahead():
             self._eat_bottom()
             return OMEGA
         if self.at("\\"):
@@ -469,26 +374,23 @@ class _FinParser(_BaseParser):
                 self.fail("expected a binder name")
             _, name, _, _ = self.next()
             self.expect(".")
-            return FinAbs(name, self.fin_dist())
+            return FinAbs(name, self.dist())
+        if not self.at_kind("name"):
+            self.fail("expected a finite term")
+        _, head, _, _ = self.next()
+        args = []
+        while self.at_kind("name") or self.at("("):
+            args.append(self.atom())
+        return FinSpine(head, tuple(args))
+
+    def atom(self):
+        if self._bottom_ahead():
+            self._eat_bottom()
+            return FIN_BOTTOM
         if self.at_kind("name"):
-            _, head, _, _ = self.next()
-            args = []
-            while True:
-                if self.at("("):
-                    self.next()
-                    d = self.fin_dist()
-                    self.expect(")")
-                    args.append(d)
-                elif self.at("_") and self._bottom_ahead():
-                    self._eat_bottom()
-                    args.append(FIN_BOTTOM)
-                elif self.at_kind("name"):
-                    _, nm, _, _ = self.next()
-                    args.append(FinDist(((FinSpine(nm, ()), Fraction(1)),)))
-                else:
-                    break
-            return FinSpine(head, tuple(args))
-        self.fail("expected a finite term")
+            _, name, _, _ = self.next()
+            return FinDist(((FinSpine(name, ()), ONE),))
+        return super().atom()
 
     def _bottom_ahead(self):
         return (

@@ -76,10 +76,21 @@ def _load_operand(text):
 
 def _fraction(text, what):
     """An exact rational from command-line or JSON input, or a LambError."""
+    if isinstance(text, bool):
+        raise LambError("%s: not a rational number: %s" % (what, json.dumps(text)))
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise LambError("%s: not a rational number: %r" % (what, text)) from exc
+
+
+def _json_decimal(text):
+    """A JSON decimal read exactly from its text, never through a binary
+    float, so that 0.3 is 3/10.  Expanding 1e-N takes time and memory
+    that grow with N, so an exponent beyond 1000 is refused."""
+    if abs(int(text.lower().partition("e")[2] or 0)) > 1000:
+        raise LambError("lift instance: number out of range: %s" % text)
+    return Fraction(text)
 
 
 def _dist_json(d):
@@ -134,7 +145,7 @@ def normalize(m, fuel):
         elif tvd is not None:
             small_run = 0
     if not rows:
-        raise LambError("all mass divergent: no value mass at any step")
+        raise LambError("no value mass within %d steps" % fuel)
     final = rows[-1][1]
     converged = small_run >= 3
     converged_at = rows[-1][0]
@@ -229,7 +240,7 @@ def _lift_instance(text, default_slack):
     try:
         if os.path.exists(text):
             text = _read_file(text)
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_json_decimal)
     except ValueError as exc:
         raise LambError("lift instance is not JSON: %s" % exc) from exc
     if not isinstance(obj, dict):
@@ -449,9 +460,11 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, depth=False, grain=False, slack=False, seed=False):
-        p.add_argument("--fuel", type=int, default=64, help="parallel reduction steps per evolution")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def common(p, fuel=True, fmt=False, depth=False, grain=False, slack=False, seed=False):
+        if fuel:
+            p.add_argument("--fuel", type=int, default=64, help="parallel reduction steps per evolution")
+        if fmt:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         if depth:
             p.add_argument("--depth", type=int, default=4)
         if grain:
@@ -463,7 +476,7 @@ def _build_parser():
 
     p = sub.add_parser("eval", help="evolve and print the value distribution")
     p.add_argument("expr")
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("trace", help="print one line per parallel step")
@@ -479,19 +492,19 @@ def _build_parser():
     p = sub.add_parser("sim", help="bounded simulation check")
     p.add_argument("left")
     p.add_argument("right")
-    common(p, depth=True, slack=True)
+    common(p, fmt=True, depth=True, slack=True)
     p.set_defaults(fn=_cmd_sim)
 
     p = sub.add_parser("bisim", help="bounded bisimulation check")
     p.add_argument("left")
     p.add_argument("right")
-    common(p, depth=True, slack=True)
+    common(p, fmt=True, depth=True, slack=True)
     p.set_defaults(fn=_cmd_bisim)
 
     p = sub.add_parser("lift", help="debug a lifting instance (JSON)")
     p.add_argument("instance", help="JSON text or file: {source, target, relation, slack?}")
     p.add_argument("--slack", default="0")
-    common(p)
+    common(p, fuel=False, fmt=True)
     p.set_defaults(fn=_cmd_lift)
 
     p = sub.add_parser("approx", help="generate or check finite approximants")
@@ -502,11 +515,11 @@ def _build_parser():
 
     p = sub.add_parser("normalize", help="report normalized value distributions per step")
     p.add_argument("expr")
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(fn=_cmd_normalize)
 
     p = sub.add_parser("selftest", help="run the bundled invariant battery")
-    common(p, seed=True)
+    common(p, fuel=False, seed=True)
     p.set_defaults(fn=_cmd_selftest)
 
     return ap

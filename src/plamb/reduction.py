@@ -1,7 +1,9 @@
 """Lazy reduction of weighted term distributions.
 
 Reduction stops at weak head normal forms: abstractions and open spines
-``x M1 ... Mn``.  One parallel step rewrites every non-whnf component of a
+``x M1 ... Mn``.  ``whnf_view`` tells them apart: an abstraction is its own
+view (``AbsView`` names ``Abs``), a spine is a ``SpineView`` of its head
+and arguments.  One parallel step rewrites every non-whnf component of a
 distribution by a single head reduction; fuel counts parallel steps.
 ``evolve`` reports what iterating ``step`` reaches: the value mass found,
 the residual mass still unreduced, and whether the residual is provably
@@ -20,14 +22,8 @@ from __future__ import annotations
 from .syntax import Abs, App, Dist, LambError, Var, ZERO, subst, unit
 
 
-class AbsView:
-    """Weak head normal form ``\\binder. body``."""
-
-    __slots__ = ("binder", "body")
-
-    def __init__(self, binder, body):
-        self.binder = binder
-        self.body = body
+# The weak head normal form ``\binder. body`` is the abstraction itself.
+AbsView = Abs
 
 
 class SpineView:
@@ -42,14 +38,15 @@ class SpineView:
 
 
 def whnf_view(t):
-    """Classify a term: AbsView, SpineView, or None when it is reducible.
+    """Classify a term: the abstraction itself (an ``AbsView``), a
+    SpineView, or None when it is reducible.
 
     A spine requires every operator position to be a weight-1 singleton
     down to the head variable; anything else (head redex, sub-unit or
     non-singleton operator) is not a weak head normal form.
     """
     if isinstance(t, Abs):
-        return AbsView(t.binder, t.body)
+        return t
     if isinstance(t, Var):
         return SpineView(t.name, ())
     if isinstance(t, App):

@@ -5,9 +5,12 @@ distribution, and applications of a distribution to a distribution.  A
 distribution (``Dist``) is a finite map from terms to exact rational weights
 with total mass at most 1; missing mass stands for divergence.
 
-Identity of distribution keys is alpha-equivalence: keys are merged by a
-de-Bruijn-style canonical form while the originally written binder names are
-kept for display.  A distribution's canonical form is a ``DistKey``: its
+Identity of terms and of distributions is alpha-equivalence: keys are
+merged by a de-Bruijn-style canonical form while the originally written
+binder names are kept for display.  ``Node`` and ``Distribution`` hold this
+identity once for both term worlds, the calculus's and the approximants'
+(``plamb.approximants``): a node defines only its key under binders and
+its free names.  A distribution's canonical form is a ``DistKey``: its
 sorted (term key, weight) pairs with a hash computed once, when the key is
 built, from the term keys (nested keys contribute their cached hash) and
 each weight's numerator and denominator.  Outside any binder a term's key
@@ -84,133 +87,99 @@ def check_weight(w):
 # Terms
 
 
-class Term:
-    """Base class of the three term forms.  Structural equality; the
-    alpha-invariant identity used by distributions is ``canon()``."""
+class Node:
+    """Base class of the term forms of both term worlds: the calculus's
+    ``Term`` and the approximants' ``FinTerm``.
 
-    __slots__ = ()
+    A node defines ``_key(env, depth)``, its canonical key under binders
+    ``env`` (bound name -> binding depth), and ``_free()``, its free names;
+    both are computed once here and cached.  Two nodes are equal when they
+    are of the same concrete type and alpha-equivalent (equal ``canon()``).
+    """
+
+    __slots__ = ("_canon", "_fn")
 
     def canon(self):
-        raise NotImplementedError
+        if self._canon is None:
+            self._canon = self._key({}, 0)
+        return self._canon
 
     def free_names(self):
-        raise NotImplementedError
+        if self._fn is None:
+            self._fn = self._free()
+        return self._fn
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.canon() == self.canon()
+
+    def __hash__(self):
+        return hash(self.canon())
+
+
+class Term(Node):
+    """Base class of the three term forms; equality is alpha-equivalence."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return print_term(self)
 
 
+def _name_key(name, env):
+    """Key of a variable occurrence: its binding depth if bound, else its
+    name under a distinct tag, so keys sort without mixed-type comparisons."""
+    lvl = env.get(name)
+    return ("f", name) if lvl is None else ("b", lvl)
+
+
 class Var(Term):
-    __slots__ = ("name", "_canon", "_fn", "_hash")
+    __slots__ = ("name",)
 
     def __init__(self, name):
         self.name = check_name(name)
-        self._canon = None
-        self._fn = None
-        self._hash = None
+        self._canon = self._fn = None
 
-    def canon(self):
-        if self._canon is None:
-            self._canon = _canon_term(self, {}, 0)
-        return self._canon
+    def _key(self, env, depth):
+        return _name_key(self.name, env)
 
-    def free_names(self):
-        if self._fn is None:
-            self._fn = frozenset((self.name,))
-        return self._fn
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and other.name == self.name
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("v", self.name))
-        return self._hash
+    def _free(self):
+        return frozenset((self.name,))
 
 
 class Abs(Term):
-    __slots__ = ("binder", "body", "_canon", "_fn", "_hash")
+    __slots__ = ("binder", "body")
 
     def __init__(self, binder, body):
         self.binder = check_name(binder)
         if not isinstance(body, Dist):
             raise LambError("abstraction body must be a Dist")
         self.body = body
-        self._canon = None
-        self._fn = None
-        self._hash = None
+        self._canon = self._fn = None
 
-    def canon(self):
-        if self._canon is None:
-            self._canon = _canon_term(self, {}, 0)
-        return self._canon
+    def _key(self, env, depth):
+        inner = dict(env)
+        inner[self.binder] = depth
+        return ("l", _canon_dist(self.body, inner, depth + 1))
 
-    def free_names(self):
-        if self._fn is None:
-            self._fn = self.body.free_names() - {self.binder}
-        return self._fn
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Abs)
-            and other.binder == self.binder
-            and other.body == self.body
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("l", self.binder, self.body))
-        return self._hash
+    def _free(self):
+        return self.body.free_names() - {self.binder}
 
 
 class App(Term):
-    __slots__ = ("fun", "arg", "_canon", "_fn", "_hash")
+    __slots__ = ("fun", "arg")
 
     def __init__(self, fun, arg):
         if not isinstance(fun, Dist) or not isinstance(arg, Dist):
             raise LambError("application operands must be Dists")
         self.fun = fun
         self.arg = arg
-        self._canon = None
-        self._fn = None
-        self._hash = None
+        self._canon = self._fn = None
 
-    def canon(self):
-        if self._canon is None:
-            self._canon = _canon_term(self, {}, 0)
-        return self._canon
+    def _key(self, env, depth):
+        return ("a", _canon_dist(self.fun, env, depth), _canon_dist(self.arg, env, depth))
 
-    def free_names(self):
-        if self._fn is None:
-            self._fn = self.fun.free_names() | self.arg.free_names()
-        return self._fn
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, App)
-            and other.fun == self.fun
-            and other.arg == self.arg
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("a", self.fun, self.arg))
-        return self._hash
-
-
-def _canon_term(t, env, depth):
-    # env maps bound names to binding depth; free names keep a distinct tag
-    # so canonical keys sort without mixed-type comparisons.
-    if isinstance(t, Var):
-        lvl = env.get(t.name)
-        return ("f", t.name) if lvl is None else ("b", lvl)
-    if isinstance(t, Abs):
-        inner = dict(env)
-        inner[t.binder] = depth
-        return ("l", _canon_dist(t.body, inner, depth + 1))
-    if isinstance(t, App):
-        return ("a", _canon_dist(t.fun, env, depth), _canon_dist(t.arg, env, depth))
-    raise LambError("not a term: %r" % (t,))
+    def _free(self):
+        return self.fun.free_names() | self.arg.free_names()
 
 
 def _canon_dist(d, env, depth):
@@ -218,7 +187,7 @@ def _canon_dist(d, env, depth):
         # outside any binder the key is the one d built for itself
         return d._canon
     return DistKey(
-        tuple(sorted((_canon_term(t, env, depth), w) for t, w in d.entries()))
+        tuple(sorted((t._key(env, depth), w) for t, w in d.entries()))
     )
 
 
@@ -296,23 +265,20 @@ def merge_entries(pairs, term_type, what):
 # Distributions
 
 
-class Dist:
-    """Finite subprobability distribution over terms.
+class Distribution:
+    """Base class of the distributions of both term worlds: ``Dist`` and
+    the approximants' ``FinDist``.
 
     Alpha-equivalent keys are merged by weight addition at construction,
     zero-weight entries are dropped, and entries are kept in canonical-key
     order, so iteration, printing and hashing are deterministic and
     alpha-invariant.  The canonical form is a ``DistKey`` whose hash is
     computed once, so equality, hashing and use as a memo key are cheap.
+    Two distributions are equal when they are of the same concrete type
+    and have equal keys.
     """
 
     __slots__ = ("_entries", "_index", "_canon", "_mass", "_fn")
-
-    def __init__(self, pairs=()):
-        self._entries, self._index, self._canon, self._mass = merge_entries(
-            pairs, Term, "distribution"
-        )
-        self._fn = None
 
     def entries(self):
         """Entries as (term, weight) pairs in canonical order."""
@@ -349,13 +315,25 @@ class Dist:
         return len(self._entries)
 
     def __eq__(self, other):
-        return isinstance(other, Dist) and other._canon == self._canon
+        return type(other) is type(self) and other._canon == self._canon
 
     def __hash__(self):
         return self._canon._hash
 
     def __repr__(self):
         return print_dist(self)
+
+
+class Dist(Distribution):
+    """Finite subprobability distribution over terms."""
+
+    __slots__ = ()
+
+    def __init__(self, pairs=()):
+        self._entries, self._index, self._canon, self._mass = merge_entries(
+            pairs, Term, "distribution"
+        )
+        self._fn = None
 
 
 EMPTY = Dist()
@@ -485,25 +463,21 @@ def _print_atom(d):
     return "(%s)" % print_dist(d)
 
 
-def _print_weight(w):
-    return str(w)
-
-
 def print_dist(d, explicit=False):
-    """Deterministic concrete syntax for a distribution.
+    """Deterministic concrete syntax for a distribution of either term
+    world; its terms print through their ``repr`` (``print_term`` here).
 
     A one-entry distribution of weight 1 prints as the bare term unless
     ``explicit`` is set, in which case the braced form with weights is
-    always used.  Output round-trips through ``parse``.
+    always used.  Output round-trips through ``parse`` (``parse_fin`` for
+    the approximants' ``FinDist``).
     """
     e = d.entries()
     if not e:
         return "{}"
     if not explicit and len(e) == 1 and e[0][1] == 1:
-        return print_term(e[0][0])
-    return "{%s}" % ", ".join(
-        "%s: %s" % (_print_weight(w), print_term(t)) for t, w in e
-    )
+        return repr(e[0][0])
+    return "{%s}" % ", ".join("%s: %r" % (w, t) for t, w in e)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +523,9 @@ def _tokenize(src):
 
 
 class _Parser:
+    # the distribution type that the weighted-sum rule builds
+    dist_type = Dist
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
@@ -592,7 +569,7 @@ class _Parser:
             _, _, line, col = self.next()
             if self.at("}"):
                 self.next()
-                return EMPTY
+                return self.dist_type()
             pairs = []
             while True:
                 w = self.weight()
@@ -606,8 +583,8 @@ class _Parser:
                 break
             if sum(w for _, w in pairs) > 1:
                 raise ParseError("weights sum above 1", line, col)
-            return Dist(pairs)
-        return unit(self.term())
+            return self.dist_type(pairs)
+        return self.dist_type(((self.term(), ONE),))
 
     # weight ::= INT '/' INT | DECIMAL | INT
     def weight(self):

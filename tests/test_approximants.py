@@ -6,6 +6,7 @@ import pytest
 from conftest import gen_terminating
 from plamb.approximants import (
     FIN_BOTTOM,
+    FIN_EMPTY,
     FinAbs,
     FinDist,
     FinSpine,
@@ -19,7 +20,7 @@ from plamb.approximants import (
 )
 from plamb.reduction import evolve
 from plamb.simulation import SimParams, sim_check
-from plamb.syntax import dist_scale, parse
+from plamb.syntax import EMPTY, Abs, Dist, ParseError, dist_scale, parse
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
 
@@ -263,3 +264,31 @@ class TestFinDistKey:
         built = FinDist([(FinSpine("y", (a,)), F(1, 2))])
         parsed = parse_fin("{1/2: y ({1/2: _|_})}")
         assert built == parsed and hash(built) == hash(parsed)
+
+
+class TestFinIdentity:
+    def test_alpha_equivalent_abstractions(self):
+        a = FinAbs("x", parse_fin("{1/2: x _|_}"))
+        b = FinAbs("y", parse_fin("{1/2: y _|_}"))
+        assert a == b and hash(a) == hash(b)
+        assert a != FinAbs("y", parse_fin("{1/2: x _|_}"))
+
+    def test_alpha_equivalent_spines(self):
+        a = FinSpine("y", (FinDist({FinAbs("p", parse_fin("p")): F(1, 2)}),))
+        b = FinSpine("y", (FinDist({FinAbs("q", parse_fin("q")): F(1, 2)}),))
+        assert a == b and hash(a) == hash(b)
+        assert a != FinSpine("z", b.args)
+
+    def test_worlds_never_equal(self):
+        # both keys are ("l", <empty key>), yet the forms differ
+        assert FinAbs("x", FIN_EMPTY).canon() == Abs("x", EMPTY).canon()
+        assert FinAbs("x", FIN_EMPTY) != Abs("x", EMPTY)
+        assert FIN_EMPTY.canon() == Dist().canon()
+        assert FinDist() != Dist() and Dist() != FinDist()
+
+    def test_weights_above_one_are_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse_fin("{1/2: _|_, 2/3: _|_}")
+        assert (exc.value.line, exc.value.col) == (1, 1)
+        assert "weights sum above 1" in str(exc.value)
+

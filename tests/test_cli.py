@@ -182,6 +182,36 @@ class TestLift:
         cut = "cut={'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'})"
         assert outs[0].decode().count(cut) == 2
 
+    @staticmethod
+    def instance(source, target):
+        """A one-point lift instance; the two weights are JSON text."""
+        return (
+            '{"source": {"points": ["a"], "weights": [%s]}, '
+            '"target": {"points": ["b"], "weights": [%s]}, '
+            '"relation": [["a", "b"]]}' % (source, target)
+        )
+
+    def test_json_decimals_are_exact(self, capsys):
+        code, out, _ = run(capsys, "lift", self.instance('"3/10"', "0.3"))
+        assert code == 0 and "deficit" not in out
+        code, out, _ = run(capsys, "lift", self.instance("1e-1", '"1/20"'), "--format", "json")
+        assert code == 1 and json.loads(out)["flow"]["deficit"] == "1/20"
+        code, _, _ = run(capsys, "lift", self.instance("1e-1", '"1/10"'))
+        assert code == 0
+
+    def test_boolean_weight_exit_2(self, capsys):
+        code, out, err = run(capsys, "lift", self.instance("true", '"1"'))
+        assert code == 2 and out == ""
+        assert err == "error: source weight: not a rational number: true\n"
+        inline = dict(json.loads(self.instance('"1"', '"1"')), slack=False)
+        code, _, err = run(capsys, "lift", json.dumps(inline))
+        assert code == 2 and err.startswith("error: slack: ")
+
+    def test_huge_exponent_exit_2(self, capsys):
+        code, out, err = run(capsys, "lift", self.instance("1e-999999999", '"1"'))
+        assert code == 2 and out == ""
+        assert err == "error: lift instance: number out of range: 1e-999999999\n"
+
 
 class TestApprox:
     def test_generate_output(self, capsys):
@@ -240,7 +270,18 @@ class TestNormalize:
     def test_all_mass_divergent(self, capsys):
         code, _, err = run(capsys, "normalize", "omega", "--fuel", "8")
         assert code == 2
-        assert "all mass divergent" in err
+        assert err == "error: no value mass within 8 steps\n"
+
+    @pytest.mark.parametrize("expr, fuel", [("I", "0"), (YT_SRC, "2")])
+    def test_no_value_mass_yet_is_not_divergence(self, capsys, expr, fuel):
+        code, out, err = run(capsys, "normalize", expr, "--fuel", fuel)
+        assert code == 2 and out == ""
+        assert err == "error: no value mass within %s steps\n" % fuel
+        assert "divergent" not in err
+
+    def test_value_mass_after_more_fuel(self, capsys):
+        code, out, _ = run(capsys, "normalize", YT_SRC, "--fuel", "3")
+        assert code == 0 and out.startswith("3\t{1: \\x. x}\t")
 
     def test_rows_sum_to_one(self):
         report = normalize(parse(r"({1/2: \x. x, 1/4: y}) z"), 8)
@@ -282,6 +323,21 @@ class TestMalformedInput:
         assert code == 2 and "slack: not a rational number" in err
         code, _, _ = run(capsys, "lift", good)
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "I", "--format", "json"],
+        ["lts", "I", "--format", "json"],
+        ["approx", "I", "--format", "json"],
+        ["selftest", "--format", "json"],
+        ["lift", '{"source": {}}', "--fuel", "8"],
+        ["selftest", "--fuel", "8"],
+    ])
+    def test_removed_options_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: %s" % argv[-2] in err
 
     def test_relation_pairs(self, capsys):
         inst = dict(json.loads(self.lift(self.LIFT_TARGET)), relation=[["a"]])

@@ -31,6 +31,10 @@ class TestWhnfView:
         assert isinstance(v, AbsView)
         assert v.binder == "x" and v.body == parse("x")
 
+    def test_abstraction_is_its_own_view(self):
+        t = term(r"\x. {1/2: x}")
+        assert whnf_view(t) is t
+
     def test_spine_one_arg(self):
         v = whnf_view(term("x ({1/2: y, 1/2: z})"))
         assert isinstance(v, SpineView)

@@ -388,3 +388,35 @@ class TestDistKey:
     def test_key_repr_deterministic(self):
         assert repr(P("{1/2: x}").canon()) == "DistKey(((('f', 'x'), Fraction(1, 2)),))"
         assert isinstance(P(r"\x. x").canon(), DistKey)
+
+
+class TestTermIdentity:
+    """Terms are equal, and hash alike, exactly when they are of the same
+    form and alpha-equivalent, as distributions already were."""
+
+    def test_alpha_equivalent_abstractions(self):
+        a, b = Abs("x", unit(Var("x"))), Abs("y", unit(Var("y")))
+        assert a == b and hash(a) == hash(b)
+        assert Abs("x", unit(Var("z"))) != Abs("y", unit(Var("y")))
+
+    def test_alpha_equivalent_applications(self):
+        a = App(P(r"\x. {1/2: x}"), P("u"))
+        b = App(P(r"\y. {1/2: y}"), P("u"))
+        assert a == b and hash(a) == hash(b)
+        assert a != App(P(r"\y. {1/2: y}"), P("v"))
+
+    def test_variables_by_name(self):
+        assert Var("x") == Var("x") and hash(Var("x")) == hash(Var("x"))
+        assert Var("x") != Var("y")
+
+    def test_form_decides_too(self):
+        # an abstraction is not equal to the distribution or the
+        # application that holds it, whatever the keys
+        assert Abs("x", EMPTY) != unit(Abs("x", EMPTY))
+        assert Var("x") != P("x")
+        assert len({Abs("x", unit(Var("x"))), Abs("y", unit(Var("y"))), Var("x")}) == 2
+
+    def test_support_compares_modulo_alpha(self):
+        d = P(r"{1/2: \a. a, 1/4: y}")
+        assert d.support() == (Var("y"), Abs("b", unit(Var("b"))))
+

@@ -89,14 +89,15 @@ OMEGA = Omega()
 
 
 class FinAbs(FinTerm):
-    __slots__ = ("binder", "body")
+    # _ret caches (sym, body renamed to sym) for _compat
+    __slots__ = ("binder", "body", "_ret")
 
     def __init__(self, binder, body):
         self.binder = check_name(binder)
         if not isinstance(body, FinDist):
             raise LambError("FinAbs body must be a FinDist")
         self.body = body
-        self._canon = self._fn = None
+        self._canon = self._fn = self._ret = None
 
     # keyed like an abstraction of the calculus
     _key = Abs._key
@@ -170,11 +171,8 @@ print_fin_dist = print_dist
 # ---------------------------------------------------------------------------
 # Embedding into the full calculus
 
-_DIVERGE_SRC = r"(\x. x x) (\x. x x)"
-
-
-def _diverge_term():
-    return _parse_lambda(_DIVERGE_SRC, prelude={}).entries()[0][0]
+# the image of bottom, shared by every embedding
+DIVERGE = _parse_lambda(r"(\x. x x) (\x. x x)", prelude={}).entries()[0][0]
 
 
 def embed(c):
@@ -185,7 +183,7 @@ def embed(c):
 
 def _embed_term(t):
     if isinstance(t, Omega):
-        return _diverge_term()
+        return DIVERGE
     if isinstance(t, FinAbs):
         return Abs(t.binder, embed(t.body))
     if isinstance(t, FinSpine):
@@ -243,10 +241,11 @@ def approx_check(c, m, k, fuel):
 def _compat(ct, wt, k, fuel):
     view = whnf_view(wt)
     if isinstance(ct, FinAbs) and isinstance(view, AbsView):
-        avoid = ct.free_names() | wt.free_names()
-        sym = fresh_name(avoid)
-        cbody = fin_subst_head(ct.body, ct.binder, sym)
-        return approx_check(cbody, ret_target(view, sym), k - 1, fuel)
+        sym = fresh_name(ct.free_names() | wt.free_names())
+        cached = ct._ret
+        if cached is None or cached[0] != sym:
+            cached = ct._ret = (sym, fin_subst_head(ct.body, ct.binder, sym))
+        return approx_check(cached[1], ret_target(view, sym), k - 1, fuel)
     if isinstance(ct, FinSpine) and isinstance(view, SpineView):
         if ct.head != view.head or len(ct.args) != len(view.args):
             return False

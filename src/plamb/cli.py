@@ -14,6 +14,7 @@ file (``name = source`` lines).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -453,6 +454,7 @@ def _cmd_selftest(args):
 # Entry point
 
 
+@functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="plamb",

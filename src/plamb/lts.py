@@ -138,8 +138,13 @@ def split_values(d):
 
 def ret_target(view, sym):
     """Strong ``ret sym`` target of one abstraction, at unit weight: its
-    body with the binder replaced by ``sym``."""
-    return subst(view.body, view.binder, unit(Var(sym)))
+    body with the binder replaced by ``sym``.  The abstraction keeps its
+    last target, so asking again for the same ``sym`` returns the same
+    ``Dist`` (and that ``Dist``'s cached evolution)."""
+    cached = view._ret
+    if cached is None or cached[0] != sym:
+        cached = view._ret = (sym, subst(view.body, view.binder, unit(Var(sym))))
+    return cached[1]
 
 
 def ret_block(abs_entries, sym):

@@ -10,7 +10,10 @@ the residual mass still unreduced, and whether the residual is provably
 inert (the trajectory reached a fixpoint or a cycle, so no further value
 mass can ever appear).  Values never change once reached, so ``evolve``
 splits them off once and steps only the residual; ``step`` is the
-whole-distribution reference it is tested against.
+whole-distribution reference it is tested against.  A ``Dist`` keeps the
+report of its last evolution, so evolving the same object again at the
+same fuel costs nothing; the cache lives as long as the object and holds
+the last fuel only.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
@@ -160,7 +163,15 @@ def evolve(d, fuel):
     trajectory the values only grow pointwise, so two states' values are
     equal exactly when their masses are, and the whole distribution
     repeats exactly when this key does.
+
+    The report is stored on ``d`` and returned as it is when ``d`` itself
+    is evolved again at the same fuel; a new fuel replaces it.  A ``d``
+    that is all values is its own report and is not stored, since the
+    report would hold ``d`` itself.
     """
+    cached = d._evolved
+    if cached is not None and cached[0] == fuel:
+        return cached[1]
     values = {}
     pending = []
     for t, w in d.entries():
@@ -204,9 +215,11 @@ def evolve(d, fuel):
             break
         seen.add(key)
     converged = residual.is_empty()
-    return EvolveReport(
+    report = EvolveReport(
         Dist(values.values()), residual.mass(), steps, converged, converged or cycled
     )
+    d._evolved = (fuel, report)
+    return report
 
 
 def step_entry(d, index):

@@ -19,7 +19,11 @@ reuses its operands' keys, so the key of an application ``f a`` is
 live in the reserved ``#`` namespace, which the parser rejects.
 
 All values are immutable after construction and safe to share between
-threads; every function here is pure.
+threads; every function here is pure.  The cache slots (a node's key and
+free names, an abstraction's last ``ret`` target, a ``Dist``'s last
+evolution) are written from the object alone, and a given key always
+yields the same value, so writing one is idempotent: concurrent threads
+at worst compute it twice.
 """
 
 from __future__ import annotations
@@ -147,14 +151,15 @@ class Var(Term):
 
 
 class Abs(Term):
-    __slots__ = ("binder", "body")
+    # _ret caches (sym, ret target) for plamb.lts.ret_target
+    __slots__ = ("binder", "body", "_ret")
 
     def __init__(self, binder, body):
         self.binder = check_name(binder)
         if not isinstance(body, Dist):
             raise LambError("abstraction body must be a Dist")
         self.body = body
-        self._canon = self._fn = None
+        self._canon = self._fn = self._ret = None
 
     def _key(self, env, depth):
         inner = dict(env)
@@ -327,13 +332,14 @@ class Distribution:
 class Dist(Distribution):
     """Finite subprobability distribution over terms."""
 
-    __slots__ = ()
+    # _evolved caches (fuel, report) for plamb.reduction.evolve
+    __slots__ = ("_evolved",)
 
     def __init__(self, pairs=()):
         self._entries, self._index, self._canon, self._mass = merge_entries(
             pairs, Term, "distribution"
         )
-        self._fn = None
+        self._fn = self._evolved = None
 
 
 EMPTY = Dist()

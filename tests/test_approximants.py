@@ -43,6 +43,18 @@ class TestEmbed:
         c = FinDist({FinSpine("y", (FIN_BOTTOM, FinDist({FinSpine("z", ()): F(1)}))): F(1)})
         assert embed(c) == parse("y (omega) z")
 
+    def test_bottoms_share_one_term(self):
+        c = parse_fin(r"{1/4: _|_, 1/2: \x. {1/2: _|_, 1/2: x _|_}}")
+        d = embed(c)
+        (loop, _), (lam, _) = d.entries()
+        spine, inner = [t for t, _ in lam.body.entries()]
+        assert inner is loop and spine.arg.entries()[0][0] is loop
+        assert embed(FIN_BOTTOM).entries()[0][0] is loop
+        assert repr(d) == (
+            r"{1/4: (\x. x x) (\x. x x), 1/2: \x. {1/2: x ((\x. x x) (\x. x x)), "
+            r"1/2: (\x. x x) (\x. x x)}}"
+        )
+
 
 class TestApproxCheck:
     def test_bottom_at_index_zero(self):

@@ -409,6 +409,40 @@ class TestRecursionLimit:
         assert err.startswith("error: eval: nesting too deep")
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; options of one call
+    must not leak into the next."""
+
+    LOOP = r"{1/2: I, 1/2: (\x. x x x) (\x. x x x)}"
+
+    @staticmethod
+    def fresh(argv):
+        src = os.path.dirname(os.path.dirname(plamb.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "plamb.cli", *argv],
+            env=env, capture_output=True, timeout=60,
+        )
+        return proc.returncode, proc.stdout.decode()
+
+    def test_consecutive_calls_match_fresh_processes(self, capsys, tmp_path):
+        f = tmp_path / "cand.fin"
+        f.write_text("{5/8: \\x. _|_}\n", encoding="utf-8")
+        approx = ["approx", YT_SRC, "--depth", "2", "--fuel", "6"]
+        calls = [
+            ["sim", "I", self.LOOP, "--fuel", "4", "--no-slack"],
+            ["sim", "I", self.LOOP, "--fuel", "4"],
+            ["sim", "I", "I", "--format", "json"],
+            ["sim", "I", "I"],
+            approx + ["--check", str(f)],
+            approx,
+        ]
+        outs = [run(capsys, *argv)[:2] for argv in calls]
+        assert outs[0] != outs[1] and outs[2] != outs[3] and outs[4] != outs[5]
+        for argv, got in zip(calls, outs):
+            assert got == self.fresh(argv), argv
+
+
 class TestSelftest:
     def test_deterministic_and_green(self, capsys):
         code1, out1, _ = run(capsys, "selftest", "--seed", "5")

@@ -14,11 +14,12 @@ from plamb.lts import (
     TAU,
     available_labels,
     label_target,
+    ret_target,
     strong_transitions,
     weak_max_transition,
 )
 from plamb.reduction import AbsView, vals, whnf_view
-from plamb.syntax import Dist, parse, unit, Var
+from plamb.syntax import Dist, parse, print_dist, subst, unit, Var
 
 
 def term(src):
@@ -89,6 +90,29 @@ class TestWeakMaxTransitions:
     def test_call_zero_measures_spine_mass(self):
         r = weak_max_transition(parse("{1/3: y z, 1/6: y w}"), Call("y", 0, 1), 4)
         assert r.values.weight_of(IDENTITY) == F(1, 2)
+
+
+class TestRetTargetCache:
+    """An abstraction keeps its last ``ret`` target."""
+
+    def test_same_symbol_returns_the_same_target(self):
+        t = term(r"\x. {1/2: x, 1/2: \y. x y}")
+        assert ret_target(t, "#0") is ret_target(t, "#0")
+
+    def test_alternating_symbols(self):
+        t = term(r"\x. {1/2: x, 1/2: \y. x y}")
+        for sym in ("#0", "#1", "#0", "#0", "#1"):
+            got = ret_target(t, sym)
+            assert got == subst(t.body, "x", unit(Var(sym)))
+            assert print_dist(got) == "{1/2: %s, 1/2: \\y. %s y}" % (sym, sym)
+
+    def test_alpha_equivalent_abstractions_keep_their_names(self):
+        a = term(r"\x. \a. x a")
+        b = term(r"\y. \b. y b")
+        assert a == b
+        for _ in range(2):
+            assert print_dist(ret_target(a, "#0")) == r"\a. #0 a"
+            assert print_dist(ret_target(b, "#0")) == r"\b. #0 b"
 
 
 class TestLabelDiscipline:

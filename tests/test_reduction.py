@@ -178,6 +178,26 @@ class TestEvolveMatchesStep:
         assert self.check(YT, 9) == ("{7/8: \\x. x}", F(1, 8), 9, False, False)
 
 
+class TestEvolveCache:
+    """A ``Dist`` keeps the report of its last evolution."""
+
+    def test_same_fuel_returns_the_stored_report(self):
+        d = parse(r"(\z. z) (\x. {1/2: x, 1/2: omega})")
+        assert evolve(d, 5) is evolve(d, 5)
+
+    def test_other_fuel_recomputes(self):
+        for fuel in (0, 3, 9, 3, 12, 9):
+            assert report_tuple(evolve(YT, fuel)) == reference_evolve(YT, fuel)
+
+    def test_alpha_equivalent_inputs_keep_their_names(self):
+        a = parse(r"{1/2: (\z. z) (\x. x), 1/2: u (\p. p)}")
+        b = parse(r"{1/2: (\w. w) (\y. y), 1/2: u (\q. q)}")
+        assert a == b
+        for _ in range(2):
+            assert print_dist(evolve(a, 4).values) == r"{1/2: u (\p. p), 1/2: \x. x}"
+            assert print_dist(evolve(b, 4).values) == r"{1/2: u (\q. q), 1/2: \y. y}"
+
+
 class TestLaws:
     @given(dists())
     @settings(max_examples=100)

@@ -17,18 +17,12 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
-from . import corpus as corpus_mod
-from .approximants import (
-    approx_check,
-    approx_generate,
-    embed,
-    parse_fin,
-    print_fin_dist,
-)
+from . import laws
+from .approximants import approx_check, approx_generate, parse_fin, print_fin_dist
+from .approximants import embed  # unused here; perfbench/tracing.py rebinds it
 from .lifting import FinSupportDist, lift_check_flow, lift_check_subsets
 from .lts import available_labels, weak_max_transition
 from .prelude import DEFAULT_PRELUDE, parse_prelude
@@ -38,7 +32,6 @@ from .syntax import (
     Dist,
     LambError,
     ZERO,
-    dist_scale,
     fresh_name,
     free_names,
     parse,
@@ -333,120 +326,17 @@ def _cmd_normalize(args):
 # Self-test battery
 
 
-def _selftest_checks(seed):
-    from .syntax import dist_leq, dist_union, parse as _p
-
-    rng = random.Random(seed)
-    terms = corpus_mod.corpus()
-
-    def check_roundtrip():
-        bad = 0
-        for d in terms:
-            if parse(print_dist(d), prelude={}) != d:
-                bad += 1
-        return bad
-
-    def check_reduction_laws():
-        bad = 0
-        for d in terms:
-            cur = d
-            prev_vals = vals(cur)
-            for _ in range(8):
-                nxt = step(cur)
-                if nxt.mass() > cur.mass():
-                    bad += 1
-                if not dist_leq(prev_vals, vals(nxt)):
-                    bad += 1
-                prev_vals = vals(nxt)
-                cur = nxt
-        return bad
-
-    def check_linearity():
-        bad = 0
-        for _ in range(30):
-            a = dist_scale(Fraction(1, 2), rng.choice(terms))
-            b = dist_scale(Fraction(1, 2), rng.choice(terms))
-            both = evolve(dist_union(a, b), 16).values
-            split = dist_union(evolve(a, 16).values, evolve(b, 16).values)
-            if both != split:
-                bad += 1
-        return bad
-
-    def check_lift_agreement():
-        bad = 0
-        grid = [Fraction(i, 8) for i in range(1, 9)]
-        for _ in range(100):
-            ns, nt = rng.randint(1, 5), rng.randint(1, 5)
-            sw = [rng.choice(grid) for _ in range(ns)]
-            tw = [rng.choice(grid) for _ in range(nt)]
-            if sum(sw) > 1:
-                sw = [w / sum(sw) for w in sw]
-            if sum(tw) > 1:
-                tw = [w / sum(tw) for w in tw]
-            d = FinSupportDist(range(ns), sw)
-            e = FinSupportDist(range(100, 100 + nt), tw)
-            rel = {
-                (i, 100 + j)
-                for i in range(ns)
-                for j in range(nt)
-                if rng.random() < 0.4
-            }
-            a = lift_check_flow(d, e, rel)
-            b = lift_check_subsets(d, e, rel)
-            if a.holds != b.holds or a.deficit != b.deficit:
-                bad += 1
-        return bad
-
-    def check_simulation():
-        bad = 0
-        om = _p("omega")
-        params = SimParams(2, 8)
-        for d in terms:
-            if not sim_check(d, d, params).holds:
-                bad += 1
-            if not sim_check(om, d, params).holds:
-                bad += 1
-        if sim_check(_p(r"\x. omega"), om, params).holds:
-            bad += 1
-        yt = _p(r"Y (\x. {1/2: I, 1/2: x})")
-        if not sim_check(_p("I"), yt, SimParams(3, 9)).holds:
-            bad += 1
-        if not sim_check(yt, _p("I"), SimParams(3, 9)).holds:
-            bad += 1
-        return bad
-
-    def check_approximants():
-        bad = 0
-        for d in terms[:20]:
-            for c in approx_generate(d, 2, 12, Fraction(1, 8)):
-                if not any(approx_check(c, d, k, 12) for k in range(5)):
-                    bad += 1
-                if not sim_check(embed(c), d, SimParams(2, 12)).holds:
-                    bad += 1
-        return bad
-
-    return [
-        ("parse/print round-trip", check_roundtrip),
-        ("reduction laws", check_reduction_laws),
-        ("evolution linearity", check_linearity),
-        ("lift flow vs subsets", check_lift_agreement),
-        ("simulation basics", check_simulation),
-        ("approximant soundness", check_approximants),
-    ]
-
-
 def _cmd_selftest(args):
+    checks = laws.battery(args.seed)
     failures = 0
-    passed = 0
-    for name, fn in _selftest_checks(args.seed):
-        bad = fn()
+    for name, check in checks:
+        bad = check()
         if bad:
             failures += 1
-            print("FAIL %s (%d violations)" % (name, bad))
+            print("FAIL %s (%d violations)" % (name, len(bad)))
         else:
-            passed += 1
             print("PASS %s" % name)
-    print("%d passed, %d failed" % (passed, failures))
+    print("%d passed, %d failed" % (len(checks) - failures, failures))
     return 0 if failures == 0 else 1
 
 

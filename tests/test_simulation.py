@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 from conftest import gen_dist, gen_terminating
+from plamb.laws import divergence_least, reflexivity
 from plamb.lts import (
     CONVERGE,
     Call,
@@ -39,13 +40,12 @@ def term(src):
 
 class TestBasics:
     def test_reflexivity(self):
-        for src in (r"\x. x", "y z", "{1/2: tt, 1/4: omega}", "Y I"):
-            assert sim_check(parse(src), parse(src), P(3, 8)).holds
+        srcs = (r"\x. x", "y z", "{1/2: tt, 1/4: omega}", "Y I")
+        assert not reflexivity([parse(src) for src in srcs], P(3, 8))
 
     def test_divergence_is_least(self):
-        om = parse("omega")
-        for src in (r"\x. x", "y", "x tt ff", "{}", "{1/2: y, 1/2: omega}"):
-            assert sim_check(om, parse(src), P(4, 8)).holds
+        srcs = (r"\x. x", "y", "x tt ff", "{}", "{1/2: y, 1/2: omega}")
+        assert not divergence_least([parse(src) for src in srcs], P(4, 8))
 
     def test_abstraction_above_divergence_refuted(self):
         v = sim_check(parse(r"\x. omega"), parse("omega"), P(1, 2))

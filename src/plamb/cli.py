@@ -3,9 +3,11 @@
 Subcommands: eval, trace, lts, sim, bisim, lift, approx, normalize,
 selftest.  Operands are inline expressions unless they name an existing
 file (or end in ``.lam``), in which case the file's contents are parsed.
-Exit codes: 0 success / no counterexample, 1 refuted or failed data
-condition, 2 usage, file, parse or malformed-input errors, and terms nested
-too deeply for the recursion limit.
+``selftest`` runs the laws of ``plamb.laws.battery`` and prints one PASS or
+FAIL line per law.  Exit codes: 0 success / no counterexample, 1 refuted or
+failed data condition (or a failed law), 2 usage, file, parse or
+malformed-input errors, numbers out of range, and terms nested too deeply
+for the recursion limit.
 
 The environment variable ``PLAMB_PRELUDE`` points at an alternative prelude
 file (``name = source`` lines).
@@ -69,22 +71,23 @@ def _load_operand(text):
 
 
 def _fraction(text, what):
-    """An exact rational from command-line or JSON input, or a LambError."""
+    """An exact rational from command-line or JSON input, or a LambError.
+    Every number from outside is read here.  Expanding 1e-N takes time and
+    memory that grow with N, so an exponent beyond 1000 is refused."""
     if isinstance(text, bool):
         raise LambError("%s: not a rational number: %s" % (what, json.dumps(text)))
     try:
+        if isinstance(text, str) and abs(int(text.lower().partition("e")[2] or 0)) > 1000:
+            raise LambError("%s: number out of range: %s" % (what, text))
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise LambError("%s: not a rational number: %r" % (what, text)) from exc
 
 
 def _json_decimal(text):
-    """A JSON decimal read exactly from its text, never through a binary
-    float, so that 0.3 is 3/10.  Expanding 1e-N takes time and memory
-    that grow with N, so an exponent beyond 1000 is refused."""
-    if abs(int(text.lower().partition("e")[2] or 0)) > 1000:
-        raise LambError("lift instance: number out of range: %s" % text)
-    return Fraction(text)
+    """A JSON decimal or constant read exactly from its text, never through
+    a binary float, so that 0.3 is 3/10 and Infinity and NaN are refused."""
+    return _fraction(text, "lift instance")
 
 
 def _dist_json(d):
@@ -234,7 +237,7 @@ def _lift_instance(text, default_slack):
     try:
         if os.path.exists(text):
             text = _read_file(text)
-        obj = json.loads(text, parse_float=_json_decimal)
+        obj = json.loads(text, parse_float=_json_decimal, parse_constant=_json_decimal)
     except ValueError as exc:
         raise LambError("lift instance is not JSON: %s" % exc) from exc
     if not isinstance(obj, dict):

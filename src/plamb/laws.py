@@ -17,8 +17,6 @@ from .reduction import evolve, step, vals
 from .simulation import SimParams, sim_check
 from .syntax import dist_leq, dist_scale, dist_union, parse, print_dist
 
-HALF = Fraction(1, 2)
-
 
 def roundtrip(programs):
     """Printing then parsing gives back an equal distribution."""
@@ -136,8 +134,9 @@ def battery(seed):
     corpus and draws from ``random.Random(seed)``."""
     rng = random.Random(seed)
     terms = corpus()
+    half = Fraction(1, 2)
     halves = [
-        (dist_scale(HALF, rng.choice(terms)), dist_scale(HALF, rng.choice(terms)))
+        (dist_scale(half, rng.choice(terms)), dist_scale(half, rng.choice(terms)))
         for _ in range(30)
     ]
     instances = [random_lift_instance(rng, 5, (8,), (0.4,)) for _ in range(100)]

@@ -6,6 +6,7 @@ import sys
 import plamb
 import pytest
 
+from plamb import laws
 from plamb.cli import main, normalize, total_variation
 from plamb.syntax import parse
 
@@ -183,12 +184,13 @@ class TestLift:
         assert outs[0].decode().count(cut) == 2
 
     @staticmethod
-    def instance(source, target):
-        """A one-point lift instance; the two weights are JSON text."""
+    def instance(source, target, slack=None):
+        """A one-point lift instance; the weights and slack are JSON text."""
         return (
             '{"source": {"points": ["a"], "weights": [%s]}, '
             '"target": {"points": ["b"], "weights": [%s]}, '
-            '"relation": [["a", "b"]]}' % (source, target)
+            '"relation": [["a", "b"]]%s}'
+            % (source, target, "" if slack is None else ', "slack": %s' % slack)
         )
 
     def test_json_decimals_are_exact(self, capsys):
@@ -211,6 +213,13 @@ class TestLift:
         code, out, err = run(capsys, "lift", self.instance("1e-999999999", '"1"'))
         assert code == 2 and out == ""
         assert err == "error: lift instance: number out of range: 1e-999999999\n"
+
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_constant_exit_2(self, capsys, constant):
+        for text in (self.instance(constant, '"1"'), self.instance('"1"', '"1"', constant)):
+            code, out, err = run(capsys, "lift", text)
+            assert code == 2 and out == ""
+            assert err == "error: lift instance: not a rational number: %r\n" % constant
 
 
 class TestApprox:
@@ -303,6 +312,11 @@ class TestMalformedInput:
         (["lift", "{bad"], "lift instance is not JSON"),
         (["lift", "[1]"], "lift instance must be a JSON object"),
         (["lift", '{"source": [], "target": []}'], "malformed lift instance"),
+        (["approx", "I", "--grain", "1e-999999999"], "--grain: number out of range"),
+        (["lift", TestLift.instance("1", "1"), "--slack", "1e-999999999"],
+         "slack: number out of range"),
+        (["lift", TestLift.instance('"1e-999999999"', "1")], "source weight: number out of range"),
+        (["lift", TestLift.instance("1", "1", '"1e-999999999"')], "slack: number out of range"),
     ])
     def test_exit_2_with_error_line(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -450,6 +464,13 @@ class TestSelftest:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "0 failed" in out1
+
+    def test_violations_fail(self, capsys, monkeypatch):
+        checks = [("holds", lambda: []), ("broken", lambda: ["a", "b"])]
+        monkeypatch.setattr(laws, "battery", lambda seed: checks)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out == "PASS holds\nFAIL broken (2 violations)\n1 passed, 1 failed\n"
 
 
 class TestTotalVariation:

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from plamb import laws
 from plamb.laws import lift_agreement, random_lift_instance
 from plamb.lifting import (
     DimensionMismatchError,
     FinSupportDist,
+    LiftVerdict,
     SupportTooLargeError,
     lift_check_flow,
     lift_check_subsets,
@@ -94,6 +96,15 @@ class TestAgreementAndMonotonicity:
     def test_flow_agrees_with_subsets(self):
         rng = random.Random(5)
         assert not lift_agreement([random_instance(rng) for _ in range(250)])
+
+    def test_disagreement_is_reported(self, monkeypatch):
+        def flipped(d, e, rel):
+            v = lift_check_subsets(d, e, rel)
+            return LiftVerdict(not v.holds, v.deficit, v.witness_cut)
+
+        monkeypatch.setattr(laws, "lift_check_subsets", flipped)
+        planted = (fsd("a", ["1/2"]), fsd("b", ["1/2"]), {("a", "b")})
+        assert lift_agreement([planted]) == [planted]
 
     def test_monotone_in_relation(self):
         rng = random.Random(6)

@@ -2,15 +2,18 @@
 
 An approximant is a finite tree over a bottom element, abstractions, and
 open applications, with rational weights.  ``approx_check`` decides
-fuel-bounded membership at an index k: the candidate's non-bottom mass must
-match strictly below the evolved value mass of the program (strictly, on
-every set of entries), with bodies and spine arguments checked recursively
-one index down (a program abstraction's body is its ``ret`` target from
-``plamb.lts``).  The strict matching is one exact max-flow of
-``plamb.lifting``, with every supply raised by a bump too small to undo any
-strict inequality and large enough to break every tie.  Bottom entries need
-no support at all, so the bottom-only candidates approximate every program
-at every index.
+fuel-bounded membership at an index k on the candidate's embedding into
+the calculus (bottom becomes the divergent redex ``DIVERGE``), so both
+sides are read through ``plamb.lts``: the value split of each, and for
+abstractions the ``ret`` target under one symbol fresh for both.  The
+candidate's value mass must match strictly below the evolved value mass of
+the program (strictly, on every set of entries), with ``ret`` targets and
+spine arguments checked recursively one index down.  The strict matching
+is one exact max-flow of ``plamb.lifting``, with every supply raised by a
+bump too small to undo any strict inequality and large enough to break
+every tie.  The embedded bottom is a redex, affords no label and so needs
+no support at all: the bottom-only candidates approximate every program at
+every index.
 
 ``approx_generate`` produces approximants constructively: evolve, truncate
 the value trees at a depth, and round every weight strictly down to a
@@ -51,7 +54,7 @@ from .syntax import (
     unit,
 )
 from .lifting import max_flow
-from .lts import ret_target
+from .lts import ret_target, split_values
 from .reduction import AbsView, SpineView, evolve, whnf_view
 
 
@@ -89,15 +92,14 @@ OMEGA = Omega()
 
 
 class FinAbs(FinTerm):
-    # _ret caches (sym, body renamed to sym) for _compat
-    __slots__ = ("binder", "body", "_ret")
+    __slots__ = ("binder", "body")
 
     def __init__(self, binder, body):
         self.binder = check_name(binder)
         if not isinstance(body, FinDist):
             raise LambError("FinAbs body must be a FinDist")
         self.body = body
-        self._canon = self._fn = self._ret = None
+        self._canon = self._fn = None
 
     # keyed like an abstraction of the calculus
     _key = Abs._key
@@ -129,13 +131,14 @@ class FinDist(Distribution):
     """Finite map from finite terms to rational weights, total mass <= 1,
     alpha-equivalent keys merged; built and keyed like ``Dist``."""
 
-    __slots__ = ()
+    # _embedded caches the Dist that embed returns
+    __slots__ = ("_embedded",)
 
     def __init__(self, pairs=()):
         self._entries, self._index, self._canon, self._mass = merge_entries(
             pairs, FinTerm, "FinDist"
         )
-        self._fn = None
+        self._fn = self._embedded = None
 
 
 FIN_EMPTY = FinDist()
@@ -177,8 +180,12 @@ DIVERGE = _parse_lambda(r"(\x. x x) (\x. x x)", prelude={}).entries()[0][0]
 
 def embed(c):
     """Structural image of a finite distribution in the full calculus, with
-    the bottom element mapped to the divergent self-application."""
-    return Dist((_embed_term(t), w) for t, w in c.entries())
+    the bottom element mapped to the divergent self-application.  The
+    distribution keeps its image, so asking again returns the same ``Dist``
+    (and its cached ``ret`` targets and evolution)."""
+    if c._embedded is None:
+        c._embedded = Dist((_embed_term(t), w) for t, w in c.entries())
+    return c._embedded
 
 
 def _embed_term(t):
@@ -200,11 +207,15 @@ def _embed_term(t):
 def approx_check(c, m, k, fuel):
     """Fuel-bounded membership of candidate ``c`` at index ``k``.
 
-    Bottom-only candidates pass at any index.  Otherwise the evolved value
-    mass of ``m`` must strictly dominate the candidate: every nonempty set
-    of non-bottom entries must weigh strictly less than the value entries
-    compatible with it (strict Hall), with compatibility checking bodies
-    and spine arguments at k-1.
+    Both sides are read through ``plamb.lts``: the candidate's embedding as
+    it stands (its bottom is a redex and affords no label), the program
+    after ``evolve``.  Bottom-only candidates pass at any index.  Otherwise
+    the evolved value mass of ``m`` must strictly dominate the candidate:
+    every nonempty set of candidate value entries must weigh strictly less
+    than the value entries compatible with it (strict Hall).  Abstractions
+    are compatible when their ``ret`` targets, under a symbol fresh for
+    both, are members at k-1; spines when head and arity agree and every
+    argument is a member at k-1.
 
     Strict Hall is decided by one max-flow.  Every weight is a multiple of
     1/L, for L the lcm of all their denominators, so a set that fits
@@ -216,62 +227,37 @@ def approx_check(c, m, k, fuel):
     """
     if not isinstance(c, FinDist):
         raise LambError("candidate must be a FinDist")
-    non_bottom = [(t, w) for t, w in c.entries() if not isinstance(t, Omega)]
-    if not non_bottom:
+    return _member(embed(c), m, k, fuel)
+
+
+def _member(c, m, k, fuel):
+    c_abs, c_spines = split_values(c)
+    if not c_abs and not c_spines:
         return True
     if k <= 0:
         return False
-    values = evolve(m, fuel).values
-    targets = values.entries()
+    m_abs, m_spines = split_values(evolve(m, fuel).values)
     edges = set()
-    for i, (ct, _) in enumerate(non_bottom):
-        for j, (wt, _) in enumerate(targets):
-            if _compat(ct, wt, k, fuel):
+    for i, (ct, _, cv) in enumerate(c_abs):
+        for j, (mt, _, mv) in enumerate(m_abs):
+            sym = fresh_name(ct.free_names() | mt.free_names())
+            if _member(ret_target(cv, sym), ret_target(mv, sym), k - 1, fuel):
                 edges.add((i, j))
-    weights = [w for _, w in non_bottom]
+    for i, (_, _, cv) in enumerate(c_spines, len(c_abs)):
+        for j, (_, _, mv) in enumerate(m_spines, len(m_abs)):
+            if (cv.head, len(cv.args)) == (mv.head, len(mv.args)) and all(
+                _member(ca, ma, k - 1, fuel) for ca, ma in zip(cv.args, mv.args)
+            ):
+                edges.add((i, j))
+    weights = [w for _, w, _ in c_abs + c_spines]
+    targets = [w for _, w, _ in m_abs + m_spines]
     lcm = math.lcm(
-        *(w.denominator for w in weights), *(w.denominator for _, w in targets)
+        *(w.denominator for w in weights), *(w.denominator for w in targets)
     )
     bump = Fraction(1, len(weights) * lcm)
     supplies = {i: w + bump for i, w in enumerate(weights)}
-    demands = {j: w for j, (_, w) in enumerate(targets)}
+    demands = dict(enumerate(targets))
     return max_flow(supplies, demands, edges) == sum(weights) + Fraction(1, lcm)
-
-
-def _compat(ct, wt, k, fuel):
-    view = whnf_view(wt)
-    if isinstance(ct, FinAbs) and isinstance(view, AbsView):
-        sym = fresh_name(ct.free_names() | wt.free_names())
-        cached = ct._ret
-        if cached is None or cached[0] != sym:
-            cached = ct._ret = (sym, fin_subst_head(ct.body, ct.binder, sym))
-        return approx_check(cached[1], ret_target(view, sym), k - 1, fuel)
-    if isinstance(ct, FinSpine) and isinstance(view, SpineView):
-        if ct.head != view.head or len(ct.args) != len(view.args):
-            return False
-        return all(
-            approx_check(ca, wa, k - 1, fuel)
-            for ca, wa in zip(ct.args, view.args)
-        )
-    return False
-
-
-def fin_subst_head(d, v, sym):
-    """Rename free occurrences of ``v`` (spine heads) to ``sym``."""
-    return FinDist((_fin_rename(t, v, sym), w) for t, w in d.entries())
-
-
-def _fin_rename(t, v, sym):
-    if isinstance(t, Omega):
-        return t
-    if isinstance(t, FinAbs):
-        if t.binder == v:
-            return t
-        return FinAbs(t.binder, fin_subst_head(t.body, v, sym))
-    if isinstance(t, FinSpine):
-        head = sym if t.head == v else t.head
-        return FinSpine(head, tuple(fin_subst_head(a, v, sym) for a in t.args))
-    raise LambError("not a finite term: %r" % (t,))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,12 @@ class TestEmbed:
         c = FinDist({FinSpine("y", (FIN_BOTTOM, FinDist({FinSpine("z", ()): F(1)}))): F(1)})
         assert embed(c) == parse("y (omega) z")
 
+    def test_image_is_kept(self):
+        c = parse_fin(r"{1/2: \x. {1/2: x _|_}}")
+        d = embed(c)
+        assert embed(c) is d
+        assert embed(c.entries()[0][0].body) is d.entries()[0][0].body
+
     def test_bottoms_share_one_term(self):
         c = parse_fin(r"{1/4: _|_, 1/2: \x. {1/2: _|_, 1/2: x _|_}}")
         d = embed(c)
@@ -97,6 +103,29 @@ class TestApproxCheck:
         # two half-weight candidates against one full-weight value entry
         c = parse_fin("{1/4: \\x. _|_, 1/4: \\y. _|_}")
         assert approx_check(c, parse(r"\z. z"), 1, 2)
+
+
+# evolves to \a. \#0. a x: the inner binder is the first fresh symbol
+CAPTURE = parse(r"(\y. \a. \x. a y) x")
+
+
+def half_lam(binder, body):
+    return FinDist({FinAbs(binder, body): F(1, 2)})
+
+
+class TestCapture:
+    def test_alpha_equal_candidates_agree(self):
+        # built directly: parse_fin rejects the machine name #0
+        body = FinDist({FinSpine("a", (FIN_BOTTOM,)): F(1, 2)})
+        machine = half_lam("a", half_lam("#0", body))
+        user = half_lam("a", half_lam("b", body))
+        assert machine == user
+        verdicts = [approx_check(machine, CAPTURE, k, 8) for k in range(5)]
+        assert verdicts == [approx_check(user, CAPTURE, k, 8) for k in range(5)]
+        assert verdicts == [False, False, False, True, True]
+
+    def test_generated_candidates_are_members(self):
+        assert not approximant_soundness([(CAPTURE, CAPTURE)], 3, 8, F(1, 2))
 
 
 def strict_hall(weights, demands, edges):

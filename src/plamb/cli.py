@@ -70,15 +70,30 @@ def _load_operand(text):
     return parse(text, prelude=_prelude())
 
 
+# the longest numeral read from outside: int() refuses a string of more
+# than 4300 digits, and a longer number is no weight anyone writes
+MAX_NUMERAL = 1000
+
+
+def _check_numeral(text, what):
+    """Refuse a numeral longer than MAX_NUMERAL characters, or with an
+    exponent beyond 1000: expanding 1e-N takes time and memory that grow
+    with N."""
+    if len(text) > MAX_NUMERAL:
+        raise LambError("%s: number out of range: %d characters" % (what, len(text)))
+    if abs(int(text.lower().partition("e")[2] or 0)) > 1000:
+        raise LambError("%s: number out of range: %s" % (what, text))
+
+
 def _fraction(text, what):
     """An exact rational from command-line or JSON input, or a LambError.
-    Every number from outside is read here.  Expanding 1e-N takes time and
-    memory that grow with N, so an exponent beyond 1000 is refused."""
+    Every number from outside is read here or, for a JSON integer, checked
+    by the same ``_check_numeral``."""
     if isinstance(text, bool):
         raise LambError("%s: not a rational number: %s" % (what, json.dumps(text)))
     try:
-        if isinstance(text, str) and abs(int(text.lower().partition("e")[2] or 0)) > 1000:
-            raise LambError("%s: number out of range: %s" % (what, text))
+        if isinstance(text, str):
+            _check_numeral(text, what)
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise LambError("%s: not a rational number: %r" % (what, text)) from exc
@@ -88,6 +103,12 @@ def _json_decimal(text):
     """A JSON decimal or constant read exactly from its text, never through
     a binary float, so that 0.3 is 3/10 and Infinity and NaN are refused."""
     return _fraction(text, "lift instance")
+
+
+def _json_integer(text):
+    """A JSON integer, refused when too long like any other numeral."""
+    _check_numeral(text, "lift instance")
+    return int(text)
 
 
 def _dist_json(d):
@@ -237,7 +258,12 @@ def _lift_instance(text, default_slack):
     try:
         if os.path.exists(text):
             text = _read_file(text)
-        obj = json.loads(text, parse_float=_json_decimal, parse_constant=_json_decimal)
+        obj = json.loads(
+            text,
+            parse_float=_json_decimal,
+            parse_int=_json_integer,
+            parse_constant=_json_decimal,
+        )
     except ValueError as exc:
         raise LambError("lift instance is not JSON: %s" % exc) from exc
     if not isinstance(obj, dict):

@@ -21,9 +21,9 @@ live in the reserved ``#`` namespace, which the parser rejects.
 All values are immutable after construction and safe to share between
 threads; every function here is pure.  The cache slots (a node's key and
 free names, an abstraction's last ``ret`` target, a ``Dist``'s last
-evolution) are written from the object alone, and a given key always
-yields the same value, so writing one is idempotent: concurrent threads
-at worst compute it twice.
+evolution, a ``FinDist``'s embedding) are written from the object alone,
+and a given key always yields the same value, so writing one is
+idempotent: concurrent threads at worst compute it twice.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import plamb
 import pytest
 
 from plamb import laws
-from plamb.cli import main, normalize, total_variation
+from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
 from plamb.syntax import parse
 
 YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
@@ -322,6 +322,27 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
+
+    LONG_INT = "1" * 5000
+    LONG_DECIMAL = "0." + "1" * 4998
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lift", TestLift.instance("1", "1", LONG_INT)], "lift instance"),
+        (["lift", TestLift.instance(LONG_INT, "1")], "lift instance"),
+        (["lift", TestLift.instance('"%s"' % LONG_DECIMAL, "1")], "source weight"),
+        (["lift", TestLift.instance("1", "1"), "--slack", LONG_DECIMAL], "slack"),
+    ])
+    def test_overlong_numeral_exit_2(self, capsys, argv, message):
+        # int() refuses strings of more than 4300 digits; the message must
+        # name the number, not blame the JSON or the syntax
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: %s: number out of range: 5000 characters\n" % message
+
+    def test_longest_numeral_is_read(self, capsys):
+        weight = '"0.%s"' % ("0" * (MAX_NUMERAL - 3) + "1")
+        code, out, err = run(capsys, "lift", TestLift.instance(weight, "1"))
+        assert code == 0 and err == ""
 
     def test_lift_weight_and_slack(self, capsys):
         bad_weight = self.lift({"points": ["a"], "weights": ["x"]})

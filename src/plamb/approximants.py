@@ -53,7 +53,7 @@ from .syntax import (
     print_dist,
     unit,
 )
-from .lifting import max_flow
+from .lifting import max_flow, scaled
 from .lts import ret_target, split_values
 from .reduction import AbsView, SpineView, evolve, whnf_view
 
@@ -217,13 +217,14 @@ def approx_check(c, m, k, fuel):
     both, are members at k-1; spines when head and arity agree and every
     argument is a member at k-1.
 
-    Strict Hall is decided by one max-flow.  Every weight is a multiple of
-    1/L, for L the lcm of all their denominators, so a set that fits
-    strictly fits with room 1/L to spare.  Adding 1/(nL) to each of the n
-    supplies raises a nonempty set's weight by at most 1/L and by more
-    than 0, so it turns strict Hall into ordinary Hall: membership holds
-    iff the bumped supplies flow in full, i.e. the flow equals their
-    total plus 1/L.
+    Strict Hall is decided by one max-flow on integers.  Every weight is a
+    multiple of 1/L, for L the lcm of all their denominators, so a set that
+    fits strictly fits with room 1/L to spare.  Scaled by nL, for n
+    candidate entries, every weight is an integer and that room is n; a
+    bump of +1 on each of the n supplies raises a nonempty set's weight by
+    at most n and by more than 0, so it turns strict Hall into ordinary
+    Hall: membership holds iff the bumped supplies flow in full, i.e. the
+    flow equals nL times the candidate's value mass, plus n.
     """
     if not isinstance(c, FinDist):
         raise LambError("candidate must be a FinDist")
@@ -251,13 +252,10 @@ def _member(c, m, k, fuel):
                 edges.add((i, j))
     weights = [w for _, w, _ in c_abs + c_spines]
     targets = [w for _, w, _ in m_abs + m_spines]
-    lcm = math.lcm(
-        *(w.denominator for w in weights), *(w.denominator for w in targets)
-    )
-    bump = Fraction(1, len(weights) * lcm)
-    supplies = {i: w + bump for i, w in enumerate(weights)}
-    demands = dict(enumerate(targets))
-    return max_flow(supplies, demands, edges) == sum(weights) + Fraction(1, lcm)
+    scale = len(weights) * math.lcm(*(w.denominator for w in weights + targets))
+    supplies = {i: x + 1 for i, x in enumerate(scaled(weights, scale))}
+    demands = dict(enumerate(scaled(targets, scale)))
+    return max_flow(supplies, demands, edges) == sum(supplies.values())
 
 
 # ---------------------------------------------------------------------------

@@ -271,15 +271,27 @@ def _lift_instance(text, default_slack):
     try:
         d = _lift_dist(obj, "source")
         e = _lift_dist(obj, "target")
-        relation = {(a, b) for a, b in obj.get("relation", [])}
+        relation = {
+            tuple(_json_array(pair, "relation entry", 2))
+            for pair in _json_array(obj.get("relation", []), "relation")
+        }
     except (TypeError, ValueError) as exc:
         raise LambError("malformed lift instance: %s" % exc) from exc
     return d, e, relation, _fraction(obj.get("slack", default_slack), "slack")
 
 
+def _json_array(value, what, length=None):
+    # a string or an object is iterable too, and would be read elementwise
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise TypeError("%s must be an array%s" % (what, " of %s" % length if length else ""))
+    return value
+
+
 def _lift_dist(obj, side):
     try:
-        points, weights = obj[side]["points"], obj[side]["weights"]
+        points, weights = (
+            _json_array(obj[side][k], "%s.%s" % (side, k)) for k in ("points", "weights")
+        )
     except KeyError as exc:
         raise LambError("lift instance missing %s.%s" % (side, exc)) from exc
     what = "%s weight" % side

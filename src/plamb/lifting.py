@@ -7,14 +7,19 @@ finite supports this is a bipartite max-flow question; the dual view is the
 splitting criterion: the lift holds iff every R-closed subset C of the
 source support weighs no more than the R-image of C does on the target.
 
-Two deciders are provided: ``lift_check_flow`` (augmenting-path max flow
-over exact rationals, with a min-cut witness) and ``lift_check_subsets``
-(direct enumeration of closed subsets, exponential, used as an oracle).
+Two deciders are provided: ``lift_check_flow`` (augmenting-path max flow,
+with a min-cut witness) and ``lift_check_subsets`` (direct enumeration of
+subsets, exponential, used as an oracle).  Both decide on Python ints: each
+call multiplies its weights once by L, the lcm of their denominators, and
+divides back once at the end.  Max flow and the splitting inequalities are
+invariant under scaling by L > 0, so verdicts, deficits and cuts are the
+exact rational ones; ``Fraction`` appears only where values enter and
+leave this module.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from fractions import Fraction
 
 from .syntax import LambError, ZERO
@@ -28,28 +33,38 @@ class SupportTooLargeError(LambError):
     """Subset enumeration refused: source support exceeds the guard."""
 
 
+def scaled(weights, scale):
+    """Each weight (an int or a ``Fraction``) times ``scale``, as ints;
+    ``scale`` must be a multiple of every denominator."""
+    return [w.numerator * (scale // w.denominator) for w in weights]
+
+
 class FinSupportDist:
     """Finite-support weighted point set: distinct opaque points with
     positive rational weights summing to at most 1."""
 
-    __slots__ = ("points", "weights")
+    # _scaled is (L, weights times L as ints), L the lcm of the denominators
+    __slots__ = ("points", "weights", "_scaled")
 
     def __init__(self, points, weights):
         points = tuple(points)
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
         if len(points) != len(set(points)):
             raise LambError("duplicate points in support")
         if len(points) != len(weights):
             raise LambError("points/weights length mismatch")
-        if any(w <= 0 for w in weights):
+        if any(w.numerator <= 0 for w in weights):
             raise LambError("weights must be positive")
-        if sum(weights, ZERO) > 1:
+        lcm = math.lcm(*(w.denominator for w in weights))
+        ints = scaled(weights, lcm)
+        if sum(ints) > lcm:
             raise LambError("total mass exceeds 1")
         self.points = points
         self.weights = weights
+        self._scaled = (lcm, ints)
 
     def mass(self):
-        return sum(self.weights, ZERO)
+        return Fraction(sum(self._scaled[1]), self._scaled[0])
 
     def __len__(self):
         return len(self.points)
@@ -71,119 +86,112 @@ class LiftVerdict:
 
 
 class FlowNetwork:
-    """Directed flow network over exact rational capacities."""
+    """Directed flow network on vertices ``0..n-1`` with integer capacities.
 
-    class _Edge:
-        __slots__ = ("dst", "rev", "cap")
+    Callers scale rational capacities by L, the lcm of their denominators,
+    first: a maximum flow of the scaled network is L times one of the
+    original, so the value divides back exactly.  After ``max_flow``,
+    ``reached`` holds the vertices the source reaches in the residual
+    graph.  They are the source side of the minimum cut that lies inside
+    every other, a set that is the same for every maximum flow, so it
+    depends neither on the order of the augmenting paths nor on the hash
+    seed.
+    """
 
-        def __init__(self, dst, rev, cap):
-            self.dst = dst
-            self.rev = rev
-            self.cap = cap
-
-    def __init__(self):
-        self.adj = {}
-
-    def _node(self, v):
-        if v not in self.adj:
-            self.adj[v] = []
-        return self.adj[v]
+    def __init__(self, n):
+        self.out = [[] for _ in range(n)]  # ids of the edges leaving a vertex
+        self.dst = []  # edge id -> head; edge e ^ 1 is the reverse of e
+        self.cap = []  # edge id -> residual capacity
+        self.reached = None
 
     def add_edge(self, u, v, cap):
-        cap = Fraction(cap)
         if cap < 0:
             raise LambError("negative capacity")
-        fu = self._node(u)
-        fv = self._node(v)
-        fu.append(FlowNetwork._Edge(v, len(fv), cap))
-        fv.append(FlowNetwork._Edge(u, len(fu) - 1, ZERO))
+        self.out[u].append(len(self.dst))
+        self.out[v].append(len(self.dst) + 1)
+        self.dst += (v, u)
+        self.cap += (cap, 0)
 
     def max_flow(self, source, sink):
-        """Exact maximum flow by shortest augmenting paths."""
-        self._node(source)
-        self._node(sink)
-        total = ZERO
+        """Maximum flow by shortest augmenting paths."""
+        dst, cap, out = self.dst, self.cap, self.out
+        total = 0
         while True:
-            parent = self._bfs(source, sink)
-            if parent is None:
+            via = {source: None}  # reached vertex -> edge it was reached by
+            queue = [source]
+            for u in queue:
+                for e in out[u]:
+                    if cap[e] and dst[e] not in via:
+                        via[dst[e]] = e
+                        queue.append(dst[e])
+                if sink in via:
+                    break
+            else:
+                self.reached = frozenset(via)
                 return total
-            # bottleneck along the path
-            push = None
+            path = []
             v = sink
             while v != source:
-                u, e = parent[v]
-                push = e.cap if push is None else min(push, e.cap)
-                v = u
-            v = sink
-            while v != source:
-                u, e = parent[v]
-                e.cap -= push
-                self.adj[e.dst][e.rev].cap += push
-                v = u
+                path.append(via[v])
+                v = dst[via[v] ^ 1]
+            push = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= push
+                cap[e ^ 1] += push
             total += push
 
-    def _bfs(self, source, sink):
-        parent = {source: None}
-        q = deque((source,))
-        while q:
-            u = q.popleft()
-            for e in self.adj[u]:
-                if e.cap > 0 and e.dst not in parent:
-                    parent[e.dst] = (u, e)
-                    if e.dst == sink:
-                        return parent
-                    q.append(e.dst)
-        return None
 
-    def residual_reachable(self, source):
-        """Vertices reachable from ``source`` in the residual graph; after a
-        max-flow run this is the source side of a minimum cut."""
-        seen = {source}
-        q = deque((source,))
-        while q:
-            u = q.popleft()
-            for e in self.adj[u]:
-                if e.cap > 0 and e.dst not in seen:
-                    seen.add(e.dst)
-                    q.append(e.dst)
-        return seen
+_SRC, _SNK = 0, 1
+
+
+def _network(supplies, demands, edges):
+    """The lift network on integer supplies and demands (vertex 2 + i for
+    supply i, 2 + len(supplies) + j for demand j) and its maximum flow.
+    Middle edges get capacity total supply + 1, which no flow exhausts."""
+    n = len(supplies)
+    net = FlowNetwork(2 + n + len(demands))
+    for i, p in enumerate(supplies, 2):
+        net.add_edge(_SRC, i, p)
+    for j, q in enumerate(demands, 2 + n):
+        net.add_edge(j, _SNK, q)
+    big = sum(supplies) + 1
+    for i, j in edges:
+        net.add_edge(2 + i, 2 + n + j, big)
+    return net, net.max_flow(_SRC, _SNK)
 
 
 def max_flow(supplies, demands, edges):
     """Value of the maximum flow through the bipartite lift network.
 
-    ``supplies``/``demands`` map points to capacities, ``edges`` is a set of
-    (source point, target point) pairs.  Middle edges get capacity
-    total-supply + 1, which no finite flow can exhaust.
+    ``supplies``/``demands`` map points to capacities (ints or
+    ``Fraction``s), ``edges`` is a set of (source point, target point)
+    pairs.  The network runs on the capacities times L, the lcm of their
+    denominators, and the value comes back exact, as a ``Fraction``.
     """
-    return _build_network(supplies, demands, edges).max_flow(_SRC, _SNK)
+    scale = math.lcm(*(c.denominator for c in (*supplies.values(), *demands.values())))
+    si = {a: i for i, a in enumerate(supplies)}
+    ti = {b: j for j, b in enumerate(demands)}
+    pairs = [(si[a], ti[b]) for a, b in edges if a in si and b in ti]
+    _, value = _network(scaled(supplies.values(), scale),
+                        scaled(demands.values(), scale), pairs)
+    return Fraction(value, scale)
 
 
-_SRC = ("src",)
-_SNK = ("snk",)
-
-
-def _build_network(supplies, demands, edges):
-    net = FlowNetwork()
-    total = sum(supplies.values(), ZERO)
-    big = total + 1
-    for a, p in supplies.items():
-        net.add_edge(_SRC, ("a", a), p)
-    for b, q in demands.items():
-        net.add_edge(("b", b), _SNK, q)
-    for a, b in edges:
-        net.add_edge(("a", a), ("b", b), big)
-    return net
-
-
-def _check_dims(d, e, related):
-    src = set(d.points)
-    tgt = set(e.points)
+def _integers(d, e, related):
+    """``related`` as (source index, target index) pairs, the lcm L of
+    both sides' denominators, and each side's weights times L."""
+    si = {a: i for i, a in enumerate(d.points)}
+    ti = {b: j for j, b in enumerate(e.points)}
+    pairs = set()
     for a, b in related:
-        if a not in src or b not in tgt:
+        if a not in si or b not in ti:
             raise DimensionMismatchError(
                 "relation pair (%r, %r) not within the supports" % (a, b)
             )
+        pairs.add((si[a], ti[b]))
+    (ld, xd), (le, xe) = d._scaled, e._scaled
+    lcm = math.lcm(ld, le)
+    return pairs, lcm, [x * (lcm // ld) for x in xd], [x * (lcm // le) for x in xe]
 
 
 def lift_check_flow(d, e, related, slack=ZERO):
@@ -198,53 +206,69 @@ def lift_check_flow(d, e, related, slack=ZERO):
     slack = Fraction(slack)
     if slack < 0:
         raise LambError("slack must be nonnegative")
-    _check_dims(d, e, related)
-    supplies = dict(zip(d.points, d.weights))
-    demands = dict(zip(e.points, e.weights))
-    net = _build_network(supplies, demands, set(related))
-    value = net.max_flow(_SRC, _SNK)
-    need = d.mass()
-    if value + slack >= need:
+    pairs, scale, sw, tw = _integers(d, e, related)
+    net, value = _network(sw, tw, pairs)
+    gap = sum(sw) - value
+    deficit = Fraction(gap, scale) - slack if gap else ZERO
+    if deficit <= 0:
         return LiftVerdict(True, ZERO, frozenset())
-    side = net.residual_reachable(_SRC)
-    cut = frozenset(a for a in d.points if ("a", a) in side)
-    return LiftVerdict(False, need - value - slack, cut)
+    cut = frozenset(a for i, a in enumerate(d.points, 2) if i in net.reached)
+    return LiftVerdict(False, deficit, cut)
 
 
 _SUBSET_GUARD = 20
 
 
-def lift_check_subsets(d, e, related):
-    """Oracle decider: enumerate closed subsets of the source support.
+def _subset_tables(items):
+    """Sum of the weights and union of the masks of every subset of
+    ``items``, (weight, mask) pairs, indexed by the subset's bitmask."""
+    sums, unions = [0], [0]
+    for w, m in items:
+        sums += [s + w for s in sums]
+        unions += [u | m for u in unions]
+    return sums, unions
 
-    A subset C is closed when it contains every source point whose R-image
-    lies inside the R-image of C; the lift holds iff no closed subset
-    outweighs its image.  The most violating subset and its deficit are
-    reported on failure.  Guarded to supports of at most 20 points.
+
+def lift_check_subsets(d, e, related):
+    """Oracle decider: enumerate the subsets of the source support.
+
+    The lift holds iff no subset C outweighs its R-image.  The most
+    violating subset, the first in mask order over ``d.points``, and its
+    deficit are reported on failure.  Only R-closed subsets (those holding
+    every source point whose R-image lies inside the R-image of C) can be
+    the most violating: adding such a point keeps the image and adds
+    weight.  Guarded to supports of at most 20 points.
+
+    Weights are ints over the lcm of all denominators and images are
+    bitmasks over ``e.points``.  The masks are split into a low and a high
+    half, each with a table of its 2^(n/2) subsets, and the target weight
+    of an image is read from tables of 8-point chunks, so memory stays
+    small up to the guard.
     """
     if len(d) > _SUBSET_GUARD:
         raise SupportTooLargeError(
             "source support %d exceeds %d" % (len(d), _SUBSET_GUARD)
         )
-    _check_dims(d, e, related)
-    related = set(related)
-    image = {a: frozenset(b for (x, b) in related if x == a) for a in d.points}
-    tweight = dict(zip(e.points, e.weights))
-    sweight = dict(zip(d.points, d.weights))
-    points = list(d.points)
-    worst = ZERO
-    worst_cut = frozenset()
-    for mask in range(1 << len(points)):
-        c = [a for i, a in enumerate(points) if mask >> i & 1]
-        img = frozenset().union(*(image[a] for a in c)) if c else frozenset()
-        if any(a not in c and image[a] <= img for a in points):
-            continue  # not closed: adding such a point only worsens it
-        violation = sum((sweight[a] for a in c), ZERO) - sum(
-            (tweight[b] for b in img), ZERO
-        )
-        if violation > worst:
-            worst = violation
-            worst_cut = frozenset(c)
-    if worst == 0:
+    pairs, scale, sw, tw = _integers(d, e, related)
+    image = [0] * len(sw)
+    for i, j in pairs:
+        image[i] |= 1 << j
+    items, half = list(zip(sw, image)), (len(sw) + 1) // 2
+    lo_w, lo_img = _subset_tables(items[:half])
+    hi_w, hi_img = _subset_tables(items[half:])
+    shifts = range(0, len(tw), 8)
+    chunks = [_subset_tables([(w, 0) for w in tw[s:s + 8]])[0] for s in shifts]
+    worst = worst_mask = 0
+    for hi, (hw, himg) in enumerate(zip(hi_w, hi_img)):
+        imgs = [himg | li for li in lo_img]
+        violations = [hw + lw for lw in lo_w]
+        for s, chunk in zip(shifts, chunks):
+            violations = [v - chunk[img >> s & 255] for v, img in zip(violations, imgs)]
+        top = max(violations)
+        if top > worst:
+            worst = top
+            worst_mask = hi << half | violations.index(top)
+    if not worst:
         return LiftVerdict(True, ZERO, frozenset())
-    return LiftVerdict(False, worst, worst_cut)
+    cut = frozenset(a for i, a in enumerate(d.points) if worst_mask >> i & 1)
+    return LiftVerdict(False, Fraction(worst, scale), cut)

@@ -19,7 +19,7 @@ simulation check and approximant membership take theirs from here.
 
 from __future__ import annotations
 
-from .syntax import Abs, EMPTY, LambError, Var, dist_scale, dist_union, subst, unit
+from .syntax import Abs, Dist, LambError, Var, subst, unit
 from .reduction import AbsView, SpineView, evolve, head_step, whnf_view
 
 IDENTITY = Abs("x", unit(Var("x")))
@@ -162,11 +162,12 @@ def _unit_target(view, label):
 
 
 def _weighted(entries, label):
-    """Union, in entry order, of the entries' targets scaled by weight."""
-    out = EMPTY
-    for _, w, view in entries:
-        out = dist_union(out, dist_scale(w, _unit_target(view, label)))
-    return out
+    """Union, in entry order, of the entries' targets scaled by weight; an
+    alpha-class is displayed by its first-seen term."""
+    return Dist([
+        (t, w * v) for _, w, view in entries
+        for t, v in _unit_target(view, label).entries()
+    ])
 
 
 def strong_target(d, label):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -219,6 +220,36 @@ class TestStrictMatching:
         assert approx_check(rounded, prog, 1, 4)
         truncated = FinDist((FinSpine(x, ()), w) for w, x in zip(weights, names))
         assert not approx_check(truncated, prog, 1, 4)
+
+
+class TestLargeLcmTie:
+    """Eleven spine entries whose denominators are distinct primes, so the
+    lcm L of the weights exceeds 2^64.  Strict domination needs every
+    candidate weight below its program weight; 1/L below is enough."""
+
+    PRIMES = (67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109)
+    HEADS = "abcdefghijk"
+    L = math.prod(PRIMES)
+
+    def prog(self):
+        return parse("{%s}" % ", ".join(
+            "1/%d: %s" % ph for ph in zip(self.PRIMES, self.HEADS)))
+
+    def candidate(self, tied):
+        return FinDist(
+            (FinSpine(x, ()), F(1, p) - (0 if x == tied else F(1, self.L)))
+            for p, x in zip(self.PRIMES, self.HEADS)
+        )
+
+    def test_lcm_exceeds_64_bits(self):
+        assert self.L > 2 ** 64
+
+    def test_one_below_is_accepted(self):
+        assert approx_check(self.candidate(None), self.prog(), 1, 4)
+
+    @pytest.mark.parametrize("tied", ["a", "k"])
+    def test_equal_weight_is_rejected(self, tied):
+        assert not approx_check(self.candidate(tied), self.prog(), 1, 4)
 
 
 class TestApproxGenerate:

@@ -379,6 +379,28 @@ class TestMalformedInput:
         code, _, err = run(capsys, "lift", json.dumps(inst))
         assert code == 2 and "malformed lift instance" in err
 
+    @pytest.mark.parametrize("relation", [
+        ["aa"], "aa", [["a", "a", "a"]], [{"a": 1, "b": 2}], {"a": "a"}, [None],
+    ])
+    def test_relation_must_be_array_of_pairs(self, capsys, relation):
+        # a two-character string or a two-key object must not read as a pair
+        inst = dict(json.loads(self.lift(self.LIFT_TARGET)), relation=relation)
+        code, out, err = run(capsys, "lift", json.dumps(inst))
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed lift instance: ")
+
+    @pytest.mark.parametrize("side", [
+        {"points": "a", "weights": ["1"]},
+        {"points": ["a"], "weights": "1"},
+        {"points": "a", "weights": "1"},
+        {"points": {"a": 1}, "weights": ["1"]},
+        {"points": ["a"], "weights": 1},
+    ])
+    def test_points_and_weights_must_be_arrays(self, capsys, side):
+        code, out, err = run(capsys, "lift", self.lift(side))
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed lift instance: ")
+
 
 class TestUnreadableFiles:
     """A file that cannot be read or decoded is an error line naming the

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -52,6 +53,58 @@ class TestMaxFlow:
         )
         assert value == 1
 
+    def test_int_capacities(self):
+        # ints are their own scale: the value comes back as an exact Fraction
+        value = max_flow({"a1": 3, "a2": 4}, {"b": 5}, {("a1", "b"), ("a2", "b")})
+        assert value == 5 and isinstance(value, F)
+
+    def test_mixed_capacities(self):
+        value = max_flow({"a": 1}, {"b1": F(1, 3), "b2": F(2, 7)}, {("a", "b1"), ("a", "b2")})
+        assert value == F(13, 21)
+
+
+class TestLargeDenominators:
+    """Weights whose denominators are distinct primes, so that their lcm
+    exceeds 2^64; the deficit below is worked out by hand."""
+
+    SOURCE = [F(1, p) for p in (67, 53, 73, 89, 101, 107, 113)]
+    TARGET = [F(1, q) for q in (61, 79, 83, 97, 103, 109, 59)]
+    # s0 and s1 share t0, s1 also reaches t1; every other s_i reaches t_i
+    RELATION = {("s0", "t0"), ("s1", "t0"), ("s1", "t1")} | {
+        ("s%d" % i, "t%d" % i) for i in range(2, 7)
+    }
+
+    def instance(self):
+        d = FinSupportDist(["s%d" % i for i in range(7)], self.SOURCE)
+        e = FinSupportDist(["t%d" % i for i in range(7)], self.TARGET)
+        return d, e, self.RELATION
+
+    def test_lcm_exceeds_64_bits(self):
+        dens = [w.denominator for w in self.SOURCE + self.TARGET]
+        assert math.lcm(*dens) > 2 ** 64
+
+    def test_flow_and_oracle_agree_with_hand_deficit(self):
+        # {s0, s1} outweighs {t0, t1}; s2..s5 each outweigh their target;
+        # s6 (1/113) fits under t6 (1/59)
+        deficit = (
+            F(1, 67) + F(1, 53) - F(1, 61) - F(1, 79)
+            + F(1, 73) - F(1, 83)
+            + F(1, 89) - F(1, 97)
+            + F(1, 101) - F(1, 103)
+            + F(1, 107) - F(1, 109)
+        )
+        cut = frozenset("s%d" % i for i in range(6))
+        for decide in (lift_check_flow, lift_check_subsets):
+            v = decide(*self.instance())
+            assert (v.holds, v.deficit, v.witness_cut) == (False, deficit, cut)
+
+    def test_slack_at_the_deficit_holds(self):
+        d, e, rel = self.instance()
+        deficit = lift_check_flow(d, e, rel).deficit
+        assert lift_check_flow(d, e, rel, deficit).holds
+        below = lift_check_flow(d, e, rel, deficit - F(1, 2 ** 70))
+        assert below.deficit == F(1, 2 ** 70)
+
 
 class TestLiftFlow:
     def test_subprobability_order_example(self):
@@ -85,6 +138,16 @@ class TestLiftSubsets:
     def test_empty_relation(self):
         v = lift_check_subsets(fsd("a", ["1"]), fsd("b", ["1"]), set())
         assert not v.holds and v.deficit == 1 and v.witness_cut == frozenset("a")
+
+    def test_equal_violations_report_first_in_mask_order(self):
+        # {a} and {z, a} both fall 1/4 short ({z} alone exactly fits);
+        # mask order over ("z", "a") visits {a} (mask 2) before {z, a} (3)
+        d = fsd("za", ["1/4", "1/2"])
+        e = fsd("yb", ["1/4", "1/4"])
+        rel = {("z", "y"), ("a", "b")}
+        for decide in (lift_check_subsets, lift_check_flow):
+            v = decide(d, e, rel)
+            assert (v.holds, v.deficit, v.witness_cut) == (False, F(1, 4), frozenset("a"))
 
     def test_support_guard(self):
         big = FinSupportDist(range(21), [F(1, 32)] * 21)

@@ -34,7 +34,6 @@ import math
 from fractions import Fraction
 
 from .syntax import (
-    ONE,
     Abs,
     App,
     Dist,
@@ -48,12 +47,11 @@ from .syntax import (
     _tokenize,
     check_name,
     fresh_name,
-    merge_entries,
     parse as _parse_lambda,
     print_dist,
     unit,
 )
-from .lifting import max_flow, scaled
+from .lifting import max_flow
 from .lts import ret_target, split_values
 from .reduction import AbsView, SpineView, evolve, whnf_view
 
@@ -134,15 +132,13 @@ class FinDist(Distribution):
     # _embedded caches the Dist that embed returns
     __slots__ = ("_embedded",)
 
-    def __init__(self, pairs=()):
-        self._entries, self._index, self._canon, self._mass = merge_entries(
-            pairs, FinTerm, "FinDist"
-        )
-        self._fn = self._embedded = None
+    def __init__(self, pairs=(), den=None):
+        self._merge(pairs, den, FinTerm, "FinDist")
+        self._embedded = None
 
 
 FIN_EMPTY = FinDist()
-FIN_BOTTOM = FinDist(((OMEGA, ONE),))
+FIN_BOTTOM = FinDist(((OMEGA, 1),), 1)
 
 
 def print_fin_term(t):
@@ -156,13 +152,11 @@ def print_fin_term(t):
 
 
 def _fin_atom(d):
-    e = d.entries()
-    if len(e) == 1 and e[0][1] == 1:
-        t = e[0][0]
-        if isinstance(t, Omega):
-            return "_|_"
-        if isinstance(t, FinSpine) and not t.args:
-            return t.head
+    t = d.point()
+    if isinstance(t, Omega):
+        return "_|_"
+    if isinstance(t, FinSpine) and not t.args:
+        return t.head
     return "(%s)" % print_fin_dist(d)
 
 
@@ -184,7 +178,7 @@ def embed(c):
     distribution keeps its image, so asking again returns the same ``Dist``
     (and its cached ``ret`` targets and evolution)."""
     if c._embedded is None:
-        c._embedded = Dist((_embed_term(t), w) for t, w in c.entries())
+        c._embedded = Dist(((_embed_term(t), n) for t, n in c._ints), c._den)
     return c._embedded
 
 
@@ -218,11 +212,11 @@ def approx_check(c, m, k, fuel):
     argument is a member at k-1.
 
     Strict Hall is decided by one max-flow on integers.  Every weight is a
-    multiple of 1/L, for L the lcm of all their denominators, so a set that
-    fits strictly fits with room 1/L to spare.  Scaled by nL, for n
-    candidate entries, every weight is an integer and that room is n; a
-    bump of +1 on each of the n supplies raises a nonempty set's weight by
-    at most n and by more than 0, so it turns strict Hall into ordinary
+    multiple of 1/L, for L the lcm of the two sides' common denominators,
+    so a set that fits strictly fits with room 1/L to spare.  Scaled by nL,
+    for n candidate entries, every weight is an integer and that room is n;
+    a bump of +1 on each of the n supplies raises a nonempty set's weight
+    by at most n and by more than 0, so it turns strict Hall into ordinary
     Hall: membership holds iff the bumped supplies flow in full, i.e. the
     flow equals nL times the candidate's value mass, plus n.
     """
@@ -237,7 +231,8 @@ def _member(c, m, k, fuel):
         return True
     if k <= 0:
         return False
-    m_abs, m_spines = split_values(evolve(m, fuel).values)
+    values = evolve(m, fuel).values
+    m_abs, m_spines = split_values(values)
     edges = set()
     for i, (ct, _, cv) in enumerate(c_abs):
         for j, (mt, _, mv) in enumerate(m_abs):
@@ -250,11 +245,11 @@ def _member(c, m, k, fuel):
                 _member(ca, ma, k - 1, fuel) for ca, ma in zip(cv.args, mv.args)
             ):
                 edges.add((i, j))
-    weights = [w for _, w, _ in c_abs + c_spines]
-    targets = [w for _, w, _ in m_abs + m_spines]
-    scale = len(weights) * math.lcm(*(w.denominator for w in weights + targets))
-    supplies = {i: x + 1 for i, x in enumerate(scaled(weights, scale))}
-    demands = dict(enumerate(scaled(targets, scale)))
+    n = len(c_abs) + len(c_spines)
+    lcm = math.lcm(c._den, values._den)
+    fc, fm = n * (lcm // c._den), n * (lcm // values._den)
+    supplies = {i: x * fc + 1 for i, (_, x, _) in enumerate(c_abs + c_spines)}
+    demands = {j: x * fm for j, (_, x, _) in enumerate(m_abs + m_spines)}
     return max_flow(supplies, demands, edges) == sum(supplies.values())
 
 
@@ -288,7 +283,7 @@ def _grid_denominator(granularity):
 
 
 def _truncate_dist(d, depth):
-    return FinDist((_truncate_term(t, depth), w) for t, w in d.entries())
+    return FinDist([(_truncate_term(t, depth), n) for t, n in d._ints], d._den)
 
 
 def _truncate_term(t, depth):
@@ -307,15 +302,17 @@ def _truncate_term(t, depth):
 def _round_down(c, g):
     # bottom entries need no supporting mass, so their weights stay put;
     # every other weight moves strictly below its grid cell
+    den = math.lcm(c._den, g)
+    fc, fg = den // c._den, den // g
     pairs = []
-    for t, w in c.entries():
+    for t, n in c._ints:
         if isinstance(t, Omega):
-            pairs.append((t, w))
+            pairs.append((t, n * fc))
             continue
-        r = Fraction(-(-w.numerator * g // w.denominator) - 1, g)
+        r = -(-n * g // c._den) - 1
         if r > 0:
-            pairs.append((_round_term(t, g), r))
-    return FinDist(pairs)
+            pairs.append((_round_term(t, g), r * fg))
+    return FinDist(pairs, den)
 
 
 def _round_term(t, g):
@@ -372,7 +369,7 @@ class _FinParser(_Parser):
             return FIN_BOTTOM
         if self.at_kind("name"):
             _, name, _, _ = self.next()
-            return FinDist(((FinSpine(name, ()), ONE),))
+            return FinDist(((FinSpine(name, ()), 1),), 1)
         return super().atom()
 
     def _bottom_ahead(self):

@@ -19,8 +19,8 @@ simulation check and approximant membership take theirs from here.
 
 from __future__ import annotations
 
-from .syntax import Abs, Dist, LambError, Var, subst, unit
-from .reduction import AbsView, SpineView, evolve, head_step, whnf_view
+from .syntax import Abs, LambError, Var, mixture, subst, unit
+from .reduction import AbsView, SpineView, evolve, whnf_view
 
 IDENTITY = Abs("x", unit(Var("x")))
 
@@ -108,31 +108,21 @@ TAU = _Tau()
 CONVERGE = _Converge()
 
 
-class Transition:
-    __slots__ = ("label", "target")
-
-    def __init__(self, label, target):
-        self.label = label
-        self.target = target
-
-    def __repr__(self):
-        return "%r -> %r" % (self.label, self.target)
-
-
 def split_values(d):
     """Split the whnf entries of ``d`` by the labels they afford, as
-    ``(term, weight, view)`` triples in entry order: abstraction entries
-    (conv and ret) and spine entries (the call family of their head and
-    arity).  Entries that are not in weak head normal form afford no
-    visible label and are dropped."""
+    ``(term, numerator, view)`` triples in entry order, each weight a
+    numerator over ``d``'s denominator: abstraction entries (conv and ret)
+    and spine entries (the call family of their head and arity).  Entries
+    that are not in weak head normal form afford no visible label and are
+    dropped."""
     abs_entries = []
     spine_entries = []
-    for t, w in d.entries():
+    for t, n in d._ints:
         view = whnf_view(t)
         if isinstance(view, AbsView):
-            abs_entries.append((t, w, view))
+            abs_entries.append((t, n, view))
         elif isinstance(view, SpineView):
-            spine_entries.append((t, w, view))
+            spine_entries.append((t, n, view))
     return abs_entries, spine_entries
 
 
@@ -147,10 +137,11 @@ def ret_target(view, sym):
     return cached[1]
 
 
-def ret_block(abs_entries, sym):
-    """Strong ``ret sym`` target of an abstraction block: every body applied
-    to ``sym``, scaled by its entry weight."""
-    return _weighted(abs_entries, Ret(sym))
+def ret_block(abs_entries, den, sym):
+    """Strong ``ret sym`` target of an abstraction block, the abstraction
+    entries of ``split_values`` over ``den``: every body applied to
+    ``sym``, scaled by its entry weight."""
+    return _weighted(abs_entries, den, Ret(sym))
 
 
 def _unit_target(view, label):
@@ -161,13 +152,11 @@ def _unit_target(view, label):
     return view.args[label.index - 1]
 
 
-def _weighted(entries, label):
-    """Union, in entry order, of the entries' targets scaled by weight; an
-    alpha-class is displayed by its first-seen term."""
-    return Dist([
-        (t, w * v) for _, w, view in entries
-        for t, v in _unit_target(view, label).entries()
-    ])
+def _weighted(entries, den, label):
+    """Union, in entry order, of the entries' targets scaled by weight
+    (numerators over ``den``); an alpha-class is displayed by its
+    first-seen term."""
+    return mixture([(n, _unit_target(view, label)) for _, n, view in entries], den)
 
 
 def strong_target(d, label):
@@ -184,35 +173,7 @@ def strong_target(d, label):
         raise LabelNotApplicableError("no entry affords %r" % label)
     if isinstance(label, Ret) and any(label.sym in t.free_names() for t, _, _ in hit):
         raise FreshNameCollisionError("%r occurs free in the term" % label.sym)
-    return _weighted(hit, label)
-
-
-def label_target(t, label):
-    """Target of a visible label on a whnf term, at unit weight, or None
-    when the term does not afford the label."""
-    try:
-        return strong_target(unit(t), label)
-    except LabelNotApplicableError:
-        return None
-
-
-def strong_transitions(t, fresh):
-    """All strong transitions of a term, at unit weight.
-
-    Internal reduction takes priority: a reducible term has exactly one tau
-    transition.  Abstractions afford conv and ret; spines afford the call
-    family of their head and arity.  Callers scale targets by entry weights
-    when lifting to distributions.
-    """
-    if fresh in t.free_names():
-        raise FreshNameCollisionError("%r occurs free in the term" % fresh)
-    if whnf_view(t) is None:
-        return [Transition(TAU, head_step(t))]
-    d = unit(t)
-    return [
-        Transition(label, strong_target(d, label))
-        for label in available_labels(d, fresh)
-    ]
+    return _weighted(hit, d._den, label)
 
 
 def weak_max_transition(d, label, fuel):

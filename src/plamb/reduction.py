@@ -22,7 +22,9 @@ provide the reference schedule used by the property suite.
 
 from __future__ import annotations
 
-from .syntax import Abs, App, Dist, LambError, Var, ZERO, subst, unit
+import math
+
+from .syntax import Abs, App, Dist, LambError, Var, ZERO, mixture, subst, unit
 
 
 # The weak head normal form ``\binder. body`` is the abstraction itself.
@@ -56,10 +58,9 @@ def whnf_view(t):
         args = [t.arg]
         fun = t.fun
         while True:
-            e = fun.entries()
-            if len(e) != 1 or e[0][1] != 1:
+            head = fun.point()
+            if head is None:
                 return None
-            head = e[0][0]
             if isinstance(head, Var):
                 args.reverse()
                 return SpineView(head.name, args)
@@ -83,35 +84,26 @@ def head_step(t):
     """
     if not isinstance(t, App):
         raise LambError("head_step on a weak head normal form")
-    e = t.fun.entries()
-    if len(e) == 1 and e[0][1] == 1:
-        m = e[0][0]
-        if isinstance(m, Abs):
-            return subst(m.body, m.binder, t.arg)
-        if isinstance(m, App):
-            return unit(App(head_step(m), t.arg))
-        raise LambError("head_step on a weak head normal form")
-    return Dist(
-        (App(unit(m), t.arg), w) for m, w in e
-    )
+    f = t.fun
+    m = f.point()
+    if m is None:
+        return Dist(((App(unit(m), t.arg), n) for m, n in f._ints), f._den)
+    if isinstance(m, Abs):
+        return subst(m.body, m.binder, t.arg)
+    if isinstance(m, App):
+        return unit(App(head_step(m), t.arg))
+    raise LambError("head_step on a weak head normal form")
 
 
 def step(d):
     """One parallel step: every non-whnf entry is replaced by its head
     reduction scaled by its weight; whnf entries pass through."""
-    pairs = []
-    for t, w in d.entries():
-        if is_whnf(t):
-            pairs.append((t, w))
-        else:
-            for rt, rw in head_step(t).entries():
-                pairs.append((rt, w * rw))
-    return Dist(pairs)
+    return mixture([(n, t if is_whnf(t) else head_step(t)) for t, n in d._ints], d._den)
 
 
 def vals(d):
     """Sub-distribution of ``d`` supported on weak head normal forms."""
-    return Dist((t, w) for t, w in d.entries() if is_whnf(t))
+    return Dist([(t, n) for t, n in d._ints if is_whnf(t)], d._den)
 
 
 class EvolveReport:
@@ -148,10 +140,12 @@ def evolve(d, fuel):
 
     The result is that of iterating ``step``, but only the residual is
     stepped: ``d`` is split once into its values (kept as canon ->
-    [display term, weight]) and its non-whnf residual, each step
+    [display term, numerator]) and its non-whnf residual, each step
     head-reduces the residual's entries in canonical order, whnf reducts
     add into the values and the others form the next residual.  The
-    values ``Dist`` is built once, at the end.
+    values' numerators are over one running common denominator, which a
+    step that needs a finer one raises to the lcm; the values ``Dist`` is
+    built once, at the end.
 
     Displays follow ``step``: the first term seen in a class is kept, and
     ``step`` sees a value class's old entry before the reducts of residual
@@ -159,10 +153,11 @@ def evolve(d, fuel):
     a class that existed before the step only when it is the first reduct
     into that class in this step and its residual entry sorts first.
 
-    The cycle check is keyed on (residual, value mass).  Along one
-    trajectory the values only grow pointwise, so two states' values are
-    equal exactly when their masses are, and the whole distribution
-    repeats exactly when this key does.
+    The cycle check is keyed on (residual, value mass), the mass as a
+    reduced (numerator, denominator) pair.  Along one trajectory the values
+    only grow pointwise, so two states' values are equal exactly when their
+    masses are, and the whole distribution repeats exactly when this key
+    does.
 
     The report is stored on ``d`` and returned as it is when ``d`` itself
     is evolved again at the same fuel; a new fuel replaces it.  A ``d``
@@ -174,49 +169,63 @@ def evolve(d, fuel):
         return cached[1]
     values = {}
     pending = []
-    for t, w in d.entries():
+    for t, n in d._ints:
         if is_whnf(t):
-            values[t.canon()] = [t, w]
+            values[t.canon()] = [t, n]
         else:
-            pending.append((t, w))
+            pending.append((t, n))
     if not pending:
         return EvolveReport(d, ZERO, 0, True, True)
-    residual = d if not values else Dist(pending)
-    value_mass = d.mass() - residual.mass()
-    seen = {(residual, value_mass)}
+    den = d._den
+    residual = d if not values else Dist(pending, den)
+    value_num = d._total - sum(n for _, n in pending)
+    g = math.gcd(value_num, den)
+    seen = {(residual, value_num // g, den // g)}
     steps = 0
     cycled = False
     for _ in range(fuel):
         if residual.is_empty():
             break
+        reducts = [(t, n, head_step(t)) for t, n in residual._ints]
+        lcm = math.lcm(*[h._den for _, _, h in reducts])
+        step_den = residual._den * lcm
+        grown = math.lcm(den, step_den)
+        if grown != den:
+            f = grown // den
+            for slot in values.values():
+                slot[1] *= f
+            value_num *= f
+            den = grown
         pending = []
         reached = set()
-        for t, w in residual.entries():
-            for rt, rw in head_step(t).entries():
-                rw = w * rw
+        for t, n, h in reducts:
+            s = n * (lcm // h._den) * (den // step_den)
+            for rt, rn in h._ints:
+                rn *= s
                 if not is_whnf(rt):
-                    pending.append((rt, rw))
+                    pending.append((rt, rn))
                     continue
                 k = rt.canon()
                 slot = values.get(k)
                 if slot is None:
-                    values[k] = [rt, rw]
+                    values[k] = [rt, rn]
                 else:
                     if k not in reached and t.canon() < k:
                         slot[0] = rt
-                    slot[1] += rw
+                    slot[1] += rn
                 reached.add(k)
-                value_mass += rw
-        residual = Dist(pending)
+                value_num += rn
+        residual = Dist(pending, den)
         steps += 1
-        key = (residual, value_mass)
+        g = math.gcd(value_num, den)
+        key = (residual, value_num // g, den // g)
         if key in seen:
             cycled = True
             break
         seen.add(key)
     converged = residual.is_empty()
     report = EvolveReport(
-        Dist(values.values()), residual.mass(), steps, converged, converged or cycled
+        Dist(values.values(), den), residual.mass(), steps, converged, converged or cycled
     )
     d._evolved = (fuel, report)
     return report
@@ -225,21 +234,17 @@ def evolve(d, fuel):
 def step_entry(d, index):
     """Reference sequential step: reduce only the ``index``-th non-whnf
     entry (canonical order) by one head reduction."""
-    pairs = []
+    parts = []
     seen = -1
-    fired = False
-    for t, w in d.entries():
+    for t, n in d._ints:
         if not is_whnf(t):
             seen += 1
             if seen == index:
-                fired = True
-                for rt, rw in head_step(t).entries():
-                    pairs.append((rt, w * rw))
-                continue
-        pairs.append((t, w))
-    if not fired:
+                t = head_step(t)
+        parts.append((n, t))
+    if not 0 <= index <= seen:
         raise LambError("no non-whnf entry at index %d" % index)
-    return Dist(pairs)
+    return mixture(parts, d._den)
 
 
 def evolve_sequential(d, max_steps, rng=None):

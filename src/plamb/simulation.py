@@ -18,7 +18,13 @@ Depth therefore counts applicative (ret) unfoldings; spine argument edges
 do not consume depth, and re-entrant argument comparisons (possible only
 through recursive spines) are resolved coinductively by assuming the
 in-progress pair holds.  Both choices only ever add "no counterexample"
-outcomes; every refutation remains a genuine one.
+outcomes; every refutation remains a genuine one.  A result that rests on
+such an assumption is memoized only once the assumption is discharged:
+each in-progress pair keeps its stack position, and a "holds" result is
+kept only when no pair it assumed lies below its own position; otherwise
+the lowest assumed position is passed up to the caller, and the result is
+computed again if asked for after its assumption has been settled.
+Refutations are always kept, since an assumption only adds edges.
 
 Refutation slack: mass still unreduced on the target side could later
 become value mass of any shape, so it is added as an allowance to every
@@ -35,9 +41,11 @@ from __future__ import annotations
 
 import enum
 
+from fractions import Fraction
+
 from .lifting import FinSupportDist, lift_check_flow
 from .lts import Ret, ret_block, split_values
-from .reduction import SpineView, evolve, whnf_view
+from .reduction import evolve
 from .syntax import LambError, ZERO, fresh_name
 from .syntax import subst  # unused here; perfbench/tracing.py rebinds it
 
@@ -167,13 +175,16 @@ class Refuted(Verdict):
 
 
 class _SimState:
-    __slots__ = ("fuel", "slack_enabled", "memo", "inprog")
+    # inprog maps each in-progress pair to its stack position; low is the
+    # lowest position assumed by the pair now being decided
+    __slots__ = ("fuel", "slack_enabled", "memo", "inprog", "low")
 
     def __init__(self, fuel, slack_enabled):
         self.fuel = fuel
         self.slack_enabled = slack_enabled
         self.memo = {}
-        self.inprog = set()
+        self.inprog = {}
+        self.low = 0
 
 
 def _sim(st, m, n, k, slack_in):
@@ -184,15 +195,20 @@ def _sim(st, m, n, k, slack_in):
     key = (m.canon(), n.canon(), k, slack_in)
     if key in st.memo:
         return st.memo[key]
-    if key in st.inprog:
+    pos = st.inprog.get(key)
+    if pos is not None:
         # re-entrant pair within a stratum: coinductive assumption
+        st.low = min(st.low, pos)
         return None, True
-    st.inprog.add(key)
+    pos = st.inprog[key] = len(st.inprog)
+    outer, st.low = st.low, pos
     try:
         result = _sim_level(st, m, n, k, slack_in)
     finally:
-        st.inprog.discard(key)
-    st.memo[key] = result
+        del st.inprog[key]
+    low, st.low = st.low, min(outer, st.low)
+    if result[0] is not None or low >= pos:
+        st.memo[key] = result
     return result
 
 
@@ -203,12 +219,13 @@ def _sim_level(st, m, n, k, slack_in):
     live = ZERO if rn.limit_exact else rn.residual
     slack = slack_in + live if st.slack_enabled else ZERO
 
+    dd, de = rm.values._den, rn.values._den
     d_abs, d_app = split_values(rm.values)
     e_abs, e_app = split_values(rn.values)
 
     # (a) abstraction block: convergence mass, then the shared applicative test
-    d_abs_mass = sum((w for _, w, _ in d_abs), ZERO)
-    e_abs_mass = sum((w for _, w, _ in e_abs), ZERO)
+    d_abs_mass = Fraction(sum(n for _, n, _ in d_abs), dd)
+    e_abs_mass = Fraction(sum(n for _, n, _ in e_abs), de)
     if d_abs_mass > e_abs_mass + slack:
         wit = Witness(
             (),
@@ -219,8 +236,8 @@ def _sim_level(st, m, n, k, slack_in):
         return wit, exact
     if d_abs:
         sym = fresh_name(_block_names(d_abs) | _block_names(e_abs))
-        d_body = ret_block(d_abs, sym)
-        e_body = ret_block(e_abs, sym)
+        d_body = ret_block(d_abs, dd, sym)
+        e_body = ret_block(e_abs, de, sym)
         wit, sub_exact = _sim(st, d_body, e_body, k - 1, slack)
         exact = exact and sub_exact
         if wit is not None:
@@ -231,10 +248,10 @@ def _sim_level(st, m, n, k, slack_in):
         points_d = {t.canon(): (t, w, view) for t, w, view in d_app}
         points_e = {t.canon(): (t, w, view) for t, w, view in e_app}
         fd = FinSupportDist(
-            list(points_d), [points_d[c][1] for c in points_d]
+            list(points_d), [Fraction(points_d[c][1], dd) for c in points_d]
         )
         fe = FinSupportDist(
-            list(points_e), [points_e[c][1] for c in points_e]
+            list(points_e), [Fraction(points_e[c][1], de) for c in points_e]
         )
         edges = set()
         for cu, (tu, _, vu) in points_d.items():
@@ -294,14 +311,3 @@ def bisim_check(m, n, params):
     """Both simulation directions; bisimilar at the bound iff both hold."""
     return sim_check(m, n, params), sim_check(n, m, params)
 
-
-def app_edge(u, v, k, fuel):
-    """Public edge predicate on two whnf spine terms: equal head and arity
-    and argument-wise simulation at depth ``k`` and unit scale."""
-    vu = whnf_view(u)
-    vv = whnf_view(v)
-    if not isinstance(vu, SpineView) or not isinstance(vv, SpineView):
-        raise LambError("app_edge expects open-application spines")
-    st = _SimState(fuel, True)
-    ok, _ = _edge(st, vu, vv, k)
-    return ok

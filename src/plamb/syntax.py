@@ -10,31 +10,40 @@ merged by a de-Bruijn-style canonical form while the originally written
 binder names are kept for display.  ``Node`` and ``Distribution`` hold this
 identity once for both term worlds, the calculus's and the approximants'
 (``plamb.approximants``): a node defines only its key under binders and
-its free names.  A distribution's canonical form is a ``DistKey``: its
-sorted (term key, weight) pairs with a hash computed once, when the key is
-built, from the term keys (nested keys contribute their cached hash) and
-each weight's numerator and denominator.  Outside any binder a term's key
-reuses its operands' keys, so the key of an application ``f a`` is
-``("a", f.canon(), a.canon())`` and costs O(1).  Machine-generated names
-live in the reserved ``#`` namespace, which the parser rejects.
+its free names.
+
+Weights are exact.  A distribution holds them as positive int numerators
+over one int denominator, the least common denominator of its weights, so
+equal distributions hold equal numbers; scaling and summing distributions
+(``mixture``) is int arithmetic, and ``Fraction`` weights are built only
+at the edge: ``entries()``, ``weight_of``, ``mass()``, parsing and
+printing.  A distribution's canonical form is a ``DistKey``: its sorted
+(term key, numerator) pairs and the denominator, with a hash computed once,
+when the key is built (nested keys contribute their cached hash).  Keys
+order weights by exact value, by cross-multiplication when denominators
+differ.  Outside any binder a term's key reuses its operands' keys, so the
+key of an application ``f a`` is ``("a", f.canon(), a.canon())`` and costs
+O(1).  Machine-generated names live in the reserved ``#`` namespace, which
+the parser rejects.
 
 All values are immutable after construction and safe to share between
 threads; every function here is pure.  The cache slots (a node's key and
-free names, an abstraction's last ``ret`` target, a ``Dist``'s last
-evolution, a ``FinDist``'s embedding) are written from the object alone,
-and a given key always yields the same value, so writing one is
-idempotent: concurrent threads at worst compute it twice.
+free names, a distribution's ``Fraction`` entries, an abstraction's last
+``ret`` target, a ``Dist``'s last evolution, a ``FinDist``'s embedding)
+are written from the object alone, and a given key always yields the same
+value, so writing one is idempotent: concurrent threads at worst compute
+it twice.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 Weight = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _USER_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 _MACHINE_NAME_RE = re.compile(r"#[A-Za-z0-9_'#]+\Z")
@@ -191,26 +200,29 @@ def _canon_dist(d, env, depth):
     if not env:
         # outside any binder the key is the one d built for itself
         return d._canon
-    return DistKey(
-        tuple(sorted((t._key(env, depth), w) for t, w in d.entries()))
-    )
+    return DistKey(tuple(sorted((t._key(env, depth), n) for t, n in d._ints)), d._den)
 
 
 class DistKey:
-    """Canonical form of a distribution: its (term key, weight) pairs in
-    canonical order.
+    """Canonical form of a distribution: its (term key, numerator) pairs in
+    canonical order, over ``den``, the least common denominator of its
+    weights.  Equal distributions have equal pairs and equal ``den``.
 
-    The hash is computed once, at construction, from the term keys and
-    each weight's (numerator, denominator); a nested key contributes its
-    cached hash, so hashing a key costs O(width), not O(size).  Keys order
-    by their pairs, so weights compare by exact value.
+    The hash is computed once, at construction, from the pairs and ``den``;
+    a nested key contributes its cached hash, so hashing a key costs
+    O(width), not O(size).  Keys order by their entries, each by term key
+    and then by exact weight: numerators compare directly when the two
+    denominators agree and by cross-multiplication when they do not (never
+    as (numerator, denominator) tuples, whose order is not the weights').
+    The repr shows the weights as ``Fraction``s.
     """
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ("pairs", "den", "_hash")
 
-    def __init__(self, pairs):
+    def __init__(self, pairs, den):
         self.pairs = pairs
-        self._hash = hash(tuple([(k, w.numerator, w.denominator) for k, w in pairs]))
+        self.den = den
+        self._hash = hash((pairs, den))
 
     def __hash__(self):
         return self._hash
@@ -220,50 +232,21 @@ class DistKey:
             return True
         if not isinstance(other, DistKey):
             return NotImplemented
-        return self._hash == other._hash and self.pairs == other.pairs
+        return self._hash == other._hash and self.den == other.den and self.pairs == other.pairs
 
     def __lt__(self, other):
-        return self.pairs < other.pairs
+        a, b = self.den, other.den
+        if a == b:
+            return self.pairs < other.pairs
+        for (k, m), (l, n) in zip(self.pairs, other.pairs):
+            if k != l:
+                return k < l
+            if m * b != n * a:
+                return m * b < n * a
+        return len(self.pairs) < len(other.pairs)
 
     def __repr__(self):
-        return "DistKey(%r)" % (self.pairs,)
-
-
-def merge_entries(pairs, term_type, what):
-    """Merge weighted terms into a distribution's parts.
-
-    Alpha-equivalent terms (equal ``canon()``) add their weights, the first
-    one seen is kept for display, and zero weights are dropped.  Returns
-    ``(entries, index, key, mass)``: the (term, weight) entries in
-    canonical order, the map from term key to weight, the ``DistKey`` and
-    the total mass.  Raises MassError above total mass 1.
-    """
-    if isinstance(pairs, dict):
-        pairs = pairs.items()
-    merged = {}
-    display = []
-    for t, w in pairs:
-        if not isinstance(t, term_type):
-            raise LambError("%s key must be a %s: %r" % (what, term_type.__name__, t))
-        w = check_weight(w)
-        if w.numerator == 0:
-            continue
-        key = t.canon()
-        old = merged.get(key)
-        if old is None:
-            merged[key] = w
-            display.append(t)
-        else:
-            merged[key] = old + w
-    mass = sum(merged.values(), ZERO)
-    if mass.numerator > mass.denominator:
-        raise MassError("total mass %s exceeds 1" % mass)
-    keys = list(merged)
-    weights = list(merged.values())
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    entries = tuple((display[i], weights[i]) for i in order)
-    key = DistKey(tuple((keys[i], weights[i]) for i in order))
-    return entries, merged, key, mass
+        return "DistKey(%r)" % (tuple((k, Fraction(n, self.den)) for k, n in self.pairs),)
 
 
 # ---------------------------------------------------------------------------
@@ -274,50 +257,118 @@ class Distribution:
     """Base class of the distributions of both term worlds: ``Dist`` and
     the approximants' ``FinDist``.
 
-    Alpha-equivalent keys are merged by weight addition at construction,
-    zero-weight entries are dropped, and entries are kept in canonical-key
-    order, so iteration, printing and hashing are deterministic and
-    alpha-invariant.  The canonical form is a ``DistKey`` whose hash is
+    A distribution stores its entries as (term, numerator) pairs in
+    canonical-key order (``_ints``) over one int denominator ``_den``, the
+    least common denominator of its weights, so every weight is
+    ``numerator / _den`` and equal distributions store equal numbers.
+    The library's own layers read and build them as ints; ``Fraction``
+    weights appear only at the edge: ``entries()``, ``weight_of``,
+    ``mass()``, parsing and printing.  Alpha-equivalent keys are merged by
+    weight addition at construction, zero-weight entries are dropped, and
+    the canonical order makes iteration, printing and hashing deterministic
+    and alpha-invariant.  The canonical form is a ``DistKey`` whose hash is
     computed once, so equality, hashing and use as a memo key are cheap.
     Two distributions are equal when they are of the same concrete type
     and have equal keys.
     """
 
-    __slots__ = ("_entries", "_index", "_canon", "_mass", "_fn")
+    __slots__ = ("_ints", "_den", "_total", "_index", "_canon", "_entries", "_fn")
+
+    def _merge(self, pairs, den, term_type, what):
+        """Build this distribution from (term, numerator) pairs over the
+        int ``den``, or, when ``den`` is None, from (term, weight) pairs
+        read once over the lcm of the weights' denominators.
+
+        Alpha-equivalent terms (equal ``canon()``) add their numerators,
+        the first one seen is kept for display, and zero weights are
+        dropped.  One gcd of ``den`` and the numerators then reduces them to
+        the least common denominator.  Raises MassError above total mass 1.
+        """
+        if den is None:
+            if isinstance(pairs, dict):
+                pairs = pairs.items()
+            pairs = [(t, check_weight(w)) for t, w in pairs]
+            den = math.lcm(*[w.denominator for _, w in pairs])
+            pairs = [(t, w.numerator * (den // w.denominator)) for t, w in pairs]
+        merged = {}
+        display = []
+        for t, n in pairs:
+            if not isinstance(t, term_type):
+                raise LambError("%s key must be a %s: %r" % (what, term_type.__name__, t))
+            if n <= 0:
+                if n < 0:
+                    raise MassError("weight %s outside [0, 1]" % Fraction(n, den))
+                continue
+            key = t.canon()
+            old = merged.get(key)
+            if old is None:
+                merged[key] = n
+                display.append(t)
+            else:
+                merged[key] = old + n
+        keys = list(merged)
+        nums = list(merged.values())
+        total = sum(nums)
+        if total > den:
+            raise MassError("total mass %s exceeds 1" % Fraction(total, den))
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den //= g
+            total //= g
+            nums = [n // g for n in nums]
+            merged = dict(zip(keys, nums))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._ints = tuple([(display[i], nums[i]) for i in order])
+        self._canon = DistKey(tuple([(keys[i], nums[i]) for i in order]), den)
+        self._den = den
+        self._total = total
+        self._index = merged
+        self._entries = self._fn = None
 
     def entries(self):
-        """Entries as (term, weight) pairs in canonical order."""
-        return self._entries
+        """Entries as (term, weight) pairs in canonical order, with
+        ``Fraction`` weights built on first use."""
+        e = self._entries
+        if e is None:
+            den = self._den
+            e = self._entries = tuple([(t, Fraction(n, den)) for t, n in self._ints])
+        return e
+
+    def point(self):
+        """The term ``t`` if this is the point distribution {1: t}, else None."""
+        e = self._ints
+        return e[0][0] if len(e) == 1 and e[0][1] == self._den else None
 
     def support(self):
-        return tuple(t for t, _ in self._entries)
+        return tuple(t for t, _ in self._ints)
 
     def mass(self):
-        return self._mass
+        return Fraction(self._total, self._den)
 
     def canon(self):
         return self._canon
 
     def weight_of(self, t):
         """Weight of the alpha-equivalence class of ``t`` (0 if absent)."""
-        return self._index.get(t.canon(), ZERO)
+        n = self._index.get(t.canon())
+        return ZERO if n is None else Fraction(n, self._den)
 
     def free_names(self):
         if self._fn is None:
             fn = frozenset()
-            for t, _ in self._entries:
+            for t, _ in self._ints:
                 fn |= t.free_names()
             self._fn = fn
         return self._fn
 
     def is_empty(self):
-        return not self._entries
+        return not self._ints
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries())
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._ints)
 
     def __eq__(self, other):
         return type(other) is type(self) and other._canon == self._canon
@@ -330,16 +381,20 @@ class Distribution:
 
 
 class Dist(Distribution):
-    """Finite subprobability distribution over terms."""
+    """Finite subprobability distribution over terms.
+
+    ``Dist(pairs)`` reads (term, weight) pairs with ``Fraction`` or int
+    weights; ``Dist(pairs, den)`` reads (term, int numerator) pairs over
+    the positive int denominator ``den``, as the library's own layers build
+    them.
+    """
 
     # _evolved caches (fuel, report) for plamb.reduction.evolve
     __slots__ = ("_evolved",)
 
-    def __init__(self, pairs=()):
-        self._entries, self._index, self._canon, self._mass = merge_entries(
-            pairs, Term, "distribution"
-        )
-        self._fn = self._evolved = None
+    def __init__(self, pairs=(), den=None):
+        self._merge(pairs, den, Term, "distribution")
+        self._evolved = None
 
 
 EMPTY = Dist()
@@ -347,7 +402,7 @@ EMPTY = Dist()
 
 def unit(t):
     """The point distribution {1: t}."""
-    return Dist(((t, ONE),))
+    return Dist(((t, 1),), 1)
 
 
 def free_names(d):
@@ -355,9 +410,25 @@ def free_names(d):
     return d.free_names()
 
 
+def mixture(parts, den):
+    """The sum of n/den times p over the (n, p) pairs of ``parts``, where p
+    is a ``Dist`` or a term standing for its point distribution, built on
+    ints over one common denominator.  An alpha-class is displayed by its
+    first-seen term; raises MassError above total mass 1."""
+    lcm = math.lcm(*[p._den for _, p in parts if isinstance(p, Dist)])
+    pairs = []
+    for n, p in parts:
+        if isinstance(p, Dist):
+            s = n * (lcm // p._den)
+            pairs += [(t, s * m) for t, m in p._ints]
+        else:
+            pairs.append((p, n * lcm))
+    return Dist(pairs, den * lcm)
+
+
 def dist_union(a, b):
     """Pointwise weight addition; raises MassError above total mass 1."""
-    return Dist(tuple(a.entries()) + tuple(b.entries()))
+    return mixture(((1, a), (1, b)), 1)
 
 
 def dist_scale(p, d):
@@ -365,14 +436,14 @@ def dist_scale(p, d):
     p = check_weight(p)
     if p == 0:
         return EMPTY
-    return Dist(tuple((t, p * w) for t, w in d.entries()))
+    return mixture(((p.numerator, d),), p.denominator)
 
 
 def dist_leq(a, b):
     """True iff ``b`` extends ``a``: pointwise weight of a <= weight in b."""
-    bidx = b._index
-    for k, w in a._index.items():
-        if w > bidx.get(k, ZERO):
+    bidx, da, db = b._index, a._den, b._den
+    for k, n in a._index.items():
+        if n * db > bidx.get(k, 0) * da:
             return False
     return True
 
@@ -380,9 +451,9 @@ def dist_leq(a, b):
 def dist_way_below(a, b):
     """Strict pointwise domination: every entry of ``a`` weighs strictly
     less than its class does in ``b``.  Vacuously true for empty ``a``."""
-    bidx = b._index
-    for k, w in a._index.items():
-        if w >= bidx.get(k, ZERO):
+    bidx, da, db = b._index, a._den, b._den
+    for k, n in a._index.items():
+        if n * db >= bidx.get(k, 0) * da:
             return False
     return True
 
@@ -407,14 +478,13 @@ def subst(body, v, replacement):
         raise LambError("replacement must be a Dist")
     if v not in body.free_names():
         return body
-    pairs = []
-    for t, w in body.entries():
+    parts = []
+    for t, n in body._ints:
         if isinstance(t, Var) and t.name == v:
-            for rt, rw in replacement.entries():
-                pairs.append((rt, w * rw))
+            parts.append((n, replacement))
         else:
-            pairs.append((_subst_term(t, v, replacement), w))
-    return Dist(pairs)
+            parts.append((n, _subst_term(t, v, replacement)))
+    return mixture(parts, body._den)
 
 
 def _subst_term(t, v, replacement):
@@ -450,9 +520,8 @@ def print_term(t):
         parts = [_print_atom(t.arg)]
         fun = t.fun
         while True:
-            e = fun.entries()
-            if len(e) == 1 and e[0][1] == 1 and isinstance(e[0][0], App):
-                inner = e[0][0]
+            inner = fun.point()
+            if isinstance(inner, App):
                 parts.append(_print_atom(inner.arg))
                 fun = inner.fun
             else:
@@ -463,9 +532,9 @@ def print_term(t):
 
 
 def _print_atom(d):
-    e = d.entries()
-    if len(e) == 1 and e[0][1] == 1 and isinstance(e[0][0], Var):
-        return e[0][0].name
+    t = d.point()
+    if isinstance(t, Var):
+        return t.name
     return "(%s)" % print_dist(d)
 
 
@@ -478,12 +547,12 @@ def print_dist(d, explicit=False):
     always used.  Output round-trips through ``parse`` (``parse_fin`` for
     the approximants' ``FinDist``).
     """
-    e = d.entries()
-    if not e:
+    if d.is_empty():
         return "{}"
-    if not explicit and len(e) == 1 and e[0][1] == 1:
-        return repr(e[0][0])
-    return "{%s}" % ", ".join("%s: %r" % (w, t) for t, w in e)
+    t = d.point()
+    if not explicit and t is not None:
+        return repr(t)
+    return "{%s}" % ", ".join("%s: %r" % (w, t) for t, w in d.entries())
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +656,12 @@ class _Parser:
                     continue
                 self.expect("}")
                 break
-            if sum(w for _, w in pairs) > 1:
-                raise ParseError("weights sum above 1", line, col)
-            return self.dist_type(pairs)
-        return self.dist_type(((self.term(), ONE),))
+            try:
+                return self.dist_type(pairs)
+            except MassError:
+                # weight() already refused every weight outside [0, 1]
+                raise ParseError("weights sum above 1", line, col) from None
+        return self.dist_type(((self.term(), 1),), 1)
 
     # weight ::= INT '/' INT | DECIMAL | INT
     def weight(self):
@@ -625,11 +696,10 @@ class _Parser:
         atoms = [self.atom()]
         while self.at_kind("name") or self.at("("):
             atoms.append(self.atom())
-        d = atoms[0]
         if len(atoms) == 1:
-            e = d.entries()
-            if len(e) == 1 and e[0][1] == 1:
-                return e[0][0]
+            t = atoms[0].point()
+            if t is not None:
+                return t
             self.fail("a parenthesized distribution is not a term by itself")
         t = App(atoms[0], atoms[1])
         for a in atoms[2:]:

@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -13,12 +14,11 @@ from plamb.lts import (
     Ret,
     TAU,
     available_labels,
-    label_target,
     ret_target,
-    strong_transitions,
+    strong_target,
     weak_max_transition,
 )
-from plamb.reduction import AbsView, vals, whnf_view
+from plamb.reduction import AbsView, head_step, vals, whnf_view
 from plamb.syntax import Dist, parse, print_dist, subst, unit, Var
 
 
@@ -26,6 +26,32 @@ def term(src):
     (t, w), = parse(src).entries()
     assert w == 1
     return t
+
+
+# The single-term view of the transition system, kept here as the tests'
+# reference: the library works on whole distributions through strong_target.
+
+Transition = namedtuple("Transition", "label target")
+
+
+def label_target(t, label):
+    """Target of a visible label on a whnf term, at unit weight, or None
+    when the term does not afford the label."""
+    try:
+        return strong_target(unit(t), label)
+    except LabelNotApplicableError:
+        return None
+
+
+def strong_transitions(t, fresh):
+    """All strong transitions of a term, at unit weight: the one tau
+    transition of a reducible term, else one per visible label."""
+    if fresh in t.free_names():
+        raise FreshNameCollisionError("%r occurs free in the term" % fresh)
+    if whnf_view(t) is None:
+        return [Transition(TAU, head_step(t))]
+    d = unit(t)
+    return [Transition(label, strong_target(d, label)) for label in available_labels(d, fresh)]
 
 
 class TestStrongTransitions:

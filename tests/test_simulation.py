@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import gen_dist, gen_terminating
+from plamb.cli import main
 from plamb.laws import divergence_least, reflexivity
 from plamb.lts import (
     CONVERGE,
@@ -12,12 +15,13 @@ from plamb.lts import (
     split_values,
     weak_max_transition,
 )
-from plamb.reduction import evolve
+from plamb.reduction import SpineView, evolve, whnf_view
 from plamb.simulation import (
     Refuted,
     SimParams,
     WitnessKind,
-    app_edge,
+    _edge,
+    _SimState,
     bisim_check,
     sim_check,
 )
@@ -109,6 +113,15 @@ class TestSpineSums:
         f, b = bisim_check(m, w, P(3, 8))
         assert f.holds and b.holds
         assert f.exact and b.exact
+
+
+def app_edge(u, v, k, fuel):
+    """The simulation's edge predicate on two whnf spine terms: equal head
+    and arity and argument-wise simulation at depth ``k`` and unit scale."""
+    vu, vv = whnf_view(u), whnf_view(v)
+    assert isinstance(vu, SpineView) and isinstance(vv, SpineView)
+    ok, _ = _edge(_SimState(fuel, True), vu, vv, k)
+    return ok
 
 
 class TestAppEdge:
@@ -320,6 +333,33 @@ class TestRecursiveSpines:
         b = parse(r"Y (\t. x ff t)")
         v = sim_check(a, b, P(4, 16))
         assert isinstance(v, Refuted)
+
+
+# x F against x G fails on its own: w inside F has no partner in G.  A
+# result derived while (F, G) was assumed must not outlive its refutation,
+# whichever free head reaches the pair first.
+LOOP_F = r"(Y (\r. {1/2: y (x r), 1/2: w}))"
+LOOP_G = r"(Y (\r. {1/2: y (x r)}))"
+
+
+def _loop_pair(first, second):
+    src = "{1/4: %s %s, 1/2: %s (x %s)}" % (first, LOOP_F, second, LOOP_F)
+    dst = "{1/4: %s %s, 1/4: %s %s, 1/2: %s (x %s)}" % (
+        first, LOOP_G, first, LOOP_F, second, LOOP_G
+    )
+    return src, dst
+
+
+class TestCoinductiveMemo:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("heads", [("g", "h"), ("h", "g")])
+    def test_refuted_pair_leaves_no_stale_holds(self, heads, depth):
+        src, dst = _loop_pair(*heads)
+        v = sim_check(parse(src), parse(dst), P(depth, 20))
+        assert isinstance(v, Refuted)
+        assert v.witness.kind == WitnessKind.FLOW_DEFICIT
+        assert v.witness.deficit == F(1, 2)
+        assert main(["sim", src, dst, "--fuel", "20", "--depth", str(depth)]) == 1
 
 
 class TestPrecongruence:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import dists
 from plamb.laws import roundtrip
+from plamb.reduction import evolve, head_step, is_whnf, step
 from plamb.syntax import (
     Abs,
     App,
@@ -389,6 +391,135 @@ class TestDistKey:
     def test_key_repr_deterministic(self):
         assert repr(P("{1/2: x}").canon()) == "DistKey(((('f', 'x'), Fraction(1, 2)),))"
         assert isinstance(P(r"\x. x").canon(), DistKey)
+
+
+# Fraction reference of the integer representation: construction, step and
+# subst recomputed with Fraction weights, merged in the Fraction-keyed
+# reference order above and printed from those entries.  A Dist must show
+# exactly these entries, weights, mass and bytes, over the least common
+# denominator.
+
+
+def ref_merge(pairs):
+    merged, display = {}, {}
+    for t, w in pairs:
+        if w:
+            k = ref_canon_term(t, {}, 0)
+            display.setdefault(k, t)
+            merged[k] = merged.get(k, F(0)) + w
+    return [(display[k], merged[k]) for k in sorted(merged)]
+
+
+def ref_step(entries):
+    pairs = []
+    for t, w in entries:
+        if is_whnf(t):
+            pairs.append((t, w))
+        else:
+            pairs += [(rt, w * rw) for rt, rw in head_step(t).entries()]
+    return ref_merge(pairs)
+
+
+def ref_subst(body, v, replacement):
+    pairs = []
+    for t, w in body.entries():
+        if isinstance(t, Var) and t.name == v:
+            pairs += [(rt, w * rw) for rt, rw in replacement.entries()]
+        else:
+            pairs.append((subst(unit(t), v, replacement).point(), w))
+    return ref_merge(pairs)
+
+
+def ref_print(entries):
+    if not entries:
+        return "{}"
+    if len(entries) == 1 and entries[0][1] == 1:
+        return repr(entries[0][0])
+    return "{%s}" % ", ".join("%s: %r" % (w, t) for t, w in entries)
+
+
+def assert_matches_ref(d, ref):
+    assert [(repr(t), w) for t, w in d.entries()] == [(repr(t), w) for t, w in ref]
+    assert all(type(w) is F for _, w in d.entries())
+    assert d.mass() == sum((w for _, w in ref), F(0)) and type(d.mass()) is F
+    for t, w in ref:
+        assert d.weight_of(t) == w
+    assert print_dist(d) == ref_print(ref)
+    assert d.canon().den == math.lcm(*(w.denominator for _, w in ref))
+    built = Dist(ref)
+    assert d == built and hash(d) == hash(built)
+
+
+# pairwise coprime; their product is above 2^64 and their reciprocals sum below 1
+PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+
+
+class TestIntegerWeights:
+    def test_samples_and_their_reducts_match_fraction_reference(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            d = gen_key_dist(rng, 3)
+            for sub in sub_dists(d):
+                assert_matches_ref(sub, ref_merge(sub.entries()))
+            r = gen_key_dist(rng, 1)
+            assert_matches_ref(subst(d, "u", r), ref_subst(d, "u", r))
+            assert_matches_ref(step(d), ref_step(d.entries()))
+            report = evolve(d, 6)
+            cur = d.entries()
+            for _ in range(report.steps_used):
+                cur = ref_step(cur)
+            values = [(t, w) for t, w in cur if is_whnf(t)]
+            assert_matches_ref(report.values, values)
+            assert report.residual == sum((w for t, w in cur if not is_whnf(t)), F(0))
+            assert type(report.residual) is F
+
+    def test_coprime_denominators_beyond_64_bits(self):
+        lcm = math.prod(PRIMES)
+        assert lcm > 2**64
+        pairs = [(Var("x%d" % p), F(1, p)) for p in PRIMES]
+        d = Dist(pairs)
+        assert d.canon().den == lcm
+        assert_matches_ref(d, ref_merge(pairs))
+        by_ints = Dist([(Var("x%d" % p), lcm // p) for p in PRIMES], lcm)
+        assert by_ints == d and hash(by_ints) == hash(d)
+
+    def test_mass_exactly_one_accepted_one_above_refused(self):
+        lcm = math.prod(PRIMES)
+        pairs = [(Var("x%d" % p), F(1, p)) for p in PRIMES]
+        rest = 1 - sum(w for _, w in pairs)
+        assert Dist(pairs + [(Var("z"), rest)]).mass() == 1
+        with pytest.raises(MassError, match="total mass .* exceeds 1"):
+            Dist(pairs + [(Var("z"), rest + F(1, lcm))])
+        ints = [(Var("x%d" % p), lcm // p) for p in PRIMES]
+        left = lcm - sum(n for _, n in ints)
+        assert Dist(ints + [(Var("z"), left)], lcm).mass() == 1
+        with pytest.raises(MassError, match="total mass .* exceeds 1"):
+            Dist(ints + [(Var("z"), left + 1)], lcm)
+
+    def test_reducible_weights_reach_least_denominator(self):
+        want = P("{1/2: x}")
+        by_step = step(P(r"{1/4: (\z. z) x, 1/4: x}"))
+        by_subst = subst(P("{1/4: v, 1/4: x}"), "v", P("x"))
+        for d in (by_step, by_subst, Dist([(Var("x"), 2)], 4)):
+            assert d == want and hash(d) == hash(want)
+            assert d.canon().den == 2 and d.canon().pairs == want.canon().pairs
+
+    def test_key_order_across_denominators_is_fraction_order(self):
+        grid = sorted({F(n, d) for d in range(1, 13) for n in range(1, d // 2 + 1)})
+        rng = random.Random(3)
+        dists, dens = [], set()
+        for _ in range(120):
+            d = Dist([(Var("x"), rng.choice(grid)), (Var("y"), rng.choice(grid))])
+            dists += [d, unit(Abs("a", d))]
+            dens.add(d.canon().den)
+        assert len(dens) > 10
+        for a in dists:
+            for b in rng.sample(dists, 20):
+                ra, rb = ref_canon_dist(a, {}, 0), ref_canon_dist(b, {}, 0)
+                assert (a.canon() < b.canon()) == (ra < rb)
+                assert (a.canon() == b.canon()) == (ra == rb)
+        by_key = [ref_canon_dist(d, {}, 0) for d in sorted(dists, key=Dist.canon)]
+        assert by_key == sorted(ref_canon_dist(d, {}, 0) for d in dists)
 
 
 class TestTermIdentity:

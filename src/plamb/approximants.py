@@ -44,7 +44,9 @@ from .syntax import (
     _Parser,
     _canon_dist,
     _name_key,
+    _name_set,
     _tokenize,
+    _union,
     check_name,
     fresh_name,
     parse as _parse_lambda,
@@ -115,14 +117,14 @@ class FinSpine(FinTerm):
         self._canon = self._fn = None
 
     def _key(self, env, depth):
-        head = _name_key(self.head, env)
+        head = _name_key(self.head, env, depth)
         return ("s", head) + tuple(_canon_dist(a, env, depth) for a in self.args)
 
     def _free(self):
-        names = {self.head}
+        fn = _name_set(self.head)
         for a in self.args:
-            names |= a.free_names()
-        return frozenset(names)
+            fn = _union(fn, a.free_names())
+        return fn
 
 
 class FinDist(Distribution):

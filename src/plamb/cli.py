@@ -7,7 +7,8 @@ file (or end in ``.lam``), in which case the file's contents are parsed.
 FAIL line per law.  Exit codes: 0 success / no counterexample, 1 refuted or
 failed data condition (or a failed law), 2 usage, file, parse or
 malformed-input errors, numbers out of range, and terms nested too deeply
-for the recursion limit.
+for the recursion limit, 3 an internal error (any other exception, reported
+on one ``error: internal error:`` line without a traceback).
 
 The environment variable ``PLAMB_PRELUDE`` points at an alternative prelude
 file (``name = source`` lines).
@@ -470,6 +471,11 @@ def main(argv=None):
         limit = sys.getrecursionlimit()
         print("error: %s: nesting too deep (recursion limit %d)" % (args.command, limit), file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the workbench itself, never a verdict: one line, whose
+        # repr keeps a multi-line message on it, and no traceback
+        print("error: internal error: %r" % (exc,), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -41,27 +41,46 @@ def scaled(weights, scale):
 
 class FinSupportDist:
     """Finite-support weighted point set: distinct opaque points with
-    positive rational weights summing to at most 1."""
+    positive rational weights summing to at most 1.
 
-    # _scaled is (L, weights times L as ints), L the lcm of the denominators
-    __slots__ = ("points", "weights", "_scaled")
+    ``FinSupportDist(points, weights)`` reads rational weights (ints or
+    ``Fraction``s); ``FinSupportDist(points, nums, den)`` reads int
+    numerators over the positive int ``den``, as ``Dist(pairs, den)``
+    does.  ``weights`` builds its ``Fraction``s on first use.
+    """
 
-    def __init__(self, points, weights):
+    # _scaled is (L, weights times L as ints), L a common denominator;
+    # _weights is None until ``weights`` is first read
+    __slots__ = ("points", "_weights", "_scaled")
+
+    def __init__(self, points, weights, den=None):
         points = tuple(points)
-        weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
+        if den is None:
+            weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
+            den = math.lcm(*(w.denominator for w in weights))
+            nums = scaled(weights, den)
+        else:
+            nums = list(weights)
+            weights = None
         if len(points) != len(set(points)):
             raise LambError("duplicate points in support")
-        if len(points) != len(weights):
+        if len(points) != len(nums):
             raise LambError("points/weights length mismatch")
-        if any(w.numerator <= 0 for w in weights):
+        if any(n <= 0 for n in nums):
             raise LambError("weights must be positive")
-        lcm = math.lcm(*(w.denominator for w in weights))
-        ints = scaled(weights, lcm)
-        if sum(ints) > lcm:
+        if sum(nums) > den:
             raise LambError("total mass exceeds 1")
         self.points = points
-        self.weights = weights
-        self._scaled = (lcm, ints)
+        self._weights = weights
+        self._scaled = (den, nums)
+
+    @property
+    def weights(self):
+        w = self._weights
+        if w is None:
+            den, nums = self._scaled
+            w = self._weights = tuple(Fraction(n, den) for n in nums)
+        return w
 
     def mass(self):
         return Fraction(sum(self._scaled[1]), self._scaled[0])

@@ -247,12 +247,8 @@ def _sim_level(st, m, n, k, slack_in):
     if d_app:
         points_d = {t.canon(): (t, w, view) for t, w, view in d_app}
         points_e = {t.canon(): (t, w, view) for t, w, view in e_app}
-        fd = FinSupportDist(
-            list(points_d), [Fraction(points_d[c][1], dd) for c in points_d]
-        )
-        fe = FinSupportDist(
-            list(points_e), [Fraction(points_e[c][1], de) for c in points_e]
-        )
+        fd = FinSupportDist(list(points_d), [p[1] for p in points_d.values()], dd)
+        fe = FinSupportDist(list(points_e), [p[1] for p in points_e.values()], de)
         edges = set()
         for cu, (tu, _, vu) in points_d.items():
             for cv, (tv, _, vv) in points_e.items():

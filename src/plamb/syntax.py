@@ -6,9 +6,17 @@ distribution (``Dist``) is a finite map from terms to exact rational weights
 with total mass at most 1; missing mass stands for divergence.
 
 Identity of terms and of distributions is alpha-equivalence: keys are
-merged by a de-Bruijn-style canonical form while the originally written
-binder names are kept for display.  ``Node`` and ``Distribution`` hold this
-identity once for both term worlds, the calculus's and the approximants'
+merged by a locally nameless canonical form while the originally written
+binder names are kept for display.  A free variable is keyed by its name;
+a bound one by its binder's level minus the depth of the occurrence (a
+negated de Bruijn index), so the key of a sub-distribution in which no
+enclosing binder occurs free is the same at every depth.  Such a key is
+built once, by the sub-distribution itself, and every enclosing key holds
+that object: the key of ``\\a. a (f y)`` holds ``(f y)``'s own ``canon()``,
+and only entries that mention an enclosing binder are keyed anew.  Free
+names are sets shared up the term wherever a union or a difference would
+not change them.  ``Node`` and ``Distribution`` hold this identity once
+for both term worlds, the calculus's and the approximants'
 (``plamb.approximants``): a node defines only its key under binders and
 its free names.
 
@@ -23,20 +31,23 @@ when the key is built (nested keys contribute their cached hash).  Keys
 order weights by exact value, by cross-multiplication when denominators
 differ.  Outside any binder a term's key reuses its operands' keys, so the
 key of an application ``f a`` is ``("a", f.canon(), a.canon())`` and costs
-O(1).  Machine-generated names live in the reserved ``#`` namespace, which
-the parser rejects.
+O(1).  Most distributions are built from distinct terms already in
+canonical order; construction checks that in one pass and merges through
+a dict and a sort only when it fails.  Machine-generated names live in the
+reserved ``#`` namespace, which the parser rejects.
 
 All values are immutable after construction and safe to share between
 threads; every function here is pure.  The cache slots (a node's key and
-free names, a distribution's ``Fraction`` entries, an abstraction's last
-``ret`` target, a ``Dist``'s last evolution, a ``FinDist``'s embedding)
-are written from the object alone, and a given key always yields the same
-value, so writing one is idempotent: concurrent threads at worst compute
-it twice.
+free names, a distribution's ``Fraction`` entries and key index, an
+abstraction's last ``ret`` target, a ``Dist``'s last evolution, a
+``FinDist``'s embedding) are written from the object alone, and a given
+key always yields the same value, so writing one is idempotent:
+concurrent threads at worst compute it twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -138,11 +149,20 @@ class Term(Node):
         return print_term(self)
 
 
-def _name_key(name, env):
-    """Key of a variable occurrence: its binding depth if bound, else its
-    name under a distinct tag, so keys sort without mixed-type comparisons."""
+def _name_key(name, env, depth):
+    """Key of a variable occurrence at ``depth``: if bound, its binder's
+    level minus ``depth`` (a negative int), else its name under a distinct
+    tag, so keys sort without mixed-type comparisons.
+
+    Keys are only compared between positions at equal depth, where the
+    relative level orders and equates binders as the absolute one does.
+    Being relative, the key of a bound variable does not depend on how deep
+    its binder sits, so a sub-distribution in which no enclosing binder
+    occurs free has the same key everywhere: ``_canon_dist`` reuses the
+    one it built for itself.
+    """
     lvl = env.get(name)
-    return ("f", name) if lvl is None else ("b", lvl)
+    return ("f", name) if lvl is None else ("b", lvl - depth)
 
 
 class Var(Term):
@@ -153,10 +173,17 @@ class Var(Term):
         self._canon = self._fn = None
 
     def _key(self, env, depth):
-        return _name_key(self.name, env)
+        return _name_key(self.name, env, depth)
 
     def _free(self):
-        return frozenset((self.name,))
+        return _name_set(self.name)
+
+
+@functools.lru_cache(maxsize=1024)
+def _name_set(name):
+    """The free-name set ``{name}``, one object shared by the variables of
+    that name (bounded, so hostile input cannot grow it without limit)."""
+    return frozenset((name,))
 
 
 class Abs(Term):
@@ -176,7 +203,8 @@ class Abs(Term):
         return ("l", _canon_dist(self.body, inner, depth + 1))
 
     def _free(self):
-        return self.body.free_names() - {self.binder}
+        fn = self.body.free_names()
+        return fn - {self.binder} if self.binder in fn else fn
 
 
 class App(Term):
@@ -193,14 +221,34 @@ class App(Term):
         return ("a", _canon_dist(self.fun, env, depth), _canon_dist(self.arg, env, depth))
 
     def _free(self):
-        return self.fun.free_names() | self.arg.free_names()
+        return _union(self.fun.free_names(), self.arg.free_names())
+
+
+def _union(a, b):
+    """``a | b``, returning an operand itself when it already holds the
+    other, so free-name sets are shared up the term rather than copied."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
 
 
 def _canon_dist(d, env, depth):
-    if not env:
-        # outside any binder the key is the one d built for itself
+    """Key of ``d`` under the binders ``env`` at ``depth``.  Bound keys are
+    depth-relative, so where no name of ``env`` is free, the key is the one
+    ``d`` (or an entry of it) built for itself; the entries that do mention
+    a name of ``env`` are keyed anew, and the entries sorted again."""
+    names = env.keys()
+    if not names or names.isdisjoint(d.free_names()):
         return d._canon
-    return DistKey(tuple(sorted((t._key(env, depth), n) for t, n in d._ints)), d._den)
+    # building d computed every entry's own key
+    pairs = [
+        (t._canon if names.isdisjoint(t.free_names()) else t._key(env, depth), n)
+        for t, n in d._ints
+    ]
+    pairs.sort()
+    return DistKey(tuple(pairs), d._den)
 
 
 class DistKey:
@@ -281,8 +329,11 @@ class Distribution:
 
         Alpha-equivalent terms (equal ``canon()``) add their numerators,
         the first one seen is kept for display, and zero weights are
-        dropped.  One gcd of ``den`` and the numerators then reduces them to
-        the least common denominator.  Raises MassError above total mass 1.
+        dropped.  Most callers pass distinct terms already in canonical
+        order; that is checked in the one pass over the pairs, and only
+        when it fails are the keys merged through a dict and sorted.  One
+        gcd of ``den`` and the numerators then reduces them to the least
+        common denominator.  Raises MassError above total mass 1.
         """
         if den is None:
             if isinstance(pairs, dict):
@@ -290,8 +341,9 @@ class Distribution:
             pairs = [(t, check_weight(w)) for t, w in pairs]
             den = math.lcm(*[w.denominator for _, w in pairs])
             pairs = [(t, w.numerator * (den // w.denominator)) for t, w in pairs]
-        merged = {}
-        display = []
+        display, keys, nums = [], [], []
+        # the empty tuple sorts below every key
+        prev, ordered = (), True
         for t, n in pairs:
             if not isinstance(t, term_type):
                 raise LambError("%s key must be a %s: %r" % (what, term_type.__name__, t))
@@ -299,15 +351,27 @@ class Distribution:
                 if n < 0:
                     raise MassError("weight %s outside [0, 1]" % Fraction(n, den))
                 continue
-            key = t.canon()
-            old = merged.get(key)
-            if old is None:
-                merged[key] = n
-                display.append(t)
-            else:
-                merged[key] = old + n
-        keys = list(merged)
-        nums = list(merged.values())
+            key = t._canon
+            if key is None:
+                key = t.canon()
+            if ordered:
+                ordered = prev < key
+                prev = key
+            display.append(t)
+            keys.append(key)
+            nums.append(n)
+        if not ordered:
+            merged, shown = {}, {}
+            for t, key, n in zip(display, keys, nums):
+                old = merged.get(key)
+                if old is None:
+                    merged[key] = n
+                    shown[key] = t
+                else:
+                    merged[key] = old + n
+            keys = sorted(merged)
+            display = [shown[k] for k in keys]
+            nums = [merged[k] for k in keys]
         total = sum(nums)
         if total > den:
             raise MassError("total mass %s exceeds 1" % Fraction(total, den))
@@ -316,14 +380,11 @@ class Distribution:
             den //= g
             total //= g
             nums = [n // g for n in nums]
-            merged = dict(zip(keys, nums))
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self._ints = tuple([(display[i], nums[i]) for i in order])
-        self._canon = DistKey(tuple([(keys[i], nums[i]) for i in order]), den)
+        self._ints = tuple(zip(display, nums))
+        self._canon = DistKey(tuple(zip(keys, nums)), den)
         self._den = den
         self._total = total
-        self._index = merged
-        self._entries = self._fn = None
+        self._index = self._entries = self._fn = None
 
     def entries(self):
         """Entries as (term, weight) pairs in canonical order, with
@@ -348,16 +409,23 @@ class Distribution:
     def canon(self):
         return self._canon
 
+    def _key_index(self):
+        """Canonical key -> numerator, built on first use."""
+        idx = self._index
+        if idx is None:
+            idx = self._index = dict(self._canon.pairs)
+        return idx
+
     def weight_of(self, t):
         """Weight of the alpha-equivalence class of ``t`` (0 if absent)."""
-        n = self._index.get(t.canon())
+        n = self._key_index().get(t.canon())
         return ZERO if n is None else Fraction(n, self._den)
 
     def free_names(self):
         if self._fn is None:
             fn = frozenset()
             for t, _ in self._ints:
-                fn |= t.free_names()
+                fn = _union(fn, t.free_names())
             self._fn = fn
         return self._fn
 
@@ -441,8 +509,8 @@ def dist_scale(p, d):
 
 def dist_leq(a, b):
     """True iff ``b`` extends ``a``: pointwise weight of a <= weight in b."""
-    bidx, da, db = b._index, a._den, b._den
-    for k, n in a._index.items():
+    bidx, da, db = b._key_index(), a._den, b._den
+    for k, n in a._canon.pairs:
         if n * db > bidx.get(k, 0) * da:
             return False
     return True
@@ -451,8 +519,8 @@ def dist_leq(a, b):
 def dist_way_below(a, b):
     """Strict pointwise domination: every entry of ``a`` weighs strictly
     less than its class does in ``b``.  Vacuously true for empty ``a``."""
-    bidx, da, db = b._index, a._den, b._den
-    for k, n in a._index.items():
+    bidx, da, db = b._key_index(), a._den, b._den
+    for k, n in a._canon.pairs:
         if n * db >= bidx.get(k, 0) * da:
             return False
     return True

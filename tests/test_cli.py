@@ -6,7 +6,7 @@ import sys
 import plamb
 import pytest
 
-from plamb import laws
+from plamb import cli, laws
 from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
 from plamb.syntax import parse
 
@@ -464,6 +464,22 @@ class TestRecursionLimit:
         code, out, err = deep
         assert code == 2 and out == ""
         assert err.startswith("error: eval: nesting too deep")
+
+
+class TestInternalError:
+    def test_other_exception_exits_3_on_one_line(self, capsys, monkeypatch):
+        def broken(d, fuel):
+            raise ValueError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "evolve", broken)
+        code, out, err = run(capsys, "eval", "x")
+        assert code == 3 and out == ""
+        assert err == "error: internal error: ValueError('boom\\nsecond line')\n"
+
+    def test_usage_errors_keep_their_codes(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "evolve", lambda d, fuel: 1 / 0)
+        assert run(capsys, "eval", "(")[0] == 2
+        assert run(capsys, "eval", "x")[0] == 3
 
 
 class TestParserReuse:

@@ -6,6 +6,7 @@ import pytest
 
 from plamb import laws
 from plamb.laws import lift_agreement, random_lift_instance
+from plamb.syntax import LambError
 from plamb.lifting import (
     DimensionMismatchError,
     FinSupportDist,
@@ -25,6 +26,34 @@ def fsd(points, weights):
 
 def random_instance(rng):
     return random_lift_instance(rng, 5, (8,), (0.2, 0.4, 0.7))
+
+
+class TestNumerators:
+    """``FinSupportDist(points, nums, den)`` reads numerators over ``den``
+    as ``Dist(pairs, den)`` does, and builds ``Fraction`` weights only when
+    they are read."""
+
+    def test_same_support_as_fraction_weights(self):
+        by_nums = FinSupportDist(["t", "f"], [9, 8], 36)
+        assert by_nums._weights is None
+        by_fracs = fsd(["t", "f"], ["1/4", "2/9"])
+        assert by_nums.mass() == by_fracs.mass() == F(17, 36)
+        assert by_nums.weights == by_fracs.weights == (F(1, 4), F(2, 9))
+        target = fsd(["t", "f"], ["1/4", "1/5"])
+        verdict = lift_check_flow(by_nums, target, IDENT)
+        assert repr(verdict) == repr(lift_check_flow(by_fracs, target, IDENT))
+        assert verdict.deficit == F(1, 45) and verdict.witness_cut == {"f"}
+        assert lift_check_flow(target, by_nums, IDENT).holds
+
+    @pytest.mark.parametrize("points, nums, den, msg", [
+        (["a", "a"], [1, 1], 4, "duplicate points"),
+        (["a", "b"], [1], 4, "length mismatch"),
+        (["a", "b"], [1, 0], 4, "must be positive"),
+        (["a", "b"], [3, 2], 4, "total mass exceeds 1"),
+    ])
+    def test_guards(self, points, nums, den, msg):
+        with pytest.raises(LambError, match=msg):
+            FinSupportDist(points, nums, den)
 
 
 class TestMaxFlow:

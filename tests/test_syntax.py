@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from conftest import dists
+from conftest import dists, gen_dist
+from plamb import syntax
 from plamb.laws import roundtrip
 from plamb.reduction import evolve, head_step, is_whnf, step
 from plamb.syntax import (
@@ -388,9 +389,138 @@ class TestDistKey:
         assert key == ("a", f.canon(), a.canon())
         assert key[1] is f.canon() and key[2] is a.canon()
 
+    def test_key_under_binder_reuses_closed_operand_keys(self):
+        lam = P(r"\a. a (f y)").point()
+        app = lam.body.point()
+        ((inner, _),) = lam.canon()[1].pairs
+        # (f y) mentions no enclosing binder: its own key is held as it is
+        assert inner[2] is app.arg.canon()
+        assert inner[1] != app.fun.canon()
+        # a sub-distribution mentioning a gets a key of its own
+        lam = P(r"\a. a (f a)").point()
+        app = lam.body.point()
+        ((inner, _),) = lam.canon()[1].pairs
+        assert inner[2] is not app.arg.canon() and inner[2] != app.arg.canon()
+        # in a body that mentions a, the entries that do not keep their keys
+        lam = P(r"\a. {1/2: a, 1/4: f y}").point()
+        fy = lam.body.support()[0]
+        assert fy.free_names() == {"f", "y"}
+        assert lam.canon()[1].pairs[0][0] is fy.canon()
+        # a body without its binder free is keyed by its own key
+        lam = P(r"\a. \x. x").point()
+        assert lam.canon()[1] is lam.body.canon()
+
+    def test_bound_keys_are_depth_relative(self):
+        # the binder one level up reads -1 wherever it sits
+        assert P(r"\a. a").point().canon()[1].pairs[0][0] == ("b", -1)
+        deep = P(r"\c. \d. \a. a").point()
+        assert deep.canon() == P(r"\c. \d. \x. x").point().canon()
+        assert deep.body.point().body.point().canon() == P(r"\a. a").point().canon()
+
+    def test_free_name_sets_are_shared(self):
+        lam = P(r"\a. f y").point()
+        assert lam.free_names() is lam.body.free_names()
+        app = P("f (f y)").point()
+        assert app.free_names() is app.arg.free_names() == {"f", "y"}
+        d = P(r"{1/2: f y, 1/4: y}")
+        assert d.free_names() is d.support()[0].free_names()
+
     def test_key_repr_deterministic(self):
         assert repr(P("{1/2: x}").canon()) == "DistKey(((('f', 'x'), Fraction(1, 2)),))"
         assert isinstance(P(r"\x. x").canon(), DistKey)
+
+
+def alpha_copy(t):
+    """An alpha-equivalent copy of ``t``, every binder renamed."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, Abs):
+        b = t.binder + "r"
+        return Abs(b, alpha_copy_dist(subst(t.body, t.binder, unit(Var(b)))))
+    return App(alpha_copy_dist(t.fun), alpha_copy_dist(t.arg))
+
+
+def alpha_copy_dist(d):
+    return Dist([(alpha_copy(t), n) for t, n in d._ints], d._den)
+
+
+def binder_distance(d, env=None, depth=0):
+    """The most binders between a bound occurrence in ``d`` and its own."""
+    env = env or {}
+    far = 0
+    for t in d.support():
+        if isinstance(t, Var):
+            far = max(far, depth - env.get(t.name, depth))
+        elif isinstance(t, Abs):
+            far = max(far, binder_distance(t.body, {**env, t.binder: depth}, depth + 1))
+        else:
+            far = max(far, binder_distance(t.fun, env, depth), binder_distance(t.arg, env, depth))
+    return far
+
+
+class TestMergePaths:
+    """A distribution built from distinct terms in canonical order is
+    merged in one pass; any other input goes through a dict and a sort.
+    Both paths must build the same entries, display terms and key."""
+
+    def samples(self, seed, n):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(n):
+            out += sub_dists(gen_dist(rng, 4))
+        return out
+
+    def test_key_order_and_equality_match_reference(self):
+        dists = self.samples(21, 60)
+        # nested binders: some variable sits two or more binders below
+        # the one that binds it
+        assert max(binder_distance(d) for d in dists) >= 2
+        rng = random.Random(22)
+        for d in dists:
+            keys = [ref_canon_term(t, {}, 0) for t in d.support()]
+            assert keys == sorted(keys)
+            copy = alpha_copy_dist(d)
+            assert copy.canon() == d.canon() and hash(copy) == hash(d)
+            for e in rng.sample(dists, 10):
+                rd, re_ = ref_canon_dist(d, {}, 0), ref_canon_dist(e, {}, 0)
+                assert (d.canon() < e.canon()) == (rd < re_)
+                assert (d.canon() == e.canon()) == (rd == re_)
+
+    def test_both_paths_build_the_same_distribution(self, monkeypatch):
+        sorts = []
+
+        def counting_sorted(xs):
+            sorts.append(1)
+            return sorted(xs)
+
+        monkeypatch.setattr(syntax, "sorted", counting_sorted, raising=False)
+        rng = random.Random(23)
+        shuffled_runs = 0
+        for d in self.samples(24, 60):
+            pairs, den = list(d._ints), d._den
+            copies = [(alpha_copy(t), n) for t, n in pairs]
+            shuffled = pairs[:]
+            while len(shuffled) > 1 and shuffled == pairs:
+                rng.shuffle(shuffled)
+            del sorts[:]
+            in_order = Dist(pairs, den)
+            assert not sorts
+            built = [
+                (Dist(shuffled, den), pairs),
+                (Dist(shuffled + copies, 2 * den), pairs),
+                (Dist(copies + shuffled, 2 * den), copies),
+            ]
+            shuffled_runs += len(sorts) == 3
+            assert len(sorts) == (3 if len(pairs) > 1 else 2)
+            for got, shown in [(in_order, pairs)] + built:
+                assert len(got._ints) == len(shown)
+                assert all(g is t for (g, _), (t, _) in zip(got._ints, shown))
+                assert [n for _, n in got._ints] == [n for _, n in pairs]
+                assert got.canon() == d.canon() and got.canon().den == den
+                assert got.canon().pairs == d.canon().pairs
+                assert [repr(t) for t in got.support()] == [repr(t) for t, _ in shown]
+                assert got._key_index() == dict(d.canon().pairs)
+        assert shuffled_runs > 50
 
 
 # Fraction reference of the integer representation: construction, step and

@@ -235,24 +235,24 @@ def _member(c, m, k, fuel):
         return False
     values = evolve(m, fuel).values
     m_abs, m_spines = split_values(values)
-    edges = set()
+    edges = []
     for i, (ct, _, cv) in enumerate(c_abs):
         for j, (mt, _, mv) in enumerate(m_abs):
             sym = fresh_name(ct.free_names() | mt.free_names())
             if _member(ret_target(cv, sym), ret_target(mv, sym), k - 1, fuel):
-                edges.add((i, j))
+                edges.append((i, j))
     for i, (_, _, cv) in enumerate(c_spines, len(c_abs)):
         for j, (_, _, mv) in enumerate(m_spines, len(m_abs)):
             if (cv.head, len(cv.args)) == (mv.head, len(mv.args)) and all(
                 _member(ca, ma, k - 1, fuel) for ca, ma in zip(cv.args, mv.args)
             ):
-                edges.add((i, j))
+                edges.append((i, j))
     n = len(c_abs) + len(c_spines)
     lcm = math.lcm(c._den, values._den)
     fc, fm = n * (lcm // c._den), n * (lcm // values._den)
-    supplies = {i: x * fc + 1 for i, (_, x, _) in enumerate(c_abs + c_spines)}
-    demands = {j: x * fm for j, (_, x, _) in enumerate(m_abs + m_spines)}
-    return max_flow(supplies, demands, edges) == sum(supplies.values())
+    supplies = [x * fc + 1 for _, x, _ in c_abs + c_spines]
+    demands = [x * fm for _, x, _ in m_abs + m_spines]
+    return max_flow(supplies, demands, edges)[0] == sum(supplies)
 
 
 # ---------------------------------------------------------------------------

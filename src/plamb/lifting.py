@@ -15,6 +15,12 @@ divides back once at the end.  Max flow and the splitting inequalities are
 invariant under scaling by L > 0, so verdicts, deficits and cuts are the
 exact rational ones; ``Fraction`` appears only where values enter and
 leave this module.
+
+``max_flow`` is the one flow engine: int supplies and demands, index pairs
+for edges, and the residual-reachable supplies back.  ``lift_check_flow``
+is its rational edge, for ``FinSupportDist`` points and weights; the
+simulation's spine blocks go through it, and approximant membership, which
+already holds ints, calls ``max_flow`` itself.
 """
 
 from __future__ import annotations
@@ -31,12 +37,6 @@ class DimensionMismatchError(LambError):
 
 class SupportTooLargeError(LambError):
     """Subset enumeration refused: source support exceeds the guard."""
-
-
-def scaled(weights, scale):
-    """Each weight (an int or a ``Fraction``) times ``scale``, as ints;
-    ``scale`` must be a multiple of every denominator."""
-    return [w.numerator * (scale // w.denominator) for w in weights]
 
 
 class FinSupportDist:
@@ -58,7 +58,7 @@ class FinSupportDist:
         if den is None:
             weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
             den = math.lcm(*(w.denominator for w in weights))
-            nums = scaled(weights, den)
+            nums = [w.numerator * (den // w.denominator) for w in weights]
         else:
             nums = list(weights)
             weights = None
@@ -104,96 +104,54 @@ class LiftVerdict:
         return "LiftVerdict(deficit=%s, cut={%s})" % (self.deficit, cut)
 
 
-class FlowNetwork:
-    """Directed flow network on vertices ``0..n-1`` with integer capacities.
+def max_flow(supplies, demands, pairs):
+    """Maximum flow through the bipartite lift network on int capacities.
 
-    Callers scale rational capacities by L, the lcm of their denominators,
-    first: a maximum flow of the scaled network is L times one of the
-    original, so the value divides back exactly.  After ``max_flow``,
-    ``reached`` holds the vertices the source reaches in the residual
-    graph.  They are the source side of the minimum cut that lies inside
-    every other, a set that is the same for every maximum flow, so it
-    depends neither on the order of the augmenting paths nor on the hash
-    seed.
+    Supply ``i`` holds ``supplies[i]``, demand ``j`` takes at most
+    ``demands[j]``, and each (supply index, demand index) pair in ``pairs``
+    is an uncapacitated edge.  Returns the flow value and the supply indices
+    the source still reaches in the residual graph: the source side of the
+    minimum cut that lies inside every other.  That set is the same for
+    every maximum flow, so it depends neither on the order of the
+    augmenting paths nor on the hash seed.  Shortest augmenting paths;
+    vertex 0 is the source, 1 the sink, 2 + i supply i and 2 + n + j
+    demand j, for n supplies.
     """
-
-    def __init__(self, n):
-        self.out = [[] for _ in range(n)]  # ids of the edges leaving a vertex
-        self.dst = []  # edge id -> head; edge e ^ 1 is the reverse of e
-        self.cap = []  # edge id -> residual capacity
-        self.reached = None
-
-    def add_edge(self, u, v, cap):
-        if cap < 0:
-            raise LambError("negative capacity")
-        self.out[u].append(len(self.dst))
-        self.out[v].append(len(self.dst) + 1)
-        self.dst += (v, u)
-        self.cap += (cap, 0)
-
-    def max_flow(self, source, sink):
-        """Maximum flow by shortest augmenting paths."""
-        dst, cap, out = self.dst, self.cap, self.out
-        total = 0
-        while True:
-            via = {source: None}  # reached vertex -> edge it was reached by
-            queue = [source]
-            for u in queue:
-                for e in out[u]:
-                    if cap[e] and dst[e] not in via:
-                        via[dst[e]] = e
-                        queue.append(dst[e])
-                if sink in via:
-                    break
-            else:
-                self.reached = frozenset(via)
-                return total
-            path = []
-            v = sink
-            while v != source:
-                path.append(via[v])
-                v = dst[via[v] ^ 1]
-            push = min(cap[e] for e in path)
-            for e in path:
-                cap[e] -= push
-                cap[e ^ 1] += push
-            total += push
-
-
-_SRC, _SNK = 0, 1
-
-
-def _network(supplies, demands, edges):
-    """The lift network on integer supplies and demands (vertex 2 + i for
-    supply i, 2 + len(supplies) + j for demand j) and its maximum flow.
-    Middle edges get capacity total supply + 1, which no flow exhausts."""
     n = len(supplies)
-    net = FlowNetwork(2 + n + len(demands))
-    for i, p in enumerate(supplies, 2):
-        net.add_edge(_SRC, i, p)
-    for j, q in enumerate(demands, 2 + n):
-        net.add_edge(j, _SNK, q)
-    big = sum(supplies) + 1
-    for i, j in edges:
-        net.add_edge(2 + i, 2 + n + j, big)
-    return net, net.max_flow(_SRC, _SNK)
-
-
-def max_flow(supplies, demands, edges):
-    """Value of the maximum flow through the bipartite lift network.
-
-    ``supplies``/``demands`` map points to capacities (ints or
-    ``Fraction``s), ``edges`` is a set of (source point, target point)
-    pairs.  The network runs on the capacities times L, the lcm of their
-    denominators, and the value comes back exact, as a ``Fraction``.
-    """
-    scale = math.lcm(*(c.denominator for c in (*supplies.values(), *demands.values())))
-    si = {a: i for i, a in enumerate(supplies)}
-    ti = {b: j for j, b in enumerate(demands)}
-    pairs = [(si[a], ti[b]) for a, b in edges if a in si and b in ti]
-    _, value = _network(scaled(supplies.values(), scale),
-                        scaled(demands.values(), scale), pairs)
-    return Fraction(value, scale)
+    out = [[] for _ in range(2 + n + len(demands))]  # ids of the edges leaving a vertex
+    dst, cap = [], []  # edge id -> head, residual capacity; edge e ^ 1 reverses e
+    big = sum(supplies) + 1  # no flow exhausts a middle edge
+    edges = [(0, i, c) for i, c in enumerate(supplies, 2)]
+    edges += [(j, 1, c) for j, c in enumerate(demands, 2 + n)]
+    edges += [(2 + i, 2 + n + j, big) for i, j in pairs]
+    for u, v, c in edges:
+        out[u].append(len(dst))
+        out[v].append(len(dst) + 1)
+        dst += (v, u)
+        cap += (c, 0)
+    total = 0
+    while True:
+        via = {0: None}  # reached vertex -> edge it was reached by
+        queue = [0]
+        for u in queue:
+            for e in out[u]:
+                if cap[e] and dst[e] not in via:
+                    via[dst[e]] = e
+                    queue.append(dst[e])
+            if 1 in via:
+                break
+        else:
+            return total, frozenset(v - 2 for v in via if 2 <= v < 2 + n)
+        path = []
+        v = 1
+        while v:
+            path.append(via[v])
+            v = dst[via[v] ^ 1]
+        push = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push
+        total += push
 
 
 def _integers(d, e, related):
@@ -226,12 +184,12 @@ def lift_check_flow(d, e, related, slack=ZERO):
     if slack < 0:
         raise LambError("slack must be nonnegative")
     pairs, scale, sw, tw = _integers(d, e, related)
-    net, value = _network(sw, tw, pairs)
+    value, reached = max_flow(sw, tw, pairs)
     gap = sum(sw) - value
     deficit = Fraction(gap, scale) - slack if gap else ZERO
     if deficit <= 0:
         return LiftVerdict(True, ZERO, frozenset())
-    cut = frozenset(a for i, a in enumerate(d.points, 2) if i in net.reached)
+    cut = frozenset(d.points[i] for i in reached)
     return LiftVerdict(False, deficit, cut)
 
 

@@ -31,8 +31,9 @@ become value mass of any shape, so it is added as an allowance to every
 mass comparison at the current level and threaded down the ret recursion.
 Residual mass whose trajectory provably cycles (for example the pure
 divergent loop) can never convert and contributes no slack, which is what
-makes divergence refutable.  A verdict with ``exact=True`` had zero
-residual everywhere and decides its stratum precisely; a non-exact
+makes divergence refutable.  Exactness is one flag of the run, which any
+evolution that leaves residual mass clears.  A verdict with ``exact=True``
+had zero residual everywhere and decides its stratum precisely; a non-exact
 ``NoCounterexample`` deliberately claims nothing beyond "no counterexample
 at these bounds".
 """
@@ -175,9 +176,13 @@ class Refuted(Verdict):
 
 
 class _SimState:
-    # inprog maps each in-progress pair to its stack position; low is the
-    # lowest position assumed by the pair now being decided
-    __slots__ = ("fuel", "slack_enabled", "memo", "inprog", "low")
+    """One ``sim_check`` run.  ``memo`` maps decided pairs to their witness
+    or None; ``inprog`` maps each in-progress pair to its stack position,
+    and ``low`` is the lowest position assumed by the pair now being
+    decided.  ``exact`` stays true until an evolution leaves residual mass:
+    the run then claims no more than "no counterexample at these bounds"."""
+
+    __slots__ = ("fuel", "slack_enabled", "memo", "inprog", "low", "exact")
 
     def __init__(self, fuel, slack_enabled):
         self.fuel = fuel
@@ -185,13 +190,15 @@ class _SimState:
         self.memo = {}
         self.inprog = {}
         self.low = 0
+        self.exact = True
 
 
 def _sim(st, m, n, k, slack_in):
-    """Returns (witness or None, exact).  Witness paths are relative to
-    this pair; callers prepend their own label."""
+    """The witness refuting ``m`` against ``n`` at depth ``k``, or None.
+    Witness paths are relative to this pair; callers prepend their own
+    label."""
     if k == 0:
-        return None, True
+        return None
     key = (m.canon(), n.canon(), k, slack_in)
     if key in st.memo:
         return st.memo[key]
@@ -199,23 +206,24 @@ def _sim(st, m, n, k, slack_in):
     if pos is not None:
         # re-entrant pair within a stratum: coinductive assumption
         st.low = min(st.low, pos)
-        return None, True
+        return None
     pos = st.inprog[key] = len(st.inprog)
     outer, st.low = st.low, pos
     try:
-        result = _sim_level(st, m, n, k, slack_in)
+        wit = _sim_level(st, m, n, k, slack_in)
     finally:
         del st.inprog[key]
     low, st.low = st.low, min(outer, st.low)
-    if result[0] is not None or low >= pos:
-        st.memo[key] = result
-    return result
+    if wit is not None or low >= pos:
+        st.memo[key] = wit
+    return wit
 
 
 def _sim_level(st, m, n, k, slack_in):
     rm = evolve(m, st.fuel)
     rn = evolve(n, st.fuel)
-    exact = rm.residual == 0 and rn.residual == 0
+    if rm.residual or rn.residual:
+        st.exact = False
     live = ZERO if rn.limit_exact else rn.residual
     slack = slack_in + live if st.slack_enabled else ZERO
 
@@ -227,35 +235,31 @@ def _sim_level(st, m, n, k, slack_in):
     d_abs_mass = Fraction(sum(n for _, n, _ in d_abs), dd)
     e_abs_mass = Fraction(sum(n for _, n, _ in e_abs), de)
     if d_abs_mass > e_abs_mass + slack:
-        wit = Witness(
+        return Witness(
             (),
             WitnessKind.CONVERGE_DEFICIT,
             tuple(t for t, _, _ in d_abs),
             d_abs_mass - e_abs_mass - slack,
         )
-        return wit, exact
     if d_abs:
         sym = fresh_name(_block_names(d_abs) | _block_names(e_abs))
         d_body = ret_block(d_abs, dd, sym)
         e_body = ret_block(e_abs, de, sym)
-        wit, sub_exact = _sim(st, d_body, e_body, k - 1, slack)
-        exact = exact and sub_exact
+        wit = _sim(st, d_body, e_body, k - 1, slack)
         if wit is not None:
-            return wit.prepend(Ret(sym)), exact
+            return wit.prepend(Ret(sym))
 
-    # (b) spine points, matched by exact max flow over same-head edges
+    # (b) spine points, matched by exact max flow over same-head edges;
+    # points are entry indices, whose order is the canonical order
     if d_app:
-        points_d = {t.canon(): (t, w, view) for t, w, view in d_app}
-        points_e = {t.canon(): (t, w, view) for t, w, view in e_app}
-        fd = FinSupportDist(list(points_d), [p[1] for p in points_d.values()], dd)
-        fe = FinSupportDist(list(points_e), [p[1] for p in points_e.values()], de)
-        edges = set()
-        for cu, (tu, _, vu) in points_d.items():
-            for cv, (tv, _, vv) in points_e.items():
-                ok, sub_exact = _edge(st, vu, vv, k)
-                exact = exact and sub_exact
-                if ok:
-                    edges.add((cu, cv))
+        fd = FinSupportDist(range(len(d_app)), [w for _, w, _ in d_app], dd)
+        fe = FinSupportDist(range(len(e_app)), [w for _, w, _ in e_app], de)
+        edges = [
+            (i, j)
+            for i, (_, _, vu) in enumerate(d_app)
+            for j, (_, _, vv) in enumerate(e_app)
+            if _edge(st, vu, vv, k)
+        ]
         verdict = lift_check_flow(fd, fe, edges, slack)
         if not verdict.holds:
             kind = (
@@ -263,9 +267,9 @@ def _sim_level(st, m, n, k, slack_in):
                 if not e_app
                 else WitnessKind.FLOW_DEFICIT
             )
-            cut = tuple(points_d[c][0] for c in sorted(verdict.witness_cut))
-            return Witness((), kind, cut, verdict.deficit), exact
-    return None, exact
+            cut = tuple(d_app[i][0] for i in sorted(verdict.witness_cut))
+            return Witness((), kind, cut, verdict.deficit)
+    return None
 
 
 def _block_names(entries):
@@ -278,15 +282,11 @@ def _block_names(entries):
 def _edge(st, vu, vv, k):
     """Edge predicate between two spine views: same head, same arity, and
     every argument pair passes at the current depth and unit scale."""
-    if vu.head != vv.head or len(vu.args) != len(vv.args):
-        return False, True
-    exact = True
-    for au, av in zip(vu.args, vv.args):
-        wit, sub_exact = _sim(st, au, av, k, ZERO)
-        exact = exact and sub_exact
-        if wit is not None:
-            return False, exact
-    return True, exact
+    return (
+        vu.head == vv.head
+        and len(vu.args) == len(vv.args)
+        and all(_sim(st, au, av, k, ZERO) is None for au, av in zip(vu.args, vv.args))
+    )
 
 
 def sim_check(m, n, params):
@@ -297,9 +297,9 @@ def sim_check(m, n, params):
     cover.  ``NoCounterexample`` decides the stratum only when exact.
     """
     st = _SimState(params.fuel, params.slack_enabled)
-    wit, exact = _sim(st, m, n, params.depth, ZERO)
+    wit = _sim(st, m, n, params.depth, ZERO)
     if wit is None:
-        return NoCounterexample(params, exact)
+        return NoCounterexample(params, st.exact)
     return Refuted(params, wit)
 
 

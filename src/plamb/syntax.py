@@ -736,18 +736,22 @@ class _Parser:
         if not self.at_kind("number"):
             self.fail("expected a weight")
         _, text, line, col = self.next()
-        if "." in text:
-            w = Fraction(text)
-        elif self.at("/"):
-            self.next()
-            if not self.at_kind("number"):
-                self.fail("expected a denominator")
-            _, den, _, _ = self.next()
-            if "." in den or int(den) == 0:
-                raise ParseError("bad denominator %r" % den, line, col)
-            w = Fraction(int(text), int(den))
-        else:
-            w = Fraction(int(text))
+        try:
+            if "." in text:
+                w = Fraction(text)
+            elif self.at("/"):
+                self.next()
+                if not self.at_kind("number"):
+                    self.fail("expected a denominator")
+                _, den, _, _ = self.next()
+                if "." in den or int(den) == 0:
+                    raise ParseError("bad denominator %r" % den, line, col)
+                w = Fraction(int(text), int(den))
+            else:
+                w = Fraction(int(text))
+        except ValueError:
+            # int() refuses a numeral longer than sys.get_int_max_str_digits()
+            raise ParseError("number out of range", line, col) from None
         if w > 1:
             raise ParseError("weight %s exceeds 1" % w, line, col)
         return w

@@ -1,14 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import plamb
 import pytest
+from hypothesis import given, settings
 
 from plamb import cli, laws
 from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
-from plamb.syntax import parse
+from plamb.approximants import parse_fin
+from plamb.syntax import LambError, parse
 
 YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
 
@@ -339,6 +344,18 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err == "error: %s: number out of range: 5000 characters\n" % message
 
+    @pytest.mark.parametrize("weight", ["1/" + "7" * 5000, "0." + "7" * 5001],
+                             ids=["denominator", "decimal"])
+    def test_overlong_numeral_in_program_exit_2(self, capsys, tmp_path, weight):
+        src = "{%s: x}" % weight
+        f = tmp_path / "cand.fin"
+        f.write_text(src, encoding="utf-8")
+        for argv in (["eval", src], ["approx", "I", "--check", str(f)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.endswith("1:2: number out of range\n") and "internal error" not in err
+
     def test_longest_numeral_is_read(self, capsys):
         weight = '"0.%s"' % ("0" * (MAX_NUMERAL - 3) + "1")
         code, out, err = run(capsys, "lift", TestLift.instance(weight, "1"))
@@ -400,6 +417,54 @@ class TestMalformedInput:
         code, out, err = run(capsys, "lift", self.lift(side))
         assert code == 2 and out == ""
         assert err.startswith("error: malformed lift instance: ")
+
+
+FUZZ_TOKENS = [
+    "x", "y", "I", "tt", "omega", "Y", "_|_", "#a", "\\", ".", "(", ")", "{", "}",
+    ",", ":", "/", "|", "0", "1", "2", "1/2", "0.25", "3/4", "--c\n", "\n", "@",
+]
+OVERLONG_NUMERALS = ["9" * 5000, "0." + "1" * 5000, "1/" + "3" * 5000]
+
+fuzz_sources = st.one_of(
+    st.builds(
+        str.join,
+        st.sampled_from([" ", ""]),
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=12),
+    ),
+    st.builds(
+        str.__mod__,
+        st.sampled_from(["%s", "{%s: x}", "\\x. {1/2: x, %s: y}"]),
+        st.sampled_from(OVERLONG_NUMERALS),
+    ),
+)
+FUZZ_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestInputContract:
+    """Short sources over the grammar's tokens, and over-long numerals:
+    the parsers raise nothing but ``LambError``, and the commands that read
+    a program end in a verdict or a usage error, never an internal one."""
+
+    @FUZZ_SETTINGS
+    @given(fuzz_sources)
+    def test_parsers_raise_only_lamb_errors(self, src):
+        for read in (parse, parse_fin):
+            try:
+                read(src)
+            except LambError:
+                pass
+
+    @FUZZ_SETTINGS
+    @given(fuzz_sources, st.sampled_from([
+        ["eval", "--fuel", "4"], ["approx", "--depth", "1", "--fuel", "4"], ["lts", "--fuel", "4"],
+    ]))
+    def test_commands_exit_0_1_or_2(self, src, command):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main([command[0], src, *command[1:]])
+            except SystemExit as exc:  # argparse: a source that reads as an option
+                code = exc.code
+        assert code in (0, 1, 2)
 
 
 class TestUnreadableFiles:
@@ -514,6 +579,47 @@ class TestParserReuse:
         assert outs[0] != outs[1] and outs[2] != outs[3] and outs[4] != outs[5]
         for argv, got in zip(calls, outs):
             assert got == self.fresh(argv), argv
+
+
+# every line of output is built from sorted or canonical orders, never
+# from set or dict iteration over hashed names
+HASH_SEED_SCRIPT = r"""
+import json
+from plamb import cli
+from plamb.corpus import CORPUS_SOURCES as C
+
+lift = json.dumps({
+    "source": {"points": ["a", "b", "c"], "weights": ["1/4", "1/4", "1/4"]},
+    "target": {"points": ["x", "y", "z"], "weights": ["1/4", "1/8", "1/8"]},
+    "relation": [["a", "x"], ["b", "x"], ["c", "y"], ["c", "z"]],
+})
+calls = [
+    ["bisim", "{1/2: x tt ff, 1/2: x ff tt}", "{1/2: x ff ff, 1/2: x tt tt}",
+     "--depth", "3", "--fuel", "8"],
+    ["lift", lift],
+    ["lift", lift, "--format", "json"],
+]
+calls += [[cmd, src, "--fuel", "8"] for src in C for cmd in ("approx", "lts")]
+calls += [["sim", a, b, "--depth", "2", "--fuel", "6"] for a in C[::4] for b in C[1::4]]
+for argv in calls:
+    print(argv, cli.main(argv))
+"""
+
+
+class TestHashSeed:
+    def test_output_independent_of_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(plamb.__file__))
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_SCRIPT],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert b"cut={'a', 'b'}" in outs[0] and b"Refuted" in outs[0]
 
 
 class TestSelftest:

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import gen_dist, gen_terminating
+from plamb import simulation
 from plamb.cli import main
+from plamb.corpus import corpus
 from plamb.laws import divergence_least, reflexivity
 from plamb.lts import (
     CONVERGE,
@@ -120,8 +122,7 @@ def app_edge(u, v, k, fuel):
     and arity and argument-wise simulation at depth ``k`` and unit scale."""
     vu, vv = whnf_view(u), whnf_view(v)
     assert isinstance(vu, SpineView) and isinstance(vv, SpineView)
-    ok, _ = _edge(_SimState(fuel, True), vu, vv, k)
-    return ok
+    return _edge(_SimState(fuel, True), vu, vv, k)
 
 
 class TestAppEdge:
@@ -273,6 +274,27 @@ class TestVerdictProperties:
         assert sim_check(parse("tt"), parse("tt"), P(3, 8)).exact
         v = sim_check(parse("I"), YT, P(2, 8))
         assert v.holds and not v.exact
+
+    @pytest.mark.parametrize("depth, fuel", [(2, 4), (3, 8)])
+    def test_exact_iff_no_evolution_left_residual(self, monkeypatch, depth, fuel):
+        residuals = []
+
+        def recording(d, f):
+            report = evolve(d, f)
+            residuals.append(report.residual)
+            return report
+
+        monkeypatch.setattr(simulation, "evolve", recording)
+        terms = corpus()
+        pairs = [(m, n) for i, m in enumerate(terms) for n in terms[i % 11::11]]
+        exact = []
+        for m, n in pairs:
+            residuals.clear()
+            v = sim_check(m, n, P(depth, fuel))
+            if v.holds:
+                assert v.exact == all(r == 0 for r in residuals), (m, n)
+                exact.append(v.exact)
+        assert len(pairs) > 200 and 0 < sum(exact) < len(exact)
 
     def test_scaling_preserves_verdicts(self):
         rng = random.Random(21)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import dists, gen_dist
 from plamb import syntax
+from plamb.approximants import parse_fin
 from plamb.laws import roundtrip
 from plamb.reduction import evolve, head_step, is_whnf, step
 from plamb.syntax import (
@@ -76,6 +78,22 @@ class TestParse:
     def test_weight_above_one(self):
         with pytest.raises(ParseError):
             P("{3/2: x}")
+
+    @pytest.mark.parametrize("weight", [
+        "1/" + "7" * 5000, "7" * 5000 + "/8", "0." + "7" * 5001, "0" * 5000 + "1",
+    ], ids=["denominator", "numerator", "decimal", "leading-zeros"])
+    @pytest.mark.parametrize("read", [P, parse_fin])
+    def test_overlong_numeral(self, read, weight):
+        # int() refuses more than 4300 digits; that is a syntax error at
+        # the weight, not a ValueError from the parser
+        with pytest.raises(ParseError, match="number out of range") as e:
+            read("{1/2: y,\n %s: x}" % weight)
+        assert (e.value.line, e.value.col) == (2, 2)
+
+    @pytest.mark.parametrize("read", [P, parse_fin])
+    def test_longest_numeral_reparses(self, read):
+        d = read("{1/%s: x}" % ("9" * sys.get_int_max_str_digits()))
+        assert read(print_dist(d)) == d
 
     def test_reserved_names_rejected(self):
         with pytest.raises(ReservedNameError):

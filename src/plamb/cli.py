@@ -39,6 +39,7 @@ from .syntax import (
     free_names,
     parse,
     print_dist,
+    print_weight,
 )
 
 TV_EPSILON = Fraction(1, 1024)
@@ -113,7 +114,7 @@ def _json_integer(text):
 
 
 def _dist_json(d):
-    return {repr(t): str(w) for t, w in d.entries()}
+    return {repr(t): print_weight(w) for t, w in d.entries()}
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,8 @@ def _cmd_eval(args):
     if args.format == "json":
         print(json.dumps({
             "values": _dist_json(report.values),
-            "mass": str(report.values.mass()),
-            "residual": str(report.residual),
+            "mass": print_weight(report.values.mass()),
+            "residual": print_weight(report.residual),
             "steps_used": report.steps_used,
             "converged": report.converged,
         }))
@@ -202,7 +203,7 @@ def _cmd_trace(args):
     for i in range(args.fuel + 1):
         v = vals(cur)
         print("%d\t%s\tvalue=%s\tresidual=%s" % (
-            i, print_dist(cur), v.mass(), cur.mass() - v.mass()
+            i, print_dist(cur), print_weight(v.mass()), print_weight(cur.mass() - v.mass())
         ))
         if v.mass() == cur.mass():
             break
@@ -213,11 +214,15 @@ def _cmd_trace(args):
 def _cmd_lts(args):
     d = _load_operand(args.expr)
     report = evolve(d, args.fuel)
-    print("tau\t%s\tresidual=%s" % (print_dist(report.values, explicit=True), report.residual))
+    print("tau\t%s\tresidual=%s" % (
+        print_dist(report.values, explicit=True), print_weight(report.residual)
+    ))
     sym = fresh_name(free_names(d))
     for label in available_labels(report.values, sym):
         r = weak_max_transition(report.values, label, args.fuel)
-        print("%s\t%s\tresidual=%s" % (label, print_dist(r.values, explicit=True), r.residual))
+        print("%s\t%s\tresidual=%s" % (
+            label, print_dist(r.values, explicit=True), print_weight(r.residual)
+        ))
     return 0
 
 
@@ -309,14 +314,14 @@ def _cmd_lift(args):
         out = {
             "flow": {
                 "holds": flow.holds,
-                "deficit": str(flow.deficit),
+                "deficit": print_weight(flow.deficit),
                 "witness_cut": sorted(map(str, flow.witness_cut)),
             }
         }
         if subsets is not None:
             out["subsets"] = {
                 "holds": subsets.holds,
-                "deficit": str(subsets.deficit),
+                "deficit": print_weight(subsets.deficit),
                 "witness_cut": sorted(map(str, subsets.witness_cut)),
             }
         print(json.dumps(out))
@@ -350,7 +355,7 @@ def _cmd_normalize(args):
                 {
                     "step": s,
                     "normalized": _dist_json(d),
-                    "tv_distance": None if tvd is None else str(tvd),
+                    "tv_distance": None if tvd is None else print_weight(tvd),
                 }
                 for s, d, tvd in report.rows
             ],
@@ -359,7 +364,8 @@ def _cmd_normalize(args):
         }))
     else:
         for s, d, tvd in report.rows:
-            print("%d\t%s\ttv=%s" % (s, print_dist(d, explicit=True), "-" if tvd is None else tvd))
+            tv = "-" if tvd is None else print_weight(tvd)
+            print("%d\t%s\ttv=%s" % (s, print_dist(d, explicit=True), tv))
         print("converged=%s at=%s" % (report.converged, report.converged_at))
     return 0
 

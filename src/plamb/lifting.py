@@ -17,10 +17,13 @@ exact rational ones; ``Fraction`` appears only where values enter and
 leave this module.
 
 ``max_flow`` is the one flow engine: int supplies and demands, index pairs
-for edges, and the residual-reachable supplies back.  ``lift_check_flow``
-is its rational edge, for ``FinSupportDist`` points and weights; the
-simulation's spine blocks go through it, and approximant membership, which
-already holds ints, calls ``max_flow`` itself.
+for edges, and the residual-reachable supplies back.  It works on the
+bipartite graph itself: a greedy pass along the pairs, then shortest
+augmenting paths through the residual graph, whose backward crossings are
+the positive flows.  ``lift_check_flow`` is its rational edge, for
+``FinSupportDist`` points and weights.  The simulation's spine blocks and
+approximant membership, which already hold ints, call ``max_flow``
+themselves.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .syntax import LambError, ZERO
+from .syntax import LambError, ZERO, print_weight
 
 
 class DimensionMismatchError(LambError):
@@ -41,27 +44,17 @@ class SupportTooLargeError(LambError):
 
 class FinSupportDist:
     """Finite-support weighted point set: distinct opaque points with
-    positive rational weights summing to at most 1.
-
-    ``FinSupportDist(points, weights)`` reads rational weights (ints or
-    ``Fraction``s); ``FinSupportDist(points, nums, den)`` reads int
-    numerators over the positive int ``den``, as ``Dist(pairs, den)``
-    does.  ``weights`` builds its ``Fraction``s on first use.
+    positive rational weights (ints or ``Fraction``s) summing to at most 1.
     """
 
-    # _scaled is (L, weights times L as ints), L a common denominator;
-    # _weights is None until ``weights`` is first read
-    __slots__ = ("points", "_weights", "_scaled")
+    # _scaled is (L, weights times L as ints), L the lcm of the denominators
+    __slots__ = ("points", "weights", "_scaled")
 
-    def __init__(self, points, weights, den=None):
+    def __init__(self, points, weights):
         points = tuple(points)
-        if den is None:
-            weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
-            den = math.lcm(*(w.denominator for w in weights))
-            nums = [w.numerator * (den // w.denominator) for w in weights]
-        else:
-            nums = list(weights)
-            weights = None
+        weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
+        den = math.lcm(*(w.denominator for w in weights))
+        nums = [w.numerator * (den // w.denominator) for w in weights]
         if len(points) != len(set(points)):
             raise LambError("duplicate points in support")
         if len(points) != len(nums):
@@ -71,16 +64,8 @@ class FinSupportDist:
         if sum(nums) > den:
             raise LambError("total mass exceeds 1")
         self.points = points
-        self._weights = weights
+        self.weights = weights
         self._scaled = (den, nums)
-
-    @property
-    def weights(self):
-        w = self._weights
-        if w is None:
-            den, nums = self._scaled
-            w = self._weights = tuple(Fraction(n, den) for n in nums)
-        return w
 
     def mass(self):
         return Fraction(sum(self._scaled[1]), self._scaled[0])
@@ -101,7 +86,7 @@ class LiftVerdict:
         if self.holds:
             return "LiftVerdict(holds)"
         cut = ", ".join(sorted(map(repr, self.witness_cut)))
-        return "LiftVerdict(deficit=%s, cut={%s})" % (self.deficit, cut)
+        return "LiftVerdict(deficit=%s, cut={%s})" % (print_weight(self.deficit), cut)
 
 
 def max_flow(supplies, demands, pairs):
@@ -110,47 +95,82 @@ def max_flow(supplies, demands, pairs):
     Supply ``i`` holds ``supplies[i]``, demand ``j`` takes at most
     ``demands[j]``, and each (supply index, demand index) pair in ``pairs``
     is an uncapacitated edge.  Returns the flow value and the supply indices
-    the source still reaches in the residual graph: the source side of the
-    minimum cut that lies inside every other.  That set is the same for
-    every maximum flow, so it depends neither on the order of the
-    augmenting paths nor on the hash seed.  Shortest augmenting paths;
-    vertex 0 is the source, 1 the sink, 2 + i supply i and 2 + n + j
-    demand j, for n supplies.
+    still reachable in the residual graph: the source side of the minimum
+    cut that lies inside every other.  That set is the same for every
+    maximum flow, so it depends neither on the order of the pairs and the
+    augmenting paths nor on the hash seed.
+
+    The flow lives on the bipartite graph itself, with no source or sink
+    vertex: residual supplies and demands as int lists, and per demand a
+    {supply: flow} map holding only positive flows.  One greedy pass first
+    pushes min(residual supply, residual demand) along each pair in order.
+    Shortest augmenting paths then finish the job: each search starts from
+    every supply with residual supply, crosses any pair from supply to
+    demand, crosses back from a demand to a supply only where that flow is
+    positive, and stops at a demand with residual capacity.  The supplies
+    reached by the last, failing search are the residual-reachable set.
     """
-    n = len(supplies)
-    out = [[] for _ in range(2 + n + len(demands))]  # ids of the edges leaving a vertex
-    dst, cap = [], []  # edge id -> head, residual capacity; edge e ^ 1 reverses e
-    big = sum(supplies) + 1  # no flow exhausts a middle edge
-    edges = [(0, i, c) for i, c in enumerate(supplies, 2)]
-    edges += [(j, 1, c) for j, c in enumerate(demands, 2 + n)]
-    edges += [(2 + i, 2 + n + j, big) for i, j in pairs]
-    for u, v, c in edges:
-        out[u].append(len(dst))
-        out[v].append(len(dst) + 1)
-        dst += (v, u)
-        cap += (c, 0)
+    sup, dem = list(supplies), list(demands)
+    adj = [[] for _ in sup]  # supply -> its demands, one entry per pair
+    flow = [{} for _ in dem]  # demand -> {supply: positive flow}
     total = 0
+    for i, j in pairs:
+        adj[i].append(j)
+        push = min(sup[i], dem[j])
+        if push:
+            sup[i] -= push
+            dem[j] -= push
+            f = flow[j]
+            f[i] = f.get(i, 0) + push
+            total += push
     while True:
-        via = {0: None}  # reached vertex -> edge it was reached by
-        queue = [0]
-        for u in queue:
-            for e in out[u]:
-                if cap[e] and dst[e] not in via:
-                    via[dst[e]] = e
-                    queue.append(dst[e])
-            if 1 in via:
+        # by: reached supply -> demand it was reached from, -1 for a start;
+        # to: reached demand -> supply it was reached from
+        by = {i: -1 for i, s in enumerate(sup) if s}
+        to = {}
+        end = -1
+        queue = list(by)
+        for i in queue:
+            for j in adj[i]:
+                if j in to:
+                    continue
+                to[j] = i
+                if dem[j]:
+                    end = j
+                    break
+                for k in flow[j]:
+                    if k not in by:
+                        by[k] = j
+                        queue.append(k)
+            if end >= 0:
                 break
         else:
-            return total, frozenset(v - 2 for v in via if 2 <= v < 2 + n)
-        path = []
-        v = 1
-        while v:
-            path.append(via[v])
-            v = dst[via[v] ^ 1]
-        push = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= push
-            cap[e ^ 1] += push
+            return total, frozenset(by)
+        # the path alternates forward pairs to[j] -> j and backward flows
+        # by[i] -> i, from a start supply to ``end``
+        push, j = dem[end], end
+        while True:
+            i = to[j]
+            j = by[i]
+            if j < 0:
+                push = min(push, sup[i])
+                break
+            push = min(push, flow[j][i])
+        dem[end] -= push
+        j = end
+        while True:
+            i = to[j]
+            f = flow[j]
+            f[i] = f.get(i, 0) + push
+            j = by[i]
+            if j < 0:
+                sup[i] -= push
+                break
+            f = flow[j]
+            if f[i] == push:
+                del f[i]
+            else:
+                f[i] -= push
         total += push
 
 
@@ -159,13 +179,13 @@ def _integers(d, e, related):
     both sides' denominators, and each side's weights times L."""
     si = {a: i for i, a in enumerate(d.points)}
     ti = {b: j for j, b in enumerate(e.points)}
-    pairs = set()
+    pairs = []
     for a, b in related:
         if a not in si or b not in ti:
             raise DimensionMismatchError(
                 "relation pair (%r, %r) not within the supports" % (a, b)
             )
-        pairs.add((si[a], ti[b]))
+        pairs.append((si[a], ti[b]))
     (ld, xd), (le, xe) = d._scaled, e._scaled
     lcm = math.lcm(ld, le)
     return pairs, lcm, [x * (lcm // ld) for x in xd], [x * (lcm // le) for x in xe]

@@ -41,13 +41,15 @@ at these bounds".
 from __future__ import annotations
 
 import enum
+import math
 
 from fractions import Fraction
 
-from .lifting import FinSupportDist, lift_check_flow
+from .lifting import max_flow
+from .lifting import lift_check_flow  # unused here; perfbench/tracing.py rebinds it
 from .lts import Ret, ret_block, split_values
 from .reduction import evolve
-from .syntax import LambError, ZERO, fresh_name
+from .syntax import LambError, fresh_name, print_weight
 from .syntax import subst  # unused here; perfbench/tracing.py rebinds it
 
 
@@ -103,7 +105,7 @@ class Witness:
         return "Witness(path=%r, kind=%s, deficit=%s, cut=%r)" % (
             list(self.path),
             self.kind.value,
-            self.deficit,
+            print_weight(self.deficit),
             list(self.cut),
         )
 
@@ -111,7 +113,7 @@ class Witness:
         return {
             "path": [str(l) for l in self.path],
             "kind": self.kind.value,
-            "deficit": str(self.deficit),
+            "deficit": print_weight(self.deficit),
             "cut": [repr(t) for t in self.cut],
         }
 
@@ -193,13 +195,13 @@ class _SimState:
         self.exact = True
 
 
-def _sim(st, m, n, k, slack_in):
-    """The witness refuting ``m`` against ``n`` at depth ``k``, or None.
-    Witness paths are relative to this pair; callers prepend their own
-    label."""
+def _sim(st, m, n, k, sn, sd):
+    """The witness refuting ``m`` against ``n`` at depth ``k`` with the
+    slack ``sn / sd`` (ints in lowest terms), or None.  Witness paths are
+    relative to this pair; callers prepend their own label."""
     if k == 0:
         return None
-    key = (m.canon(), n.canon(), k, slack_in)
+    key = (m.canon(), n.canon(), k, sn, sd)
     if key in st.memo:
         return st.memo[key]
     pos = st.inprog.get(key)
@@ -210,7 +212,7 @@ def _sim(st, m, n, k, slack_in):
     pos = st.inprog[key] = len(st.inprog)
     outer, st.low = st.low, pos
     try:
-        wit = _sim_level(st, m, n, k, slack_in)
+        wit = _sim_level(st, m, n, k, sn, sd)
     finally:
         del st.inprog[key]
     low, st.low = st.low, min(outer, st.low)
@@ -219,56 +221,62 @@ def _sim(st, m, n, k, slack_in):
     return wit
 
 
-def _sim_level(st, m, n, k, slack_in):
+def _sim_level(st, m, n, k, sn, sd):
     rm = evolve(m, st.fuel)
     rn = evolve(n, st.fuel)
     if rm.residual or rn.residual:
         st.exact = False
-    live = ZERO if rn.limit_exact else rn.residual
-    slack = slack_in + live if st.slack_enabled else ZERO
+    if st.slack_enabled and not rn.limit_exact:
+        live = rn.residual
+        sn, sd = sn * live.denominator + live.numerator * sd, sd * live.denominator
+        g = math.gcd(sn, sd)
+        sn, sd = sn // g, sd // g
 
+    # masses and the slack as ints over one common denominator
     dd, de = rm.values._den, rn.values._den
+    den = math.lcm(dd, de, sd)
+    fd, fe, slack = den // dd, den // de, sn * (den // sd)
     d_abs, d_app = split_values(rm.values)
     e_abs, e_app = split_values(rn.values)
 
     # (a) abstraction block: convergence mass, then the shared applicative test
-    d_abs_mass = Fraction(sum(n for _, n, _ in d_abs), dd)
-    e_abs_mass = Fraction(sum(n for _, n, _ in e_abs), de)
-    if d_abs_mass > e_abs_mass + slack:
+    gap = sum(w for _, w, _ in d_abs) * fd - sum(w for _, w, _ in e_abs) * fe
+    if gap > slack:
         return Witness(
             (),
             WitnessKind.CONVERGE_DEFICIT,
             tuple(t for t, _, _ in d_abs),
-            d_abs_mass - e_abs_mass - slack,
+            Fraction(gap - slack, den),
         )
     if d_abs:
         sym = fresh_name(_block_names(d_abs) | _block_names(e_abs))
         d_body = ret_block(d_abs, dd, sym)
         e_body = ret_block(e_abs, de, sym)
-        wit = _sim(st, d_body, e_body, k - 1, slack)
+        wit = _sim(st, d_body, e_body, k - 1, sn, sd)
         if wit is not None:
             return wit.prepend(Ret(sym))
 
     # (b) spine points, matched by exact max flow over same-head edges;
-    # points are entry indices, whose order is the canonical order
+    # points are entry indices, whose order is the canonical order, and the
+    # witness cut is the residual-reachable side of the minimum cut
     if d_app:
-        fd = FinSupportDist(range(len(d_app)), [w for _, w, _ in d_app], dd)
-        fe = FinSupportDist(range(len(e_app)), [w for _, w, _ in e_app], de)
         edges = [
             (i, j)
             for i, (_, _, vu) in enumerate(d_app)
             for j, (_, _, vv) in enumerate(e_app)
             if _edge(st, vu, vv, k)
         ]
-        verdict = lift_check_flow(fd, fe, edges, slack)
-        if not verdict.holds:
+        supplies = [w * fd for _, w, _ in d_app]
+        value, reached = max_flow(supplies, [w * fe for _, w, _ in e_app], edges)
+        gap = sum(supplies) - value
+        if gap > slack:
             kind = (
                 WitnessKind.KERNEL_TYPE_MISMATCH
                 if not e_app
                 else WitnessKind.FLOW_DEFICIT
             )
-            cut = tuple(d_app[i][0] for i in sorted(verdict.witness_cut))
-            return Witness((), kind, cut, verdict.deficit)
+            cut = tuple(d_app[i][0] for i in sorted(reached))
+            return Witness((), kind, cut, Fraction(gap - slack, den))
     return None
 
 
@@ -285,7 +293,7 @@ def _edge(st, vu, vv, k):
     return (
         vu.head == vv.head
         and len(vu.args) == len(vv.args)
-        and all(_sim(st, au, av, k, ZERO) is None for au, av in zip(vu.args, vv.args))
+        and all(_sim(st, au, av, k, 0, 1) is None for au, av in zip(vu.args, vv.args))
     )
 
 
@@ -297,7 +305,7 @@ def sim_check(m, n, params):
     cover.  ``NoCounterexample`` decides the stratum only when exact.
     """
     st = _SimState(params.fuel, params.slack_enabled)
-    wit = _sim(st, m, n, params.depth, ZERO)
+    wit = _sim(st, m, n, params.depth, 0, 1)
     if wit is None:
         return NoCounterexample(params, st.exact)
     return Refuted(params, wit)

@@ -334,6 +334,10 @@ class Distribution:
         when it fails are the keys merged through a dict and sorted.  One
         gcd of ``den`` and the numerators then reduces them to the least
         common denominator.  Raises MassError above total mass 1.
+
+        A one-entry list or tuple of positive weight, the most common
+        construction, is checked and reduced on its own, with the same
+        result as the general path.
         """
         if den is None:
             if isinstance(pairs, dict):
@@ -341,6 +345,25 @@ class Distribution:
             pairs = [(t, check_weight(w)) for t, w in pairs]
             den = math.lcm(*[w.denominator for _, w in pairs])
             pairs = [(t, w.numerator * (den // w.denominator)) for t, w in pairs]
+        if type(pairs) in (tuple, list) and len(pairs) == 1 and pairs[0][1] > 0:
+            (t, n), = pairs
+            if not isinstance(t, term_type):
+                raise LambError("%s key must be a %s: %r" % (what, term_type.__name__, t))
+            if n > den:
+                raise MassError("total mass %s exceeds 1" % Fraction(n, den))
+            g = math.gcd(den, n)
+            if g > 1:
+                den //= g
+                n //= g
+            key = t._canon
+            if key is None:
+                key = t.canon()
+            self._ints = ((t, n),)
+            self._canon = DistKey(((key, n),), den)
+            self._den = den
+            self._total = n
+            self._index = self._entries = self._fn = None
+            return
         display, keys, nums = [], [], []
         # the empty tuple sorts below every key
         prev, ordered = (), True
@@ -469,8 +492,25 @@ EMPTY = Dist()
 
 
 def unit(t):
-    """The point distribution {1: t}."""
-    return Dist(((t, 1),), 1)
+    """The point distribution {1: t}.
+
+    Built directly, not through ``Dist(((t, 1),), 1)``: weight 1 over
+    denominator 1 needs no merge, mass check or reduction, only the term
+    check.  The fields, key and hash are those the general path gives,
+    but ``Dist.__init__`` does not run, so a wrapper around it does not
+    see these constructions.
+    """
+    if not isinstance(t, Term):
+        raise LambError("distribution key must be a Term: %r" % (t,))
+    key = t._canon
+    if key is None:
+        key = t.canon()
+    d = Dist.__new__(Dist)
+    d._ints = ((t, 1),)
+    d._canon = DistKey(((key, 1),), 1)
+    d._den = d._total = 1
+    d._index = d._entries = d._fn = d._evolved = None
+    return d
 
 
 def free_names(d):
@@ -606,6 +646,17 @@ def _print_atom(d):
     return "(%s)" % print_dist(d)
 
 
+def print_weight(w):
+    """``str(w)`` for a weight.  Python refuses to print an int of more
+    digits than ``sys.get_int_max_str_digits()`` (4300 by default), and
+    exact arithmetic can build such a numerator or denominator from short
+    input: that is a LambError, not a fault of the workbench."""
+    try:
+        return str(w)
+    except ValueError as exc:
+        raise LambError("number out of range: a weight too long to print") from exc
+
+
 def print_dist(d, explicit=False):
     """Deterministic concrete syntax for a distribution of either term
     world; its terms print through their ``repr`` (``print_term`` here).
@@ -620,7 +671,7 @@ def print_dist(d, explicit=False):
     t = d.point()
     if not explicit and t is not None:
         return repr(t)
-    return "{%s}" % ", ".join("%s: %r" % (w, t) for t, w in d.entries())
+    return "{%s}" % ", ".join("%s: %r" % (print_weight(w), t) for t, w in d.entries())
 
 
 # ---------------------------------------------------------------------------

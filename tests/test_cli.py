@@ -356,6 +356,21 @@ class TestMalformedInput:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert err.endswith("1:2: number out of range\n") and "internal error" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval"], ["eval", "--format", "json"], ["lts"], ["sim", "--format", "json"],
+    ], ids=["eval", "eval-json", "lts", "sim-json"])
+    def test_weight_too_long_to_print_exit_2(self, capsys, argv):
+        # each weight reads within int()'s digit limit, but the product
+        # that one step builds has twice the digits and cannot be printed
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter prints ints of any length")
+        n = "9" * limit
+        src = "{1/%s: (\\x. x) ({1/%s: y})}" % (n, n)
+        code, out, err = run(capsys, *argv, src, *(["{}"] if argv[0] == "sim" else []))
+        assert code == 2 and out == ""
+        assert err == "error: number out of range: a weight too long to print\n"
+
     def test_longest_numeral_is_read(self, capsys):
         weight = '"0.%s"' % ("0" * (MAX_NUMERAL - 3) + "1")
         code, out, err = run(capsys, "lift", TestLift.instance(weight, "1"))

@@ -29,21 +29,8 @@ def random_instance(rng):
 
 
 class TestNumerators:
-    """``FinSupportDist(points, nums, den)`` reads numerators over ``den``
-    as ``Dist(pairs, den)`` does, and builds ``Fraction`` weights only when
-    they are read."""
-
-    def test_same_support_as_fraction_weights(self):
-        by_nums = FinSupportDist(["t", "f"], [9, 8], 36)
-        assert by_nums._weights is None
-        by_fracs = fsd(["t", "f"], ["1/4", "2/9"])
-        assert by_nums.mass() == by_fracs.mass() == F(17, 36)
-        assert by_nums.weights == by_fracs.weights == (F(1, 4), F(2, 9))
-        target = fsd(["t", "f"], ["1/4", "1/5"])
-        verdict = lift_check_flow(by_nums, target, IDENT)
-        assert repr(verdict) == repr(lift_check_flow(by_fracs, target, IDENT))
-        assert verdict.deficit == F(1, 45) and verdict.witness_cut == {"f"}
-        assert lift_check_flow(target, by_nums, IDENT).holds
+    """``FinSupportDist`` refuses malformed supports; the weights here are
+    written as numerators over one denominator."""
 
     @pytest.mark.parametrize("points, nums, den, msg", [
         (["a", "a"], [1, 1], 4, "duplicate points"),
@@ -53,7 +40,7 @@ class TestNumerators:
     ])
     def test_guards(self, points, nums, den, msg):
         with pytest.raises(LambError, match=msg):
-            FinSupportDist(points, nums, den)
+            FinSupportDist(points, [F(n, den) for n in nums])
 
 
 class TestMaxFlow:
@@ -75,6 +62,114 @@ class TestMaxFlow:
         assert max_flow([1, 1], [1, 1], [(0, 0), (0, 1), (1, 0)]) == (2, set())
         # both supplies share demand 0: the reached supplies are the cut
         assert max_flow([1, 1], [1, 1], [(0, 0), (1, 0)]) == (1, {0, 1})
+
+
+def reference_max_flow(supplies, demands, pairs):
+    """Max flow on the explicit network, the oracle for the bipartite
+    kernel: vertex 0 is the source, 1 the sink, 2 + i supply i and
+    2 + n + j demand j; edge e ^ 1 reverses edge e; shortest augmenting
+    paths from the source."""
+    n = len(supplies)
+    out = [[] for _ in range(2 + n + len(demands))]
+    dst, cap = [], []
+    big = sum(supplies) + 1
+    edges = [(0, i, c) for i, c in enumerate(supplies, 2)]
+    edges += [(j, 1, c) for j, c in enumerate(demands, 2 + n)]
+    edges += [(2 + i, 2 + n + j, big) for i, j in pairs]
+    for u, v, c in edges:
+        out[u].append(len(dst))
+        out[v].append(len(dst) + 1)
+        dst += (v, u)
+        cap += (c, 0)
+    total = 0
+    while True:
+        via = {0: None}
+        queue = [0]
+        for u in queue:
+            for e in out[u]:
+                if cap[e] and dst[e] not in via:
+                    via[dst[e]] = e
+                    queue.append(dst[e])
+            if 1 in via:
+                break
+        else:
+            return total, frozenset(v - 2 for v in via if 2 <= v < 2 + n)
+        path = []
+        v = 1
+        while v:
+            path.append(via[v])
+            v = dst[via[v] ^ 1]
+        push = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push
+        total += push
+
+
+def random_flow_instance(rng):
+    """Up to 6 supplies and 6 demands, capacities from 1 up to beyond
+    2^200, and pairs drawn with repetition, so demands are often shared."""
+    ns, nd = rng.randint(0, 6), rng.randint(0, 6)
+    top = rng.choice((1, 3, 100, 2**210))
+    supplies = [rng.randint(1, top) for _ in range(ns)]
+    demands = [rng.randint(1, top) for _ in range(nd)]
+    pairs = []
+    if ns and nd:
+        pairs = [(rng.randrange(ns), rng.randrange(nd)) for _ in range(rng.randint(0, 2 * ns * nd))]
+    return supplies, demands, pairs
+
+
+class TestMaxFlowKernel:
+    """The bipartite kernel against the explicit-network oracle: the same
+    value and the same residual-reachable supplies."""
+
+    def test_matches_reference_on_random_instances(self):
+        rng = random.Random(14)
+        for _ in range(3000):
+            supplies, demands, pairs = random_flow_instance(rng)
+            expected = reference_max_flow(supplies, demands, set(pairs))
+            assert max_flow(supplies, demands, pairs) == expected, (supplies, demands, pairs)
+
+    def test_pair_order_does_not_matter(self):
+        rng = random.Random(15)
+        for _ in range(500):
+            supplies, demands, pairs = random_flow_instance(rng)
+            shuffled = pairs[:]
+            rng.shuffle(shuffled)
+            assert max_flow(supplies, demands, pairs) == max_flow(supplies, demands, shuffled)
+
+    def test_empty_sides(self):
+        assert max_flow([], [], []) == (0, set())
+        assert max_flow([2, 3], [], []) == (0, {0, 1})
+        assert max_flow([], [4], []) == (0, set())
+
+    def test_no_pairs(self):
+        assert max_flow([1, 2, 3], [5, 5], []) == (0, {0, 1, 2})
+
+    def test_repeated_pairs(self):
+        assert max_flow([3], [2], [(0, 0), (0, 0), (0, 0)]) == (2, {0})
+        assert max_flow([1, 1], [2], [(0, 0), (1, 0), (0, 0)]) == (2, set())
+
+    def test_shared_demands(self):
+        # three supplies on one demand of capacity 4; supply 2 also has
+        # its own demand, so only supplies 0 and 1 stay reachable
+        pairs = [(0, 0), (1, 0), (2, 0), (2, 1)]
+        assert max_flow([2, 2, 3], [4, 3], pairs) == (7, set())
+        assert max_flow([2, 2, 3], [3, 1], pairs) == (4, {0, 1, 2})
+
+    def test_reroutes_after_the_greedy_pass(self):
+        # the greedy pass fills demand i - 1 from supply i, which strands
+        # supply 0; the one augmenting path crosses every supply back
+        for k in (2, 3, 8):
+            pairs = [(i, i - 1) for i in range(1, k)] + [(i, i) for i in range(k)]
+            assert max_flow([1] * k, [1] * k, pairs) == (k, set())
+            # without the last demand the stranded unit has no way out
+            assert max_flow([1] * k, [1] * (k - 1) + [0], pairs) == (k - 1, set(range(k)))
+
+    def test_capacities_above_2_200(self):
+        big = 2**201
+        assert max_flow([big, 3], [big + 1], [(0, 0), (1, 0)]) == (big + 1, {0, 1})
+        assert max_flow([big, big], [big, big], [(0, 0), (1, 0), (0, 1)]) == (2 * big, set())
 
 
 class TestLargeDenominators:
@@ -132,6 +227,15 @@ class TestLiftFlow:
         assert not v.holds
         assert v.deficit == F(1, 10)
         assert v.witness_cut == frozenset({"t"})
+
+    def test_deficit_and_cut_over_unlike_denominators(self):
+        source = fsd(["t", "f"], ["1/4", "2/9"])
+        target = fsd(["t", "f"], ["1/4", "1/5"])
+        assert source.weights == (F(1, 4), F(2, 9)) and source.mass() == F(17, 36)
+        verdict = lift_check_flow(source, target, IDENT)
+        assert verdict.deficit == F(1, 45) and verdict.witness_cut == {"f"}
+        assert repr(verdict) == "LiftVerdict(deficit=1/45, cut={'f'})"
+        assert lift_check_flow(target, source, IDENT).holds
 
     def test_slack_covers_deficit(self):
         v = lift_check_flow(fsd("tf", ["1/2", "1/2"]), fsd("tf", ["2/5", "3/5"]),

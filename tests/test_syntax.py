@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import dists, gen_dist
 from plamb import syntax
-from plamb.approximants import parse_fin
+from plamb.approximants import FinDist, parse_fin
 from plamb.laws import roundtrip
 from plamb.reduction import evolve, head_step, is_whnf, step
 from plamb.syntax import (
@@ -539,6 +539,57 @@ class TestMergePaths:
                 assert [repr(t) for t in got.support()] == [repr(t) for t, _ in shown]
                 assert got._key_index() == dict(d.canon().pairs)
         assert shuffled_runs > 50
+
+
+class TestPointPaths:
+    """``unit`` and the one-entry path of ``Distribution._merge`` build the
+    same fields, key and hash as the general path, and keep its checks."""
+
+    @staticmethod
+    def general(cls, t, n, den):
+        # a generator of pairs never takes the one-entry path
+        return cls((p for p in [(t, n)]), den)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert [t for t, _ in got._ints] == [t for t, _ in want._ints]
+        assert all(g is w for (g, _), (w, _) in zip(got._ints, want._ints))
+        assert [n for _, n in got._ints] == [n for _, n in want._ints]
+        assert (got._den, got._total) == (want._den, want._total)
+        assert got.canon().pairs == want.canon().pairs
+        assert got.canon().den == want.canon().den
+        assert hash(got.canon()) == hash(want.canon()) and got == want
+
+    def test_same_as_general_path(self):
+        terms = [t for d in TestMergePaths().samples(31, 20) for t in d.support()]
+        weights = [(1, 1), (1, 2), (2, 4), (3, 9), (4, 4), (5, 7), (0, 3), (2**70, 2**71 + 1)]
+        for t in terms:
+            self.assert_same(unit(t), self.general(Dist, t, 1, 1))
+            for n, den in weights:
+                want = self.general(Dist, t, n, den)
+                self.assert_same(Dist([(t, n)], den), want)
+                self.assert_same(Dist(((t, n),), den), want)
+                self.assert_same(Dist([(t, F(n, den))]), want)
+        omega = parse_fin("_|_").support()[0]
+        for n, den in weights:
+            want = self.general(FinDist, omega, n, den)
+            self.assert_same(FinDist(((omega, n),), den), want)
+
+    def test_checks_kept(self):
+        t = Var("x")
+        with pytest.raises(MassError, match="outside"):
+            Dist([(t, -1)], 3)
+        with pytest.raises(MassError, match="exceeds 1"):
+            Dist([(t, 5)], 4)
+        with pytest.raises(MassError, match="outside"):
+            Dist([(t, F(3, 2))])
+        for build in (lambda: Dist([("x", 1)], 1), lambda: unit("x")):
+            with pytest.raises(syntax.LambError, match="must be a Term"):
+                build()
+        with pytest.raises(syntax.LambError, match="must be a FinTerm"):
+            FinDist([(t, 1)], 1)
+        empty = Dist([(t, 0)], 5)
+        assert empty.is_empty() and empty == EMPTY and empty._den == 1
 
 
 # Fraction reference of the integer representation: construction, step and

@@ -111,18 +111,7 @@ def max_flow(supplies, demands, pairs):
     reached by the last, failing search are the residual-reachable set.
     """
     sup, dem = list(supplies), list(demands)
-    adj = [[] for _ in sup]  # supply -> its demands, one entry per pair
-    flow = [{} for _ in dem]  # demand -> {supply: positive flow}
-    total = 0
-    for i, j in pairs:
-        adj[i].append(j)
-        push = min(sup[i], dem[j])
-        if push:
-            sup[i] -= push
-            dem[j] -= push
-            f = flow[j]
-            f[i] = f.get(i, 0) + push
-            total += push
+    adj, flow, total = _greedy(sup, dem, pairs)
     while True:
         # by: reached supply -> demand it was reached from, -1 for a start;
         # to: reached demand -> supply it was reached from
@@ -172,6 +161,27 @@ def max_flow(supplies, demands, pairs):
             else:
                 f[i] -= push
         total += push
+
+
+def _greedy(sup, dem, pairs):
+    """``max_flow``'s greedy pass: push min(residual supply, residual
+    demand) along each pair in order, lowering the int lists ``sup`` and
+    ``dem`` in place.  Afterwards every pair has an exhausted supply or a
+    full demand.  Returns each supply's demands (one entry per pair), each
+    demand's {supply: positive flow} map and the flow value."""
+    adj = [[] for _ in sup]
+    flow = [{} for _ in dem]
+    total = 0
+    for i, j in pairs:
+        adj[i].append(j)
+        push = min(sup[i], dem[j])
+        if push:
+            sup[i] -= push
+            dem[j] -= push
+            f = flow[j]
+            f[i] = f.get(i, 0) + push
+            total += push
+    return adj, flow, total
 
 
 def _integers(d, e, related):

@@ -103,8 +103,19 @@ def check_weight(w):
         w = Fraction(w)
     # a Fraction's denominator is positive, so 0 <= w <= 1 is 0 <= n <= d
     if not 0 <= w.numerator <= w.denominator:
-        raise MassError("weight %s outside [0, 1]" % w)
+        raise _mass_error("weight%s outside [0, 1]", w.numerator, w.denominator)
     return w
+
+
+def _mass_error(template, n, den):
+    """A MassError naming the weight n/den, or leaving it out where Python
+    refuses to print its digits: the lcm of readable denominators can be
+    too long to print."""
+    try:
+        text = " " + str(Fraction(n, den))
+    except ValueError:
+        text = ""
+    return MassError(template % text)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +361,7 @@ class Distribution:
             if not isinstance(t, term_type):
                 raise LambError("%s key must be a %s: %r" % (what, term_type.__name__, t))
             if n > den:
-                raise MassError("total mass %s exceeds 1" % Fraction(n, den))
+                raise _mass_error("total mass%s exceeds 1", n, den)
             g = math.gcd(den, n)
             if g > 1:
                 den //= g
@@ -372,7 +383,7 @@ class Distribution:
                 raise LambError("%s key must be a %s: %r" % (what, term_type.__name__, t))
             if n <= 0:
                 if n < 0:
-                    raise MassError("weight %s outside [0, 1]" % Fraction(n, den))
+                    raise _mass_error("weight%s outside [0, 1]", n, den)
                 continue
             key = t._canon
             if key is None:
@@ -397,7 +408,7 @@ class Distribution:
             nums = [merged[k] for k in keys]
         total = sum(nums)
         if total > den:
-            raise MassError("total mass %s exceeds 1" % Fraction(total, den))
+            raise _mass_error("total mass%s exceeds 1", total, den)
         g = math.gcd(den, *nums)
         if g > 1:
             den //= g
@@ -492,25 +503,10 @@ EMPTY = Dist()
 
 
 def unit(t):
-    """The point distribution {1: t}.
-
-    Built directly, not through ``Dist(((t, 1),), 1)``: weight 1 over
-    denominator 1 needs no merge, mass check or reduction, only the term
-    check.  The fields, key and hash are those the general path gives,
-    but ``Dist.__init__`` does not run, so a wrapper around it does not
-    see these constructions.
-    """
-    if not isinstance(t, Term):
-        raise LambError("distribution key must be a Term: %r" % (t,))
-    key = t._canon
-    if key is None:
-        key = t.canon()
-    d = Dist.__new__(Dist)
-    d._ints = ((t, 1),)
-    d._canon = DistKey(((key, 1),), 1)
-    d._den = d._total = 1
-    d._index = d._entries = d._fn = d._evolved = None
-    return d
+    """The point distribution {1: t}.  Weight 1 over denominator 1 takes
+    ``Distribution._merge``'s one-entry path: the term check and the key,
+    with no lists, order check or sum."""
+    return Dist(((t, 1),), 1)
 
 
 def free_names(d):

@@ -370,6 +370,14 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv, src, *(["{}"] if argv[0] == "sim" else []))
         assert code == 2 and out == ""
         assert err == "error: number out of range: a weight too long to print\n"
+        # (N-1)/N + (M-1)/M for coprime N, M of 3001 and 3000 digits sums
+        # above 1 over an lcm too long to print; the mass error leaves the
+        # sum out of its message
+        n, m = 10 ** 3000, 10 ** 3000 - 1
+        src = "{%d/%d: x, %d/%d: y}" % (n - 1, n, m - 1, m)
+        code, out, err = run(capsys, *argv, src, *(["{}"] if argv[0] == "sim" else []))
+        assert code == 2 and out == ""
+        assert err == "error: 1:1: weights sum above 1\n"
 
     def test_longest_numeral_is_read(self, capsys):
         weight = '"0.%s"' % ("0" * (MAX_NUMERAL - 3) + "1")

@@ -15,6 +15,7 @@ from plamb.lifting import (
     lift_check_flow,
     lift_check_subsets,
     max_flow,
+    _greedy,
 )
 
 IDENT = {("t", "t"), ("f", "f")}
@@ -165,6 +166,27 @@ class TestMaxFlowKernel:
             assert max_flow([1] * k, [1] * k, pairs) == (k, set())
             # without the last demand the stranded unit has no way out
             assert max_flow([1] * k, [1] * (k - 1) + [0], pairs) == (k - 1, set(range(k)))
+
+    def test_greedy_pass_saturates(self):
+        # every pair ends with an exhausted supply or a full demand, and
+        # the flows account for exactly what each side gave
+        rng = random.Random(16)
+        for _ in range(1000):
+            supplies, demands, pairs = random_flow_instance(rng)
+            sup, dem = list(supplies), list(demands)
+            adj, flow, total = _greedy(sup, dem, pairs)
+            assert all(sup[i] == 0 or dem[j] == 0 for i, j in pairs)
+            assert all(v > 0 for f in flow for v in f.values())
+            assert [sum(f.values()) for f in flow] == [d - r for d, r in zip(demands, dem)]
+            given = [sum(f.get(i, 0) for f in flow) for i in range(len(supplies))]
+            assert given == [s - r for s, r in zip(supplies, sup)]
+            assert total == sum(given)
+            assert adj == [[j for k, j in pairs if k == i] for i in range(len(supplies))]
+        # a perfect matching listed first leaves no augmenting path to find
+        caps = [5, 2**201, 7]
+        pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (2, 0)]
+        sup, dem = list(caps), list(caps)
+        assert _greedy(sup, dem, pairs)[2] == sum(caps) and sup == dem == [0, 0, 0]
 
     def test_capacities_above_2_200(self):
         big = 2**201

@@ -15,6 +15,13 @@ every tie.  The embedded bottom is a redex, affords no label and so needs
 no support at all: the bottom-only candidates approximate every program at
 every index.
 
+Every level first tests the set of all candidate entries alone: a
+candidate whose value mass is not strictly below the program's is
+rejected before it is embedded and before any ``ret`` target, nested
+membership or flow is computed.  A flow never exceeds the total demand, so
+such a candidate could not flow in full either; the bound decides no
+verdict the flow would not.
+
 ``approx_generate`` produces approximants constructively: evolve, truncate
 the value trees at a depth, and round every weight strictly down to a
 granularity grid.  Strict rounding realizes the strict inequalities of the
@@ -221,10 +228,29 @@ def approx_check(c, m, k, fuel):
     by at most n and by more than 0, so it turns strict Hall into ordinary
     Hall: membership holds iff the bumped supplies flow in full, i.e. the
     flow equals nL times the candidate's value mass, plus n.
+
+    Before any embedding, ``ret`` target, nested membership or flow, each
+    level tests strict Hall on the set of all candidate entries and rejects
+    when the candidate's value mass (its non-bottom mass) is not strictly
+    below the program's evolved value mass V.  In the bumped integers the
+    test reads ``sum(supplies) > nL * V``: the supplies exceed the total
+    demand, which no flow exceeds, so the flow would reject too.  The
+    bound changes no verdict, only what is computed to reach it.  An
+    unrounded truncation, whose value mass equals the program's, is
+    rejected here without being embedded.
     """
     if not isinstance(c, FinDist):
         raise LambError("candidate must be a FinDist")
+    mass = sum([n for t, n in c._ints if not isinstance(t, Omega)])
+    if mass and k > 0 and _too_heavy(mass, c._den, evolve(m, fuel).values):
+        return False
     return _member(embed(c), m, k, fuel)
+
+
+def _too_heavy(mass, den, values):
+    """Strict Hall fails on the set of all candidate entries: their value
+    mass ``mass / den`` is not strictly below the mass of ``values``."""
+    return mass * values._den >= values._total * den
 
 
 def _member(c, m, k, fuel):
@@ -234,6 +260,9 @@ def _member(c, m, k, fuel):
     if k <= 0:
         return False
     values = evolve(m, fuel).values
+    entries = c_abs + c_spines
+    if _too_heavy(sum([x for _, x, _ in entries]), c._den, values):
+        return False
     m_abs, m_spines = split_values(values)
     edges = []
     for i, (ct, _, cv) in enumerate(c_abs):
@@ -247,10 +276,10 @@ def _member(c, m, k, fuel):
                 _member(ca, ma, k - 1, fuel) for ca, ma in zip(cv.args, mv.args)
             ):
                 edges.append((i, j))
-    n = len(c_abs) + len(c_spines)
+    n = len(entries)
     lcm = math.lcm(c._den, values._den)
     fc, fm = n * (lcm // c._den), n * (lcm // values._den)
-    supplies = [x * fc + 1 for _, x, _ in c_abs + c_spines]
+    supplies = [x * fc + 1 for _, x, _ in entries]
     demands = [x * fm for _, x, _ in m_abs + m_spines]
     return max_flow(supplies, demands, edges)[0] == sum(supplies)
 
@@ -271,7 +300,7 @@ def approx_generate(m, k, fuel, granularity):
     values = evolve(m, fuel).values
     out = {FIN_BOTTOM}
     for depth in range(k + 1):
-        out.add(_round_down(_truncate_dist(values, depth), g))
+        out.add(_round_down(truncate(values, depth), g))
     return out
 
 
@@ -284,7 +313,9 @@ def _grid_denominator(granularity):
     return granularity.denominator
 
 
-def _truncate_dist(d, depth):
+def truncate(d, depth):
+    """The value trees of ``d`` cut at ``depth``, weights unrounded: deeper
+    or still-reducible structure becomes bottom."""
     return FinDist([(_truncate_term(t, depth), n) for t, n in d._ints], d._den)
 
 
@@ -293,10 +324,10 @@ def _truncate_term(t, depth):
         return OMEGA
     view = whnf_view(t)
     if isinstance(view, AbsView):
-        return FinAbs(view.binder, _truncate_dist(view.body, depth - 1))
+        return FinAbs(view.binder, truncate(view.body, depth - 1))
     if isinstance(view, SpineView):
         return FinSpine(
-            view.head, tuple(_truncate_dist(a, depth - 1) for a in view.args)
+            view.head, tuple(truncate(a, depth - 1) for a in view.args)
         )
     return OMEGA
 

@@ -392,6 +392,18 @@ def _cmd_selftest(args):
 # Entry point
 
 
+def _nonnegative_int(text):
+    """A step or depth bound: a nonnegative int, or an argparse usage
+    error (exit 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("must not be negative: %r" % text)
+    return n
+
+
 @functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(
@@ -402,11 +414,11 @@ def _build_parser():
 
     def common(p, fuel=True, fmt=False, depth=False, grain=False, slack=False, seed=False):
         if fuel:
-            p.add_argument("--fuel", type=int, default=64, help="parallel reduction steps per evolution")
+            p.add_argument("--fuel", type=_nonnegative_int, default=64, help="parallel reduction steps per evolution")
         if fmt:
             p.add_argument("--format", choices=("text", "json"), default="text")
         if depth:
-            p.add_argument("--depth", type=int, default=4)
+            p.add_argument("--depth", type=_nonnegative_int, default=4)
         if grain:
             p.add_argument("--grain", default="1/16", help="granularity grid, a unit fraction")
         if slack:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .approximants import approx_check, approx_generate, embed
+from .approximants import approx_check, approx_generate, embed, truncate
 from .corpus import corpus
 from .lifting import FinSupportDist, lift_check_flow, lift_check_subsets
 from .reduction import evolve, step, vals
@@ -116,6 +116,22 @@ def approximant_soundness(pairs, depth, fuel, grain):
     return bad
 
 
+def approximant_strictness(programs, depth, fuel):
+    """For each program with value mass, its unrounded truncation at every
+    depth 1..``depth`` is a member at no index below 5: membership asks
+    for strictly less mass than the program has.  A counterexample is
+    (truncation, program, index)."""
+    bad = []
+    for m in programs:
+        values = evolve(m, fuel).values
+        if values.is_empty():
+            continue
+        for d in range(1, depth + 1):
+            t = truncate(values, d)
+            bad += [(t, m, k) for k in range(5) if approx_check(t, m, k, fuel)]
+    return bad
+
+
 def _simulation_basics(programs):
     params = SimParams(2, 8)
     bad = reflexivity(programs, params) + divergence_least(programs, params)
@@ -148,4 +164,5 @@ def battery(seed):
         ("simulation basics", lambda: _simulation_basics(terms)),
         ("approximant soundness", lambda: approximant_soundness(
             [(m, m) for m in terms[:20]], 2, 12, Fraction(1, 8))),
+        ("approximant strictness", lambda: approximant_strictness(terms[:20], 2, 12)),
     ]

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import gen_terminating
+from plamb import approximants
 from plamb.approximants import (
     FIN_BOTTOM,
     FIN_EMPTY,
@@ -18,11 +19,14 @@ from plamb.approximants import (
     embed,
     parse_fin,
     print_fin_dist,
+    truncate,
 )
-from plamb.laws import approximant_soundness
+from plamb.laws import approximant_soundness, approximant_strictness
+from plamb.lifting import max_flow
+from plamb.lts import ret_target, split_values
 from plamb.reduction import evolve
 from plamb.simulation import SimParams, sim_check
-from plamb.syntax import EMPTY, Abs, Dist, ParseError, dist_scale, parse
+from plamb.syntax import EMPTY, Abs, Dist, ParseError, dist_scale, fresh_name, parse
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
 
@@ -222,10 +226,120 @@ class TestStrictMatching:
         assert not approx_check(truncated, prog, 1, 4)
 
 
+def member_by_flow(c, m, k, fuel):
+    """Reference membership decided by the flow alone, without the
+    value-mass bound: an embedded candidate ``c`` against program ``m``."""
+    c_abs, c_spines = split_values(c)
+    if not c_abs and not c_spines:
+        return True
+    if k <= 0:
+        return False
+    values = evolve(m, fuel).values
+    m_abs, m_spines = split_values(values)
+    edges = []
+    for i, (ct, _, cv) in enumerate(c_abs):
+        for j, (mt, _, mv) in enumerate(m_abs):
+            sym = fresh_name(ct.free_names() | mt.free_names())
+            if member_by_flow(ret_target(cv, sym), ret_target(mv, sym), k - 1, fuel):
+                edges.append((i, j))
+    for i, (_, _, cv) in enumerate(c_spines, len(c_abs)):
+        for j, (_, _, mv) in enumerate(m_spines, len(m_abs)):
+            if (cv.head, len(cv.args)) == (mv.head, len(mv.args)) and all(
+                member_by_flow(ca, ma, k - 1, fuel) for ca, ma in zip(cv.args, mv.args)
+            ):
+                edges.append((i, j))
+    n = len(c_abs) + len(c_spines)
+    lcm = math.lcm(c._den, values._den)
+    fc, fm = n * (lcm // c._den), n * (lcm // values._den)
+    supplies = [x * fc + 1 for _, x, _ in c_abs + c_spines]
+    demands = [x * fm for _, x, _ in m_abs + m_spines]
+    return max_flow(supplies, demands, edges)[0] == sum(supplies)
+
+
+def value_mass(c):
+    return sum((w for t, w in c.entries() if t != OMEGA), F(0))
+
+
+def rescaled(c, mass):
+    """``c`` with its top-level value weights scaled to total ``mass``, or
+    None when the result would weigh more than 1."""
+    old = value_mass(c)
+    if c.mass() - old + mass > 1:
+        return None
+    return FinDist((t, w if t == OMEGA else w * mass / old) for t, w in c.entries())
+
+
+class TestValueMassBound:
+    """Membership rejects a candidate whose value mass is not strictly
+    below the program's before it embeds or recurses; the flow alone
+    gives the same verdicts."""
+
+    def candidates(self, m, fuel):
+        values = evolve(m, fuel).values
+        out = list(approx_generate(m, 2, fuel, F(1, 8)))
+        out += [truncate(values, depth) for depth in range(1, 3)]
+        if values.is_empty():
+            return out
+        mass = values.mass()
+        for c in list(out):
+            if value_mass(c) == 0:
+                continue
+            exact = rescaled(c, mass)
+            step = F(1, math.lcm(exact._den, values._den))
+            out += [exact, rescaled(c, mass - step), rescaled(c, mass + step)]
+        return [c for c in out if c is not None]
+
+    def test_agrees_with_flow_only_reference(self):
+        fuel = 16
+        seen = {"heavy": 0, "light_accepted": 0, "light_rejected": 0}
+        for i in range(30):
+            m = gen_terminating(random.Random(1500 + i), depth=2)
+            mass = evolve(m, fuel).values.mass()
+            for c in self.candidates(m, fuel):
+                for k in range(5):
+                    got = approx_check(c, m, k, fuel)
+                    assert got == member_by_flow(embed(c), m, k, fuel), (c, m, k)
+                if value_mass(c) >= mass > 0:
+                    seen["heavy"] += 1
+                elif got:
+                    seen["light_accepted"] += 1
+                else:
+                    seen["light_rejected"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_rejected_candidate_is_not_embedded(self):
+        m = YT
+        c = truncate(evolve(m, 8).values, 2)
+        assert not approx_check(c, m, 3, 8)
+        assert c._embedded is None
+
+    def test_nested_bound_decides(self, monkeypatch):
+        # the top level passes the bound (1/2 < 1); the ret targets are
+        # {1: y} against {1: y}, which only the bound inside rejects
+        calls = []
+
+        def counting_flow(supplies, demands, edges):
+            calls.append(len(edges))
+            return max_flow(supplies, demands, edges)
+
+        monkeypatch.setattr(approximants, "max_flow", counting_flow)
+        c, m = parse_fin("{1/2: \\x. y}"), parse(r"\x. y")
+        assert not any(approx_check(c, m, k, 8) for k in range(5))
+        # one top-level flow per k >= 1, each without an edge
+        assert calls == [0, 0, 0, 0]
+
+    def test_truncations_are_members_nowhere(self):
+        programs = [gen_terminating(random.Random(1600 + i)) for i in range(20)]
+        assert not approximant_strictness(programs + [YT], 3, 16)
+
+
 class TestLargeLcmTie:
     """Eleven spine entries whose denominators are distinct primes, so the
     lcm L of the weights exceeds 2^64.  Strict domination needs every
-    candidate weight below its program weight; 1/L below is enough."""
+    candidate weight below its program weight; 1/L below is enough.  With
+    one entry tied, the other ten keep the candidate's value mass 10/L
+    below the program's, so the value-mass bound passes it and the flow
+    decides."""
 
     PRIMES = (67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109)
     HEADS = "abcdefghijk"

@@ -414,6 +414,25 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "unrecognized arguments: %s" % argv[-2] in err
 
+    @pytest.mark.parametrize("argv", [
+        ["approx", "x", "--depth", "-1"],
+        ["approx", "x", "--fuel", "-1"],
+        ["trace", "x", "--fuel", "-1"],
+        ["eval", "x", "--fuel", "-1"],
+        ["lts", "x", "--fuel", "-1"],
+        ["normalize", "x", "--fuel", "-1"],
+        ["sim", "x", "x", "--depth", "-1"],
+        ["bisim", "x", "x", "--fuel", "-1"],
+        ["eval", "x", "--fuel", "abc"],
+    ])
+    def test_bad_bound_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument %s: " % argv[-2] in out.err
+
     def test_relation_pairs(self, capsys):
         inst = dict(json.loads(self.lift(self.LIFT_TARGET)), relation=[["a"]])
         code, _, err = run(capsys, "lift", json.dumps(inst))

@@ -1,14 +1,16 @@
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import dists, gen_dist
 from plamb import syntax
-from plamb.approximants import FinDist, parse_fin
+from plamb.approximants import FinDist, parse_fin, print_fin_dist
 from plamb.laws import roundtrip
 from plamb.reduction import evolve, head_step, is_whnf, step
 from plamb.syntax import (
@@ -137,6 +139,91 @@ class TestPrint:
     @settings(max_examples=150)
     def test_roundtrip(self, d):
         assert not roundtrip([d])
+
+
+# well-formed sources built by the grammar's own rules, so every example
+# parses and the property is about printing, not about rejecting input
+NAMES = st.sampled_from(["x", "y", "z", "f", "I"])
+
+
+@st.composite
+def weights(draw, count):
+    """``count`` weight numerals summing to at most 1, written as a
+    fraction, an integer or an exact decimal."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 10, 64]))
+    left, out = den, []
+    for _ in range(count):
+        num = draw(st.integers(0, left))
+        left -= num
+        if den in (2, 4, 8, 10) and draw(st.booleans()):
+            out.append(str(Decimal(num) / Decimal(den)))
+        elif num in (0, den) and draw(st.booleans()):
+            out.append(str(num // den))
+        else:
+            out.append("%d/%d" % (num, den))
+    return out
+
+
+@st.composite
+def weighted(draw, terms):
+    ts = draw(st.lists(terms, min_size=1, max_size=3))
+    ws = draw(weights(len(ts)))
+    return "{%s}" % ", ".join("%s: %s" % wt for wt in zip(ws, ts))
+
+
+def lambda_sources():
+    """dist ::= term | weighted | {};  term ::= \\v. dist | atom atom+ | v;
+    atom ::= v | (dist)."""
+    def extend(dist):
+        atom = NAMES | dist.map("({})".format)
+        term = (
+            NAMES
+            | st.tuples(NAMES, dist).map(lambda p: "\\%s. %s" % p)
+            | st.lists(atom, min_size=2, max_size=3).map(" ".join)
+        )
+        return term | weighted(term) | st.just("{}")
+    return st.recursive(NAMES, extend, max_leaves=12)
+
+
+def fin_sources():
+    """As ``lambda_sources`` with finite terms: term ::= _|_ | \\v. dist
+    | v atom*;  atom ::= _|_ | v | (dist)."""
+    def extend(dist):
+        atom = NAMES | st.just("_|_") | dist.map("({})".format)
+        term = (
+            st.just("_|_")
+            | st.tuples(NAMES, dist).map(lambda p: "\\%s. %s" % p)
+            | st.tuples(NAMES, st.lists(atom, max_size=2)).map(
+                lambda p: " ".join([p[0]] + p[1]))
+        )
+        return term | weighted(term) | st.just("{}")
+    return st.recursive(NAMES | st.just("_|_"), extend, max_leaves=12)
+
+
+ROUNDTRIP_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestPrintParseProperty:
+    """Re-parsing the printed form gives an equal distribution, and
+    printing that gives the same text."""
+
+    @ROUNDTRIP_SETTINGS
+    @given(lambda_sources())
+    def test_lambda(self, src):
+        d = P(src)
+        text = print_dist(d)
+        again = P(text)
+        assert again == d
+        assert print_dist(again) == text
+
+    @ROUNDTRIP_SETTINGS
+    @given(fin_sources())
+    def test_finite(self, src):
+        d = parse_fin(src)
+        text = print_fin_dist(d)
+        again = parse_fin(text)
+        assert again == d
+        assert print_fin_dist(again) == text
 
 
 class TestFreeNames:

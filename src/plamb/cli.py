@@ -198,8 +198,9 @@ def _cmd_eval(args):
 
 
 def _cmd_trace(args):
-    d = _load_operand(args.expr)
-    cur = d
+    # only the current distribution is held: a term keeps its head reduct,
+    # so holding the parsed program would keep every step printed so far
+    cur = _load_operand(args.expr)
     for i in range(args.fuel + 1):
         v = vals(cur)
         print("%d\t%s\tvalue=%s\tresidual=%s" % (

@@ -15,7 +15,10 @@ from .corpus import corpus
 from .lifting import FinSupportDist, lift_check_flow, lift_check_subsets
 from .reduction import evolve, step, vals
 from .simulation import SimParams, sim_check
-from .syntax import dist_leq, dist_scale, dist_union, parse, print_dist
+from .syntax import (
+    LambError, Var, dist_leq, dist_scale, dist_union, fresh_name, parse, print_dist,
+    subst, unit,
+)
 
 
 def roundtrip(programs):
@@ -99,6 +102,50 @@ def divergence_least(programs, params):
     return [m for m in programs if not sim_check(om, m, params).holds]
 
 
+def rename_free(d, renaming):
+    """``d`` with its free names renamed at once by ``renaming``, a dict
+    that permutes the names it maps (so a swap is ``{"g": "h", "h": "g"}``).
+    Each moved name goes through a machine name first, so that no two
+    names merge on the way; substitution renames a binder that would
+    capture."""
+    if set(renaming.values()) != set(renaming):
+        raise LambError("a renaming must permute the names it maps")
+    avoid = set(d.free_names()) | set(renaming)
+    moves = []
+    for a, b in sorted(renaming.items()):
+        if a != b and a in d.free_names():
+            tmp = fresh_name(avoid)
+            avoid.add(tmp)
+            d = subst(d, a, unit(Var(tmp)))
+            moves.append((tmp, b))
+    for tmp, b in moves:
+        d = subst(d, tmp, unit(Var(b)))
+    return d
+
+
+def _observed(verdict):
+    """What a simulation verdict states: holds, exact, and the deficit."""
+    if verdict.holds:
+        return True, verdict.exact, None
+    return False, False, verdict.witness.deficit
+
+
+def rename_invariance(pairs, params):
+    """A bijective renaming of free names leaves a simulation verdict's
+    ``holds``, ``exact`` and deficit unchanged.  Each pair's free names are
+    reversed in sorted order, which turns round the order of every two
+    free heads.  A counterexample is (m, n, renaming)."""
+    bad = []
+    for m, n in pairs:
+        names = sorted(m.free_names() | n.free_names())
+        r = dict(zip(names, reversed(names)))
+        before = _observed(sim_check(m, n, params))
+        after = _observed(sim_check(rename_free(m, r), rename_free(n, r), params))
+        if before != after:
+            bad.append((m, n, r))
+    return bad
+
+
 def approximant_soundness(pairs, depth, fuel, grain):
     """For each (m, n) with m simulated by n, every approximant c that
     ``approx_generate(m, depth, fuel, grain)`` yields is a member of n at
@@ -156,12 +203,14 @@ def battery(seed):
         for _ in range(30)
     ]
     instances = [random_lift_instance(rng, 5, (8,), (0.4,)) for _ in range(100)]
+    sim_pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(20)]
     return [
         ("parse/print round-trip", lambda: roundtrip(terms)),
         ("reduction laws", lambda: reduction_laws(terms, 8)),
         ("evolution linearity", lambda: linearity(halves, 16)),
         ("lift flow vs subsets", lambda: lift_agreement(instances)),
         ("simulation basics", lambda: _simulation_basics(terms)),
+        ("rename invariance", lambda: rename_invariance(sim_pairs, SimParams(2, 8))),
         ("approximant soundness", lambda: approximant_soundness(
             [(m, m) for m in terms[:20]], 2, 12, Fraction(1, 8))),
         ("approximant strictness", lambda: approximant_strictness(terms[:20], 2, 12)),

@@ -15,6 +15,14 @@ report of its last evolution, so evolving the same object again at the
 same fuel costs nothing; the cache lives as long as the object and holds
 the last fuel only.
 
+Each term is reduced once: an application keeps its head reduct, so
+``head_step``, ``step`` and ``evolve`` on the same object reuse it, and
+within one ``evolve`` a residual term that recurs, as a recursive
+program's unfolding does, is stepped through its first copy.  Because a
+term's slot holds its reduct, a distribution that is kept keeps the part
+of its trajectory that has been stepped; a caller that steps a long way
+and need not keep the start, as ``plamb trace`` does, drops it.
+
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
 provide the reference schedule used by the property suite.
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .syntax import Abs, App, Dist, LambError, Var, ZERO, mixture, subst, unit
+from .syntax import Abs, App, Dist, LambError, Var, ZERO, mixture, names_alike, subst, unit
 
 
 # The weak head normal form ``\binder. body`` is the abstraction itself.
@@ -81,9 +89,23 @@ def head_step(t):
     Beta for a unit-singleton abstraction operator, left-linearity when the
     operator distribution is not a unit singleton (this is where mass can
     leak), and the context rule pushing into the operator otherwise.
+
+    The reduct is computed once per object: the application keeps it in
+    its ``_step`` slot for as long as the application lives, and every
+    later call, the context rule's inner one included, returns that same
+    ``Dist``.  An alpha-equivalent copy that is another object has a slot
+    of its own.
     """
     if not isinstance(t, App):
         raise LambError("head_step on a weak head normal form")
+    h = t._step
+    if h is None:
+        h = t._step = _head_reduct(t)
+    return h
+
+
+def _head_reduct(t):
+    """The head reduct of the application ``t``, computed afresh."""
     f = t.fun
     m = f.point()
     if m is None:
@@ -159,6 +181,17 @@ def evolve(d, fuel):
     masses are, and the whole distribution repeats exactly when this key
     does.
 
+    A recurring term is reduced once.  For the length of the call,
+    ``evolve`` keeps each residual key's first residual term, and a later
+    residual entry with that key is stepped through the first term when
+    the two name every binder alike (``names_alike``): they then print the
+    same, so their reducts do too, and the first term's reduct comes from
+    its ``_step`` slot.  A loop thus runs on terms it has already stepped
+    instead of building a new copy each time round.  An alpha-variant that
+    names a binder differently is stepped on its own, so every display
+    name is the one ``step`` would show.  The table is dropped when the
+    call returns; the reducts stay in the terms' slots.
+
     The report is stored on ``d`` and returned as it is when ``d`` itself
     is evolved again at the same fuel; a new fuel replaces it.  A ``d``
     that is all values is its own report and is not stored, since the
@@ -183,10 +216,17 @@ def evolve(d, fuel):
     seen = {(residual, value_num // g, den // g)}
     steps = 0
     cycled = False
+    # residual key -> the first residual term of this call with that key
+    firsts = {}
     for _ in range(fuel):
         if residual.is_empty():
             break
-        reducts = [(t, n, head_step(t)) for t, n in residual._ints]
+        reducts = []
+        for t, n in residual._ints:
+            first = firsts.setdefault(t._canon, t)
+            if first is not t and names_alike(first, t):
+                t = first
+            reducts.append((t, n, head_step(t)))
         lcm = math.lcm(*[h._den for _, _, h in reducts])
         step_den = residual._den * lcm
         grown = math.lcm(den, step_den)

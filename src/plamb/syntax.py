@@ -39,10 +39,15 @@ reserved ``#`` namespace, which the parser rejects.
 All values are immutable after construction and safe to share between
 threads; every function here is pure.  The cache slots (a node's key and
 free names, a distribution's ``Fraction`` entries and key index, an
-abstraction's last ``ret`` target, a ``Dist``'s last evolution, a
-``FinDist``'s embedding) are written from the object alone, and a given
-key always yields the same value, so writing one is idempotent:
-concurrent threads at worst compute it twice.
+abstraction's last ``ret`` target, an application's head reduct, a
+``Dist``'s last evolution, a ``FinDist``'s embedding) are written from the
+object alone, and a given key always yields the same value, so writing one
+is idempotent: concurrent threads at worst compute it twice.  A slot lives
+as long as its object; an application's head reduct holds the terms it
+reduces to, whose own slots hold theirs, so a term keeps alive the part of
+its trajectory that has been stepped.  ``names_alike`` tells whether two
+terms with equal keys also print the same, so that one may stand for the
+other.
 """
 
 from __future__ import annotations
@@ -219,20 +224,43 @@ class Abs(Term):
 
 
 class App(Term):
-    __slots__ = ("fun", "arg")
+    # _step caches the head reduct for plamb.reduction.head_step
+    __slots__ = ("fun", "arg", "_step")
 
     def __init__(self, fun, arg):
         if not isinstance(fun, Dist) or not isinstance(arg, Dist):
             raise LambError("application operands must be Dists")
         self.fun = fun
         self.arg = arg
-        self._canon = self._fn = None
+        self._canon = self._fn = self._step = None
 
     def _key(self, env, depth):
         return ("a", _canon_dist(self.fun, env, depth), _canon_dist(self.arg, env, depth))
 
     def _free(self):
         return _union(self.fun.free_names(), self.arg.free_names())
+
+
+def names_alike(a, b):
+    """Whether two terms with equal keys name every binder alike, which is
+    when they print the same.  Equal keys align the two structures entry by
+    entry, since a distribution's entries are in key order, and binders
+    named alike keep them aligned below; a free or bound variable then has
+    the same name on both sides.  Parts that are one object are not
+    walked."""
+    if a is b:
+        return True
+    if isinstance(a, Var):
+        return a.name == b.name
+    if isinstance(a, Abs):
+        return a.binder == b.binder and _dist_names_alike(a.body, b.body)
+    return _dist_names_alike(a.fun, b.fun) and _dist_names_alike(a.arg, b.arg)
+
+
+def _dist_names_alike(d, e):
+    return d is e or all(
+        names_alike(s, t) for (s, _), (t, _) in zip(d._ints, e._ints)
+    )
 
 
 def _union(a, b):

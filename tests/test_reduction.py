@@ -3,20 +3,39 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings
 
-from conftest import dists, gen_dist, gen_terminating
+from conftest import BINDERS, dists, gen_dist, gen_terminating
+from plamb import reduction
 from plamb.laws import linearity, reduction_laws
 from plamb.reduction import (
     AbsView,
     SpineView,
     evolve,
     evolve_sequential,
+    head_step,
+    is_whnf,
     step,
     vals,
     whnf_view,
 )
-from plamb.syntax import dist_leq, dist_scale, dist_union, parse, print_dist
+from plamb.syntax import (
+    Abs,
+    App,
+    Dist,
+    Var,
+    dist_leq,
+    dist_scale,
+    dist_union,
+    mixture,
+    names_alike,
+    parse,
+    print_dist,
+    print_term,
+    subst,
+    unit,
+)
 
-YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
+YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
+YT = parse(YT_SRC)
 
 
 def term(src):
@@ -107,9 +126,32 @@ class TestEvolve:
             prev = cur
 
 
-def reference_evolve(d, fuel):
-    """``evolve`` by iterating the whole-distribution ``step``, with the
-    cycle check on the whole distribution, as a tuple of what a report
+def uncached_head_step(t, reduced=None):
+    """The head reduction written apart from the library's, reading no
+    application's ``_step`` slot: the oracle for the stored reducts.  Every
+    term it reduces, the context rule's inner ones included, is added to
+    the list ``reduced`` when one is given."""
+    if reduced is not None:
+        reduced.append(t)
+    f = t.fun
+    m = f.point()
+    if m is None:
+        return Dist([(App(unit(m), t.arg), n) for m, n in f._ints], f._den)
+    if isinstance(m, Abs):
+        return subst(m.body, m.binder, t.arg)
+    return unit(App(uncached_head_step(m, reduced), t.arg))
+
+
+def uncached_step(d, reduced=None):
+    """``step`` through ``uncached_head_step``."""
+    return mixture(
+        [(n, t if is_whnf(t) else uncached_head_step(t, reduced)) for t, n in d._ints], d._den
+    )
+
+
+def reference_evolve(d, fuel, reduced=None):
+    """``evolve`` by iterating the whole-distribution step, uncached, with
+    the cycle check on the whole distribution, as a tuple of what a report
     shows: printed values, residual, steps used, converged, limit exact."""
     cur = d
     seen = {cur}
@@ -118,7 +160,7 @@ def reference_evolve(d, fuel):
     for _ in range(fuel):
         if vals(cur).mass() == cur.mass():
             break
-        cur = step(cur)
+        cur = uncached_step(cur, reduced)
         steps += 1
         if cur in seen:
             cycled = True
@@ -177,6 +219,122 @@ class TestEvolveMatchesStep:
         for fuel in (0, 1, 5, 9, 12):
             self.check(YT, fuel)
         assert self.check(YT, 9) == ("{7/8: \\x. x}", F(1, 8), 9, False, False)
+
+    def test_readme_loop_recurs(self):
+        # a fresh program at each fuel, and one whose terms keep their
+        # reducts from every fuel before
+        warm = parse(YT_SRC)
+        for fuel in range(41):
+            self.check(parse(YT_SRC), fuel)
+            self.check(warm, fuel)
+
+    def test_omega_mixtures(self):
+        for src in (
+            r"{1/2: omega, 1/2: I}",
+            r"{1/2: omega, 1/2: (\z. z) ((\y. y y) (\y. y y))}",
+            r"{1/3: omega, 1/3: (\z. z) omega, 1/3: (\a. \b. b) omega}",
+            r"{1/4: omega u, 1/4: (\f. f f) omega, 1/2: Y (\x. {1/2: I, 1/2: x})}",
+            r"(\x. x x) (\x. {1/2: x x, 1/2: I})",
+        ):
+            warm = parse(src)
+            for fuel in range(13):
+                self.check(parse(src), fuel)
+                self.check(warm, fuel)
+
+    def test_alpha_variant_steps_under_its_own_names(self):
+        # the second redex has the first one's key but names its inner
+        # binder q: stepping it through the first would show \p
+        src = r"{1/2: (\x. \p. x) u, 1/2: (\g. g u) (\x. \q. x)}"
+        assert self.check(parse(src), 2)[0] == r"{1: \q. u}"
+        assert self.check(parse(src), 5)[0] == r"{1: \q. u}"
+
+
+def rename_binders(d, rng):
+    """An alpha-equivalent copy of ``d`` with its binders renamed at random
+    from BINDERS wherever that captures no free name."""
+    return Dist([(_rename_term(t, rng), n) for t, n in d._ints], d._den)
+
+
+def _rename_term(t, rng):
+    if isinstance(t, Var):
+        return t
+    if isinstance(t, App):
+        return App(rename_binders(t.fun, rng), rename_binders(t.arg, rng))
+    b, body = rng.choice(BINDERS), t.body
+    if b != t.binder:
+        if b in body.free_names():
+            b = t.binder
+        else:
+            body = subst(body, t.binder, unit(Var(b)))
+    return Abs(b, rename_binders(body, rng))
+
+
+def subterms(d):
+    for t, _ in d._ints:
+        yield t
+        if isinstance(t, Abs):
+            yield from subterms(t.body)
+        elif isinstance(t, App):
+            yield from subterms(t.fun)
+            yield from subterms(t.arg)
+
+
+class TestHeadStepCache:
+    """An application keeps its head reduct, and ``evolve`` steps a term
+    that recurs through its first copy when the two print the same."""
+
+    def test_reduct_is_stored(self):
+        t = term(r"(\x. x) y")
+        assert head_step(t) is head_step(t)
+
+    def test_context_rule_reads_the_inner_slot(self):
+        t = term(r"(\x. \y. x) a b")
+        inner = t.fun.point()
+        h = head_step(inner)
+        assert head_step(t).point().fun is h
+
+    def test_stored_reduct_matches_the_oracle(self):
+        for seed in range(100):
+            d = gen_dist(random.Random(seed), 3)
+            for t in subterms(d):
+                if isinstance(t, App) and not is_whnf(t):
+                    want = print_dist(uncached_head_step(t), explicit=True)
+                    assert print_dist(head_step(t), explicit=True) == want
+                    assert print_dist(head_step(t), explicit=True) == want
+
+    def test_loop_reduces_each_distinct_term_once(self, monkeypatch):
+        reduced = []
+        reference_evolve(parse(YT_SRC), 40, reduced)
+        distinct = {print_term(t) for t in reduced}
+        assert len(reduced) >= 40 > len(distinct)
+        calls = []
+        uncached = reduction._head_reduct
+
+        def counting(t):
+            calls.append(print_term(t))
+            return uncached(t)
+
+        monkeypatch.setattr(reduction, "_head_reduct", counting)
+        assert evolve(parse(YT_SRC), 40).steps_used == 40
+        assert sorted(calls) == sorted(distinct)
+
+    def test_names_alike_exactly_when_printed_alike(self):
+        alike = unlike = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            d = gen_dist(rng, 3)
+            classes = {}
+            for t in list(subterms(d)) + list(subterms(rename_binders(d, rng))):
+                classes.setdefault(t.canon(), []).append(t)
+            for group in classes.values():
+                for a in group:
+                    for b in group:
+                        same = print_term(a) == print_term(b)
+                        assert names_alike(a, b) == same, (a, b)
+                        if a is not b:
+                            alike += same
+                            unlike += not same
+        assert alike > 100 and unlike > 100
 
 
 class TestEvolveCache:

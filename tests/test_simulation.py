@@ -7,7 +7,7 @@ from conftest import gen_dist, gen_terminating
 from plamb import simulation
 from plamb.cli import main
 from plamb.corpus import corpus
-from plamb.laws import divergence_least, reflexivity
+from plamb.laws import divergence_least, reflexivity, rename_free, rename_invariance
 from plamb.lts import (
     CONVERGE,
     Call,
@@ -27,7 +27,7 @@ from plamb.simulation import (
     bisim_check,
     sim_check,
 )
-from plamb.syntax import EMPTY, ZERO, App, dist_scale, dist_union, parse, unit
+from plamb.syntax import EMPTY, ZERO, App, LambError, dist_scale, dist_union, parse, unit
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
 XOR_A = parse("{1/2: x tt ff, 1/2: x ff tt}")
@@ -382,6 +382,29 @@ class TestCoinductiveMemo:
         assert v.witness.kind == WitnessKind.FLOW_DEFICIT
         assert v.witness.deficit == F(1, 2)
         assert main(["sim", src, dst, "--fuel", "20", "--depth", str(depth)]) == 1
+
+
+class TestRenameInvariance:
+    def test_corpus_pairs(self):
+        terms = corpus()
+        pairs = [(a, b) for a in terms for b in terms]
+        assert rename_invariance(pairs, P(2, 8)) == []
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_loop_pair_in_both_head_orders(self, depth):
+        # the law's renaming swaps g with y and h with x, so it checks the
+        # order of the two loop edges both ways round
+        pairs = [tuple(map(parse, _loop_pair(*heads))) for heads in (("g", "h"), ("h", "g"))]
+        assert rename_invariance(pairs, P(depth, 20)) == []
+        swap = {"g": "h", "h": "g"}
+        assert tuple(rename_free(d, swap) for d in pairs[0]) == pairs[1]
+
+    def test_renaming_is_simultaneous_and_avoids_capture(self):
+        d = parse(r"{1/2: g (\h. h g), 1/2: h x}", prelude={})
+        got = rename_free(d, {"g": "h", "h": "g"})
+        assert got == parse(r"{1/2: h (\k. k h), 1/2: g x}", prelude={})
+        with pytest.raises(LambError):
+            rename_free(d, {"g": "h"})
 
 
 class TestPrecongruence:

@@ -363,11 +363,7 @@ def _round_term(t, g):
 
 def parse_fin(src):
     """Parse a finite-approximant distribution; ``_|_`` denotes bottom."""
-    p = _FinParser(_tokenize(src))
-    d = p.parse_nested(p.dist)
-    if not p.at_kind("eof"):
-        p.fail("trailing input after distribution")
-    return d
+    return _FinParser(_tokenize(src)).whole()
 
 
 class _FinParser(_Parser):

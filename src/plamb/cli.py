@@ -145,13 +145,16 @@ def total_variation(a, b):
 
 def normalize(m, fuel):
     """Evolve step by step, renormalizing the value mass at each fuel step;
-    raises on programs whose value mass stays zero throughout."""
+    raises on programs whose value mass stays zero throughout.
+
+    Only the current distribution is held: each step replaces ``m``, since
+    a term keeps its head reduct and a kept start would keep every step
+    taken from it."""
     rows = []
-    cur = m
     small_run = 0
     for s in range(1, fuel + 1):
-        cur = step(cur)
-        v = vals(cur)
+        m = step(m)
+        v = vals(m)
         mass = v.mass()
         if mass == 0:
             continue
@@ -348,8 +351,8 @@ def _cmd_approx(args):
 
 
 def _cmd_normalize(args):
-    m = _load_operand(args.expr)
-    report = normalize(m, args.fuel)
+    # the program is not held here: normalize steps from it alone
+    report = normalize(_load_operand(args.expr), args.fuel)
     if args.format == "json":
         print(json.dumps({
             "rows": [

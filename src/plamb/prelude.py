@@ -1,9 +1,19 @@
-"""Bundled prelude, resolved by textual substitution before parsing.
+"""Bundled prelude: definitions that the parser resolves by name.
+
+A prelude name written as an atom stands for its definition, which
+``plamb.syntax.parse`` parses on first use and keeps for the last prelude
+it was given.  Uses share the parsed definition, except that every
+application in it that mentions no binder of the definition is built
+afresh at each use, with every node above it: reduction can reach such an
+application in place and would then store its reduct there.  Here that is
+the top-level application of ``Y`` and of ``omega``.  Error positions refer
+to the text as written, and an error inside a definition names it.
 
 The fixpoint combinator is Turing's: its unfolding ``Y t -> t (Y t)`` is
 literal (two head reductions), so unfolding counts are predictable.  Prelude
-names shadow plain variables of the same spelling; programs that want a free
-variable should pick a name outside this list or parse with ``prelude={}``.
+names shadow plain variables of the same spelling and may not be bound;
+programs that want a free variable should pick a name outside this list or
+parse with ``prelude={}``.
 """
 
 from __future__ import annotations
@@ -12,8 +22,8 @@ import re
 
 from .syntax import LambError
 
-# Order is cosmetic: expansion iterates to a fixpoint, so definitions may
-# refer to each other as long as there is no cycle.
+# Order is cosmetic: definitions may refer to each other in any order as
+# long as there is no cycle.
 DEFAULT_PRELUDE = {
     "I": r"\x. x",
     "omega": r"(\x. x x) (\x. x x)",

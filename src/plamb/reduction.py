@@ -21,7 +21,8 @@ within one ``evolve`` a residual term that recurs, as a recursive
 program's unfolding does, is stepped through its first copy.  Because a
 term's slot holds its reduct, a distribution that is kept keeps the part
 of its trajectory that has been stepped; a caller that steps a long way
-and need not keep the start, as ``plamb trace`` does, drops it.
+and need not keep the start, as ``plamb trace`` and ``plamb normalize``
+do, drops it.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``

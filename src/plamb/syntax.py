@@ -48,6 +48,10 @@ reduces to, whose own slots hold theirs, so a term keeps alive the part of
 its trajectory that has been stepped.  ``names_alike`` tells whether two
 terms with equal keys also print the same, so that one may stand for the
 other.
+
+``parse`` resolves a prelude name to its definition, parsed once and kept
+for the last prelude (``_Definitions``); a use shares it, except for the
+applications that reduction could reach in place, which are built afresh.
 """
 
 from __future__ import annotations
@@ -744,9 +748,13 @@ class _Parser:
     # the distribution type that the weighted-sum rule builds
     dist_type = Dist
 
-    def __init__(self, tokens):
+    def __init__(self, tokens, definitions=None, resolving=()):
         self.tokens = tokens
         self.i = 0
+        # the prelude's _Definitions, or None, and the names whose
+        # definitions are being parsed
+        self.definitions = definitions
+        self.resolving = resolving
 
     def peek(self):
         return self.tokens[self.i]
@@ -780,6 +788,16 @@ class _Parser:
         except RecursionError:
             _, _, line, col = self.peek()
             raise ParseError("nesting too deep", line, col) from None
+
+    def whole(self):
+        """The distribution that is the whole of the input."""
+        d = self.parse_nested(self.dist)
+        if not self.at_kind("eof"):
+            self.fail("trailing input after distribution")
+        return d
+
+    def defined(self, name):
+        return self.definitions is not None and name in self.definitions.source
 
     # dist ::= term | '{' weight ':' term (',' weight ':' term)* '}' | '{}'
     def dist(self):
@@ -835,7 +853,7 @@ class _Parser:
     def term(self):
         if self.at("\\"):
             self.next()
-            if not self.at_kind("name"):
+            if not self.at_kind("name") or self.defined(self.peek()[1]):
                 self.fail("expected a binder name")
             _, name, _, _ = self.next()
             self.expect(".")
@@ -856,7 +874,9 @@ class _Parser:
     # atom ::= var | '(' dist ')'
     def atom(self):
         if self.at_kind("name"):
-            _, name, _, _ = self.next()
+            _, name, line, col = self.next()
+            if self.defined(name):
+                return self.definitions.use(name, self.resolving, line, col)
             return unit(Var(name))
         if self.at("("):
             self.next()
@@ -866,43 +886,111 @@ class _Parser:
         self.fail("expected a variable or '('")
 
 
-_PRELUDE_GUARD = 16
-
-
-def expand_prelude(src, prelude):
-    """Textually substitute prelude names (parenthesized) before parsing.
-
-    Definitions may refer to other prelude names; expansion iterates to a
-    fixpoint with a small guard against recursive definitions.
-    """
-    for _ in range(_PRELUDE_GUARD):
-        changed = False
-        for name, body in prelude.items():
-            pat = r"(?<![A-Za-z0-9_'#])%s(?![A-Za-z0-9_'#])" % re.escape(name)
-            repl = "(%s)" % body
-            new = re.sub(pat, lambda _m: repl, src)
-            if new != src:
-                src = new
-                changed = True
-        if not changed:
-            return src
-    raise LambError("prelude expansion did not terminate (recursive definition?)")
-
-
 def parse(src, prelude=None):
     """Parse concrete syntax into a canonical distribution.
 
-    ``prelude`` maps names to replacement source text; pass an empty dict
-    to disable prelude resolution.  Defaults to the bundled prelude.
+    ``prelude`` maps names to definitions, as source text; pass an empty
+    dict to disable prelude resolution.  Defaults to the bundled prelude.
+    A prelude name written as an atom stands for its definition, parsed on
+    first use (see ``_Definitions``), and may not be bound.  Error
+    positions refer to the text as written.
     """
     if prelude is None:
         from .prelude import DEFAULT_PRELUDE
 
         prelude = DEFAULT_PRELUDE
-    if prelude:
-        src = expand_prelude(src, prelude)
-    p = _Parser(_tokenize(src))
-    d = p.parse_nested(p.dist)
-    if not p.at_kind("eof"):
-        p.fail("trailing input after distribution")
-    return d
+    return _Parser(_tokenize(src), _definitions_of(prelude) if prelude else None).whole()
+
+
+class _Definitions:
+    """The definitions of one prelude, each parsed on its first use and
+    kept: a definition that is never used is never parsed.
+
+    A use shares the parsed definition, except for every application in
+    it that mentions no binder of the definition, which is built afresh at
+    each use together with every node above it.  Weak-head reduction can
+    reach such an application in place (``subst`` keeps a part in which
+    the substituted name is not free), and an application keeps its head
+    reduct, so a shared one would tie the program's reducts to this table;
+    an application that mentions a binder of the definition is rebuilt by
+    the substitution for that binder before reduction reaches it.  For the
+    bundled prelude only the top-level applications of ``Y`` and ``omega``
+    are built afresh.  Entries are only ever added, each from its source
+    text alone, so concurrent parses at worst parse a definition twice.
+    """
+
+    __slots__ = ("key", "source", "parsed")
+
+    def __init__(self, key):
+        self.key = key
+        self.source = dict(key)
+        # name -> (parsed definition, plan of its fresh parts)
+        self.parsed = {}
+
+    def use(self, name, resolving, line, col):
+        """The definition of ``name``, used at ``line``:``col`` while the
+        definitions named in ``resolving`` are being parsed."""
+        entry = self.parsed.get(name)
+        if entry is None:
+            if name in resolving:
+                raise LambError("prelude expansion did not terminate (recursive definition?)")
+            try:
+                d = _Parser(_tokenize(self.source[name]), self, resolving + (name,)).whole()
+            except ParseError as exc:
+                msg = "in the definition of %s: %s" % (name, exc)
+                raise ParseError(msg, line, col) from None
+            entry = self.parsed[name] = (d, _fresh_plan(d, frozenset()))
+        d, plan = entry
+        return d if plan is None else _fresh_copy(d, plan)
+
+
+# the definitions of the last prelude parsed with
+_definitions = None
+
+
+def _definitions_of(prelude):
+    """The table of ``prelude``'s definitions: the last one, kept while
+    ``prelude`` holds the same (name, source) pairs, or a new one."""
+    global _definitions
+    key = tuple(prelude.items())
+    defs = _definitions
+    if defs is None or defs.key != key:
+        defs = _definitions = _Definitions(key)
+    return defs
+
+
+def _fresh_plan(d, bound):
+    """Which parts of ``d`` a use builds afresh, under the definition's
+    binders ``bound``: None when none, else a tuple of its entries' plans.
+    An application's plan is the pair of its operands' plans, and it is
+    built afresh when it mentions no name of ``bound`` or when an operand
+    is; an abstraction's plan is its body's."""
+    plans = tuple([_fresh_term_plan(t, bound) for t, _ in d._ints])
+    return plans if any(p is not None for p in plans) else None
+
+
+def _fresh_term_plan(t, bound):
+    if isinstance(t, Abs):
+        return _fresh_plan(t.body, bound | {t.binder})
+    if isinstance(t, App):
+        ops = (_fresh_plan(t.fun, bound), _fresh_plan(t.arg, bound))
+        if ops != (None, None) or bound.isdisjoint(t.free_names()):
+            return ops
+    return None
+
+
+def _fresh_copy(d, plan):
+    """``d`` with the parts that ``plan`` names built afresh."""
+    return Dist([
+        (t if p is None else _fresh_term(t, p), n) for (t, n), p in zip(d._ints, plan)
+    ], d._den)
+
+
+def _fresh_term(t, plan):
+    if isinstance(t, App):
+        fun, arg = plan
+        return App(
+            t.fun if fun is None else _fresh_copy(t.fun, fun),
+            t.arg if arg is None else _fresh_copy(t.arg, arg),
+        )
+    return Abs(t.binder, _fresh_copy(t.body, plan))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.strategies as st
@@ -10,10 +11,12 @@ import plamb
 import pytest
 from hypothesis import given, settings
 
-from plamb import cli, laws
+from conftest import expand_prelude, stepped_in_table
+from plamb import cli, laws, syntax
 from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
 from plamb.approximants import parse_fin
-from plamb.syntax import LambError, parse
+from plamb.prelude import DEFAULT_PRELUDE
+from plamb.syntax import LambError, parse, print_dist
 
 YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
 
@@ -303,6 +306,81 @@ class TestNormalize:
             assert d.mass() == 1
 
 
+class TestNormalizeMemory:
+    """``normalize`` holds only the current step: a term keeps its head
+    reduct, so a held start would keep every step taken from it."""
+
+    @staticmethod
+    def peak(src, fuel):
+        tracemalloc.start()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                main(["normalize", src, "--fuel", str(fuel)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("src", ["omega", r"Y (\x. x)"])
+    def test_peak_does_not_grow_with_fuel(self, src):
+        self.peak(src, 10)
+        # holding the start costs about 1 kB a step: 1.1 MB more at 1000
+        assert self.peak(src, 1000) < self.peak(src, 100) + 100_000
+
+
+class TestPreludeNames:
+    def test_error_positions_refer_to_the_text_as_written(self, capsys):
+        for src, err in [
+            ("Y Y {", "error: 1:5: trailing input after distribution (got '{')\n"),
+            ("I )", "error: 1:3: trailing input after distribution (got ')')\n"),
+            (r"\I. x", "error: 1:2: expected a binder name (got 'I')\n"),
+        ]:
+            assert run(capsys, "eval", src) == (2, "", err)
+
+    def test_broken_definition_in_use_exits_2(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "prelude.txt"
+        f.write_text("B = \\x. {\nC = \\x. x\n", encoding="utf-8")
+        monkeypatch.setenv("PLAMB_PRELUDE", str(f))
+        assert run(capsys, "eval", "C y") == (0, "{1: y}\n", "")
+        code, out, err = run(capsys, "eval", "C B")
+        assert code == 2 and out == ""
+        assert err == "error: 1:3: in the definition of B: 1:6: expected a weight (got end of input)\n"
+
+    def test_cycle_exits_2(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "prelude.txt"
+        f.write_text("A = \\x. B\nB = x A\n", encoding="utf-8")
+        monkeypatch.setenv("PLAMB_PRELUDE", str(f))
+        assert run(capsys, "eval", "A") == (
+            2, "", "error: prelude expansion did not terminate (recursive definition?)\n"
+        )
+
+    def test_definitions_follow_the_prelude_file(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "prelude.txt"
+        monkeypatch.setenv("PLAMB_PRELUDE", str(f))
+        f.write_text("K = a\n", encoding="utf-8")
+        assert run(capsys, "eval", "K") == (0, "{1: a}\n", "")
+        f.write_text("K = b\n", encoding="utf-8")
+        assert run(capsys, "eval", "K") == (0, "{1: b}\n", "")
+        monkeypatch.delenv("PLAMB_PRELUDE")
+        assert run(capsys, "eval", "K") == (0, "{1: K}\n", "")
+        assert run(capsys, "eval", "I") == (0, "{1: \\x. x}\n", "")
+
+    def test_commands_leave_the_definitions_unreduced(self, capsys):
+        prog = r"{1/4: xor tt ff, 1/4: Y (\x. {1/2: I, 1/2: x}), 1/4: x omega, 1/4: omega}"
+        other = r"{1/2: Y (\x. {1/2: tt, 1/2: x}), 1/4: I, 1/4: y ff}"
+        for argv in (
+            ["eval", prog], ["trace", prog, "--fuel", "12"], ["normalize", prog],
+            ["lts", prog], ["approx", prog, "--depth", "2", "--fuel", "8"],
+            ["sim", prog, other, "--depth", "3", "--fuel", "12"],
+            ["bisim", other, prog, "--depth", "3", "--fuel", "12"],
+            ["eval", "Y (xor tt)"], ["lts", r"Y (\x. {1/2: x, 1/2: z omega})"],
+        ):
+            assert run(capsys, *argv)[0] in (0, 1), argv
+        defs = syntax._definitions
+        assert defs.key == tuple(DEFAULT_PRELUDE.items())
+        assert set(defs.parsed) == set(DEFAULT_PRELUDE)
+        assert not stepped_in_table()
+
+
 class TestMalformedInput:
     LIFT_TARGET = {"points": ["a"], "weights": ["1"]}
 
@@ -462,9 +540,9 @@ class TestMalformedInput:
 
 
 FUZZ_TOKENS = [
-    "x", "y", "I", "tt", "omega", "Y", "_|_", "#a", "\\", ".", "(", ")", "{", "}",
-    ",", ":", "/", "|", "0", "1", "2", "1/2", "0.25", "3/4", "--c\n", "\n", "@",
-]
+    "x", "y", "I", "tt", "ff", "xor", "omega", "Y", "_|_", "#a", "\\", ".", "(", ")",
+    "{", "}", ",", ":", "/", "|", "0", "1", "2", "1/2", "0.25", "3/4", "--c\n", "\n", "@",
+] + ["\\%s." % name for name in DEFAULT_PRELUDE]
 OVERLONG_NUMERALS = ["9" * 5000, "0." + "1" * 5000, "1/" + "3" * 5000]
 
 fuzz_sources = st.one_of(
@@ -495,6 +573,23 @@ class TestInputContract:
                 read(src)
             except LambError:
                 pass
+
+    @FUZZ_SETTINGS
+    @given(fuzz_sources)
+    def test_parse_agrees_with_textual_expansion(self, src):
+        # the same programs parse, to the same distributions, as through
+        # the textual oracle; only error messages may differ
+        try:
+            want = parse(expand_prelude(src, DEFAULT_PRELUDE), prelude={})
+        except LambError:
+            want = None
+        try:
+            got = parse(src)
+        except LambError:
+            got = None
+        assert got == want
+        if got is not None:
+            assert print_dist(got) == print_dist(want)
 
     @FUZZ_SETTINGS
     @given(fuzz_sources, st.sampled_from([

@@ -8,8 +8,10 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import dists, gen_dist
+from conftest import dists, expand_prelude, gen_dist, stepped_in_table
 from plamb import syntax
+from plamb.corpus import CORPUS_SOURCES
+from plamb.prelude import DEFAULT_PRELUDE
 from plamb.approximants import FinDist, parse_fin, print_fin_dist
 from plamb.laws import roundtrip
 from plamb.reduction import evolve, head_step, is_whnf, step
@@ -19,6 +21,7 @@ from plamb.syntax import (
     Dist,
     DistKey,
     EMPTY,
+    LambError,
     MassError,
     ParseError,
     ReservedNameError,
@@ -171,18 +174,19 @@ def weighted(draw, terms):
     return "{%s}" % ", ".join("%s: %s" % wt for wt in zip(ws, ts))
 
 
-def lambda_sources():
+def lambda_sources(names=NAMES, binders=NAMES):
     """dist ::= term | weighted | {};  term ::= \\v. dist | atom atom+ | v;
-    atom ::= v | (dist)."""
+    atom ::= v | (dist), with v drawn from ``names`` and bound v from
+    ``binders``."""
     def extend(dist):
-        atom = NAMES | dist.map("({})".format)
+        atom = names | dist.map("({})".format)
         term = (
-            NAMES
-            | st.tuples(NAMES, dist).map(lambda p: "\\%s. %s" % p)
+            names
+            | st.tuples(binders, dist).map(lambda p: "\\%s. %s" % p)
             | st.lists(atom, min_size=2, max_size=3).map(" ".join)
         )
         return term | weighted(term) | st.just("{}")
-    return st.recursive(NAMES, extend, max_leaves=12)
+    return st.recursive(names, extend, max_leaves=12)
 
 
 def fin_sources():
@@ -224,6 +228,112 @@ class TestPrintParseProperty:
         again = parse_fin(text)
         assert again == d
         assert print_fin_dist(again) == text
+
+
+PRELUDE_NAMES = tuple(DEFAULT_PRELUDE)
+
+
+def expanded(src):
+    """``src`` parsed through the textual oracle."""
+    return P(expand_prelude(src, DEFAULT_PRELUDE))
+
+
+class TestPreludeResolution:
+    """Prelude names resolve in the parser to definitions parsed once; the
+    textual expansion they replace is the oracle."""
+
+    @pytest.mark.parametrize("src", CORPUS_SOURCES)
+    def test_corpus_matches_textual_expansion(self, src):
+        d, want = parse(src), expanded(src)
+        assert d == want
+        assert print_dist(d) == print_dist(want)
+
+    @ROUNDTRIP_SETTINGS
+    @given(lambda_sources(
+        st.sampled_from(["x", "y", "f", *PRELUDE_NAMES]), st.sampled_from(["x", "y", "f"])
+    ))
+    def test_programs_match_textual_expansion(self, src):
+        d, want = parse(src), expanded(src)
+        assert d == want
+        assert print_dist(d) == print_dist(want)
+
+    def test_definition_parsed_once(self):
+        assert parse("I").point() is parse("I").point()
+        # Y's top-level application is built at each use; its operands,
+        # which mention the definition's binders, are shared
+        a, b = parse("Y").point(), parse("Y").point()
+        assert a is not b and a == b
+        assert a.fun is b.fun and a.arg is b.arg
+
+    def test_closed_inner_redex_built_at_each_use(self):
+        pre = {"K": r"\x. (\y. y) z"}
+        a, b = (parse("K", prelude=pre).point() for _ in range(2))
+        assert a is not b and a == b
+        assert a.body.point() is not b.body.point()
+        assert a.body.point().fun is b.body.point().fun
+        # reducing one use leaves the table's application unreduced
+        evolve(parse("K u", prelude=pre), 8)
+        assert not stepped_in_table()
+
+    def test_binder_mentioning_application_shared(self):
+        pre = {"K": r"\x. x (\y. y)"}
+        assert parse("K", prelude=pre).point() is parse("K", prelude=pre).point()
+
+    def test_application_above_a_closed_one_built_afresh(self):
+        # y (\w. omega) mentions the binder y, but holds omega's
+        # application, which a use must not share
+        pre = {"K": r"\y. y (\w. omega)", "omega": DEFAULT_PRELUDE["omega"]}
+        a, b = (parse("K", prelude=pre).point() for _ in range(2))
+        assert a.body.point() is not b.body.point()
+        assert parse("K", prelude=pre) == P(expand_prelude("K", pre))
+        # K (\f. f u) reduces to omega's application itself
+        evolve(parse(r"K (\f. f u)", prelude=pre), 8)
+        assert not stepped_in_table()
+
+    @pytest.mark.parametrize("pre", [
+        {"A": "A"}, {"A": r"\x. B", "B": "x A"}, {"A": "B", "B": "C", "C": "A"},
+    ])
+    def test_cycle_keeps_its_message(self, pre):
+        msg = r"prelude expansion did not terminate \(recursive definition\?\)"
+        with pytest.raises(LambError, match=msg):
+            parse("f A", prelude=pre)
+        with pytest.raises(LambError, match=msg):
+            expand_prelude("f A", pre)
+
+    def test_unused_definitions_are_never_parsed(self):
+        pre = {"A": "A", "B": "{", "C": r"\x. x"}
+        assert parse("C y", prelude=pre) == P(r"(\x. x) y")
+
+    def test_broken_definition_reported_at_its_use(self):
+        pre = {"B": r"\x. x )", "C": "f B"}
+        with pytest.raises(ParseError) as e:
+            parse("x\n  y B", prelude=pre)
+        assert (e.value.line, e.value.col) == (2, 5)
+        assert str(e.value) == (
+            "2:5: in the definition of B: 1:7: trailing input after distribution (got ')')"
+        )
+        with pytest.raises(ParseError, match="^1:1: in the definition of C: 1:3: in the"):
+            parse("C", prelude=pre)
+
+    @pytest.mark.parametrize("src", [r"\I. x", r"\x. \omega. x", r"{1/2: \xor. y}"])
+    def test_prelude_name_cannot_be_bound(self, src):
+        with pytest.raises(ParseError, match="expected a binder name"):
+            parse(src)
+        P(src)
+
+    @pytest.mark.parametrize("src, where, got", [
+        ("Y Y {", "1:5", "'{'"),
+        ("I )", "1:3", "')'"),
+        (r"\I. x", "1:2", "'I'"),
+        ("{I: x}", "1:2", "'I'"),
+        ("x\n tt @", "2:5", None),
+    ])
+    def test_error_positions_refer_to_the_text_as_written(self, src, where, got):
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        assert str(e.value).startswith(where + ": ")
+        if got is not None:
+            assert str(e.value).endswith("(got %s)" % got)
 
 
 class TestFreeNames:

@@ -31,8 +31,9 @@ The finite terms (``Omega``, ``FinAbs``, ``FinSpine``) and ``FinDist`` are
 built on the node and distribution bases of ``plamb.syntax``: identity is
 alpha-equivalence, keys come from the same key function as the calculus's
 (an abstraction's key is the same in both worlds), and a finite term is
-never equal to a term of the calculus.  ``parse_fin`` is the core parser
-with finite terms and the ``_|_`` atom.
+never equal to a term of the calculus.  ``parse_fin`` reads a candidate as
+a program over the calculus grammar plus the ``_|_`` atom, whose every
+entry is a value tree.
 """
 
 from __future__ import annotations
@@ -359,56 +360,19 @@ def _round_term(t, g):
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax for candidates (the full grammar plus the `_|_` atom)
+# Concrete syntax for candidates (the calculus grammar plus the `_|_` atom)
 
 def parse_fin(src):
-    """Parse a finite-approximant distribution; ``_|_`` denotes bottom."""
-    return _FinParser(_tokenize(src)).whole()
-
-
-class _FinParser(_Parser):
-    """The core grammar with finite terms: a term is ``_|_``, an
-    abstraction, or a head name applied to atoms; an atom is also ``_|_``
-    or a bare head name."""
-
-    dist_type = FinDist
-
-    def term(self):
-        if self._bottom_ahead():
-            self._eat_bottom()
-            return OMEGA
-        if self.at("\\"):
-            self.next()
-            if not self.at_kind("name"):
-                self.fail("expected a binder name")
-            _, name, _, _ = self.next()
-            self.expect(".")
-            return FinAbs(name, self.dist())
-        if not self.at_kind("name"):
-            self.fail("expected a finite term")
-        _, head, _, _ = self.next()
-        args = []
-        while self.at_kind("name") or self.at("("):
-            args.append(self.atom())
-        return FinSpine(head, tuple(args))
-
-    def atom(self):
-        if self._bottom_ahead():
-            self._eat_bottom()
-            return FIN_BOTTOM
-        if self.at_kind("name"):
-            _, name, _, _ = self.next()
-            return FinDist(((FinSpine(name, ()), 1),), 1)
-        return super().atom()
-
-    def _bottom_ahead(self):
-        return (
-            self.tokens[self.i][1] == "_"
-            and self.tokens[self.i + 1][1] == "|"
-            and self.tokens[self.i + 2][1] == "_"
-        )
-
-    def _eat_bottom(self):
-        self.next()
-        self.next()
-        self.next()
+    """Parse a candidate: a program over the calculus grammar, without the
+    prelude, in which the atom ``_|_`` stands for bottom and every entry
+    is a value tree.  It is read as a ``Dist``, with ``_|_`` as
+    ``DIVERGE``, and truncated at no depth; a source whose truncation does
+    not embed back to what was read (it has a redex other than bottom) is
+    refused.  A literal ``DIVERGE`` reads as bottom."""
+    parser = _Parser(_tokenize(src), bottom=unit(DIVERGE))
+    d = parser.whole()
+    # truncation and embedding recurse deeper per level than the parser
+    c = parser.parse_nested(lambda: truncate(d, math.inf))
+    if parser.parse_nested(lambda: embed(c)) != d:
+        raise LambError("not a finite approximant: a redex other than _|_")
+    return c

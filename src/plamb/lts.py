@@ -34,7 +34,19 @@ class LabelNotApplicableError(LambError):
 
 
 class Label:
+    """A transition label: labels are equal when they are of one kind and
+    their fields are equal."""
+
     __slots__ = ()
+
+    def _identity(self):
+        return (type(self),) + tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        return isinstance(other, Label) and self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
 
 
 class _Tau(Label):
@@ -43,24 +55,12 @@ class _Tau(Label):
     def __repr__(self):
         return "tau"
 
-    def __eq__(self, other):
-        return isinstance(other, _Tau)
-
-    def __hash__(self):
-        return hash("tau")
-
 
 class _Converge(Label):
     __slots__ = ()
 
     def __repr__(self):
         return "conv"
-
-    def __eq__(self, other):
-        return isinstance(other, _Converge)
-
-    def __hash__(self):
-        return hash("conv")
 
 
 class Ret(Label):
@@ -71,12 +71,6 @@ class Ret(Label):
 
     def __repr__(self):
         return "ret %s" % self.sym
-
-    def __eq__(self, other):
-        return isinstance(other, Ret) and other.sym == self.sym
-
-    def __hash__(self):
-        return hash(("ret", self.sym))
 
 
 class Call(Label):
@@ -91,17 +85,6 @@ class Call(Label):
 
     def __repr__(self):
         return "call %s %d/%d" % (self.sym, self.index, self.arity)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Call)
-            and other.sym == self.sym
-            and other.index == self.index
-            and other.arity == self.arity
-        )
-
-    def __hash__(self):
-        return hash(("call", self.sym, self.index, self.arity))
 
 
 TAU = _Tau()
@@ -141,7 +124,7 @@ def ret_block(abs_entries, den, sym):
     """Strong ``ret sym`` target of an abstraction block, the abstraction
     entries of ``split_values`` over ``den``: every body applied to
     ``sym``, scaled by its entry weight."""
-    return _weighted(abs_entries, den, Ret(sym))
+    return mixture([(n, ret_target(view, sym)) for _, n, view in abs_entries], den)
 
 
 def _unit_target(view, label):
@@ -152,17 +135,12 @@ def _unit_target(view, label):
     return view.args[label.index - 1]
 
 
-def _weighted(entries, den, label):
-    """Union, in entry order, of the entries' targets scaled by weight
-    (numerators over ``den``); an alpha-class is displayed by its
-    first-seen term."""
-    return mixture([(n, _unit_target(view, label)) for _, n, view in entries], den)
-
-
 def strong_target(d, label):
     """Weighted strong target of a visible label on ``d``, before evolution:
-    the targets of the whnf entries affording the label, scaled by their
-    weights.  Raises ``LabelNotApplicableError`` when no entry affords it."""
+    the union, in entry order, of the targets of the whnf entries affording
+    the label, scaled by their weights (an alpha-class is displayed by its
+    first-seen term).  Raises ``LabelNotApplicableError`` when no entry
+    affords it."""
     abs_entries, spine_entries = split_values(d)
     if isinstance(label, Call):
         sig = (label.sym, label.arity)
@@ -173,7 +151,7 @@ def strong_target(d, label):
         raise LabelNotApplicableError("no entry affords %r" % label)
     if isinstance(label, Ret) and any(label.sym in t.free_names() for t, _, _ in hit):
         raise FreshNameCollisionError("%r occurs free in the term" % label.sym)
-    return _weighted(hit, d._den, label)
+    return mixture([(n, _unit_target(view, label)) for _, n, view in hit], d._den)
 
 
 def weak_max_transition(d, label, fuel):

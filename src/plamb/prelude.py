@@ -1,9 +1,9 @@
 """Bundled prelude: definitions that the parser resolves by name.
 
 A prelude name written as an atom stands for its definition, which
-``plamb.syntax.parse`` parses on first use and keeps for the last prelude
-it was given.  Uses share the parsed definition, except that every
-application in it that mentions no binder of the definition is built
+``plamb.syntax.parse`` parses once, before the source that names it, and
+keeps for the last prelude.  Uses share the parsed definition, except that
+every application in it that mentions no binder of the definition is built
 afresh at each use, with every node above it: reduction can reach such an
 application in place and would then store its reduct there.  Here that is
 the top-level application of ``Y`` and of ``omega``.  Error positions refer

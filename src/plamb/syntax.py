@@ -705,13 +705,17 @@ def print_dist(d, explicit=False):
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
+# ``_|_`` is one token, with any whitespace and comments between its parts;
+# a comment there ends in a newline, so the match never backtracks in it
+_GAP = r"(?:\s|--[^\n]*\n)*"
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>--[^\n]*)
       | (?P<number>\d+\.\d+|\d+)
+      | (?P<bottom>_%s\|%s_(?![A-Za-z0-9_'#]))
       | (?P<name>[A-Za-z_#][A-Za-z0-9_'#]*)
-      | (?P<punct>[\\.(){},:/|])
-    """,
+      | (?P<punct>[\\.(){},:/])
+    """ % (_GAP, _GAP),
     re.VERBOSE,
 )
 
@@ -745,16 +749,15 @@ def _tokenize(src):
 
 
 class _Parser:
-    # the distribution type that the weighted-sum rule builds
-    dist_type = Dist
-
-    def __init__(self, tokens, definitions=None, resolving=()):
+    def __init__(self, tokens, definitions=None, resolving=(), bottom=None):
         self.tokens = tokens
         self.i = 0
         # the prelude's _Definitions, or None, and the names whose
         # definitions are being parsed
         self.definitions = definitions
         self.resolving = resolving
+        # what the atom _|_ stands for; None when the grammar has no bottom
+        self.bottom = bottom
 
     def peek(self):
         return self.tokens[self.i]
@@ -805,7 +808,7 @@ class _Parser:
             _, _, line, col = self.next()
             if self.at("}"):
                 self.next()
-                return self.dist_type()
+                return Dist()
             pairs = []
             while True:
                 w = self.weight()
@@ -818,11 +821,11 @@ class _Parser:
                 self.expect("}")
                 break
             try:
-                return self.dist_type(pairs)
+                return Dist(pairs)
             except MassError:
                 # weight() already refused every weight outside [0, 1]
                 raise ParseError("weights sum above 1", line, col) from None
-        return self.dist_type(((self.term(), 1),), 1)
+        return Dist(((self.term(), 1),), 1)
 
     # weight ::= INT '/' INT | DECIMAL | INT
     def weight(self):
@@ -859,7 +862,7 @@ class _Parser:
             self.expect(".")
             return Abs(name, self.dist())
         atoms = [self.atom()]
-        while self.at_kind("name") or self.at("("):
+        while self.peek()[0] in ("name", "bottom") or self.at("("):
             atoms.append(self.atom())
         if len(atoms) == 1:
             t = atoms[0].point()
@@ -871,7 +874,7 @@ class _Parser:
             t = App(unit(t), a)
         return t
 
-    # atom ::= var | '(' dist ')'
+    # atom ::= var | '(' dist ')' | '_|_' (when the grammar has bottom)
     def atom(self):
         if self.at_kind("name"):
             _, name, line, col = self.next()
@@ -883,6 +886,9 @@ class _Parser:
             d = self.dist()
             self.expect(")")
             return d
+        if self.at_kind("bottom") and self.bottom is not None:
+            self.next()
+            return self.bottom
         self.fail("expected a variable or '('")
 
 
@@ -891,20 +897,31 @@ def parse(src, prelude=None):
 
     ``prelude`` maps names to definitions, as source text; pass an empty
     dict to disable prelude resolution.  Defaults to the bundled prelude.
-    A prelude name written as an atom stands for its definition, parsed on
-    first use (see ``_Definitions``), and may not be bound.  Error
-    positions refer to the text as written.
+    A prelude name written as an atom stands for its definition (see
+    ``_Definitions``) and may not be bound.  The definitions that ``src``
+    names are parsed before it, at the bottom of the stack, so how deep a
+    program may nest does not depend on earlier parses; an error there is
+    reported at the use.  Error positions refer to the text as written.
     """
     if prelude is None:
         from .prelude import DEFAULT_PRELUDE
 
         prelude = DEFAULT_PRELUDE
-    return _Parser(_tokenize(src), _definitions_of(prelude) if prelude else None).whole()
+    tokens = _tokenize(src)
+    defs = _definitions_of(prelude) if prelude else None
+    if defs is not None and len(defs.parsed) < len(defs.source):
+        for kind, text, line, col in tokens:
+            if kind == "name" and text in defs.source and text not in defs.parsed:
+                try:
+                    defs.use(text, (), line, col)
+                except LambError:
+                    pass
+    return _Parser(tokens, defs).whole()
 
 
 class _Definitions:
-    """The definitions of one prelude, each parsed on its first use and
-    kept: a definition that is never used is never parsed.
+    """The definitions of one prelude, each parsed when a source first
+    names it and kept: a definition that no source names is never parsed.
 
     A use shares the parsed definition, except for every application in
     it that mentions no binder of the definition, which is built afresh at

@@ -9,7 +9,10 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from plamb import syntax
-from plamb.syntax import Abs, App, Dist, LambError, Var
+from plamb.approximants import (
+    FIN_BOTTOM, OMEGA, FinAbs, FinDist, FinSpine, parse_fin, print_fin_dist,
+)
+from plamb.syntax import Abs, App, Dist, LambError, MassError, ParseError, Var
 from plamb.reduction import evolve
 
 GRID8 = [Fraction(i, 8) for i in range(1, 9)]
@@ -112,3 +115,127 @@ def stepped_in_table():
         if isinstance(x, App) and x._step is not None
         or isinstance(x, Dist) and x._evolved is not None
     ]
+
+
+# The oracle for the candidate reader: the second grammar that read
+# candidates before ``parse_fin`` became the calculus parser plus the
+# ``_|_`` atom.  Its tokens have ``|`` as punctuation, and a term or an
+# atom that begins with the three tokens ``_`` ``|`` ``_`` is bottom.
+_ORACLE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>--[^\n]*)
+      | (?P<number>\d+\.\d+|\d+)
+      | (?P<name>[A-Za-z_#][A-Za-z0-9_'#]*)
+      | (?P<punct>[\\.(){},:/|])
+    """,
+    re.VERBOSE,
+)
+
+
+def _oracle_tokens(src):
+    # positions are offsets on line 1: the oracle decides acceptance and
+    # the result, not messages
+    tokens, pos = [], 0
+    while pos < len(src):
+        m = _ORACLE_TOKEN_RE.match(src, pos)
+        if m is None or m.group().startswith("#"):
+            raise ParseError("unexpected input", 1, pos + 1)
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.lastgroup, m.group(), 1, pos + 1))
+        pos = m.end()
+    tokens.append(("eof", "", 1, pos + 1))
+    return tokens
+
+
+class _FinOracleParser(syntax._Parser):
+    """term ::= _|_ | \\v. dist | v atom*;  atom ::= _|_ | v | (dist);
+    dist as in the calculus, building ``FinDist``s."""
+
+    def dist(self):
+        if self.at("{"):
+            _, _, line, col = self.next()
+            if self.at("}"):
+                self.next()
+                return FinDist()
+            pairs = []
+            while True:
+                w = self.weight()
+                self.expect(":")
+                pairs.append((self.term(), w))
+                if self.at(","):
+                    self.next()
+                    continue
+                self.expect("}")
+                break
+            try:
+                return FinDist(pairs)
+            except MassError:
+                raise ParseError("weights sum above 1", line, col) from None
+        return FinDist(((self.term(), 1),), 1)
+
+    def term(self):
+        if self._bottom_ahead():
+            self.i += 3
+            return OMEGA
+        if self.at("\\"):
+            self.next()
+            if not self.at_kind("name"):
+                self.fail("expected a binder name")
+            _, name, _, _ = self.next()
+            self.expect(".")
+            return FinAbs(name, self.dist())
+        if not self.at_kind("name"):
+            self.fail("expected a finite term")
+        _, head, _, _ = self.next()
+        args = []
+        while self.at_kind("name") or self.at("("):
+            args.append(self.atom())
+        return FinSpine(head, tuple(args))
+
+    def atom(self):
+        if self._bottom_ahead():
+            self.i += 3
+            return FIN_BOTTOM
+        if self.at_kind("name"):
+            _, name, _, _ = self.next()
+            return FinDist(((FinSpine(name, ()), 1),), 1)
+        return super().atom()
+
+    def _bottom_ahead(self):
+        return [t for _, t, _, _ in self.tokens[self.i:self.i + 3]] == ["_", "|", "_"]
+
+
+def parse_fin_oracle(src):
+    """``src`` read by the second grammar, or a LambError."""
+    return _FinOracleParser(_oracle_tokens(src)).whole()
+
+
+def _calculus_only(src):
+    """Whether ``src`` holds what only the calculus grammar reads: a
+    parenthesised term or spine head (it has a parenthesis) or an entry
+    of weight 0, which is dropped before the entries are checked."""
+    return any(
+        text == "(" or kind == "number" and not text.strip("0.")
+        for kind, text, _, _ in _oracle_tokens(src)
+    )
+
+
+def check_candidate_reader(src):
+    """``parse_fin`` against the oracle on ``src``: where the oracle reads
+    a candidate, ``parse_fin`` reads an equal one that prints the same;
+    where it refuses, ``parse_fin`` refuses too, or ``src`` is
+    ``_calculus_only`` and the oracle reads the printed form of what
+    ``parse_fin`` read to the same candidate."""
+    try:
+        want = parse_fin_oracle(src)
+    except LambError:
+        want = None
+    try:
+        got = parse_fin(src)
+    except LambError:
+        got = None
+    if want is not None:
+        assert got == want and print_fin_dist(got) == print_fin_dist(want)
+    elif got is not None:
+        assert _calculus_only(src)
+        assert parse_fin_oracle(print_fin_dist(got)) == got

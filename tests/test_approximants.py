@@ -1,5 +1,7 @@
+import io
 import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from conftest import gen_terminating
 from plamb import approximants
 from plamb.approximants import (
+    DIVERGE,
     FIN_BOTTOM,
     FIN_EMPTY,
     FinAbs,
@@ -21,12 +24,16 @@ from plamb.approximants import (
     print_fin_dist,
     truncate,
 )
+from plamb.cli import main
+from plamb.corpus import CORPUS_SOURCES
 from plamb.laws import approximant_soundness, approximant_strictness
 from plamb.lifting import max_flow
 from plamb.lts import ret_target, split_values
 from plamb.reduction import evolve
 from plamb.simulation import SimParams, sim_check
-from plamb.syntax import EMPTY, Abs, Dist, ParseError, dist_scale, fresh_name, parse
+from plamb.syntax import (
+    EMPTY, Abs, Dist, LambError, ParseError, dist_scale, fresh_name, parse, print_dist,
+)
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
 
@@ -421,6 +428,64 @@ class TestFinSyntax:
         assert parse_fin("{1/4: \\a. _|_, 1/4: \\b. _|_}") == parse_fin(
             "{1/2: \\z. _|_}"
         )
+
+
+class TestCandidateReader:
+    """``parse_fin`` is the calculus parser with the ``_|_`` atom, and keeps
+    a source whose every entry is a value tree over bottom."""
+
+    @pytest.mark.parametrize("src", [
+        r"(\x. x) y", "_|_ y", r"\x. (\y. y) x", "y (({1/2: z}) w)", r"{1/2: x, 1/2: (\a. a) b}",
+    ])
+    def test_redex_other_than_bottom_refused(self, src):
+        with pytest.raises(LambError, match="^not a finite approximant"):
+            parse_fin(src)
+
+    def test_parenthesised_term_and_head(self):
+        assert print_fin_dist(parse_fin("(x) y")) == "x y"
+        assert parse_fin("(x) y") == parse_fin("x y")
+        assert parse_fin("(y _|_) (z)") == parse_fin("y _|_ z")
+        assert print_fin_dist(parse_fin(r"(\x. x I)")) == r"\x. x I"
+
+    def test_literal_divergence_reads_as_bottom(self):
+        assert parse_fin(r"(\x. x x) (\x. x x)") == FIN_BOTTOM
+        assert parse_fin(r"y ((\a. a a) (\b. b b))") == parse_fin("y _|_")
+        assert print_dist(embed(FIN_BOTTOM)) == print_dist(Dist([(DIVERGE, 1)]))
+
+    def test_weight_zero_entry_is_dropped_before_the_check(self):
+        assert parse_fin(r"{0: (\x. x) y}") == FIN_EMPTY
+        assert parse_fin(r"{0: _|_ y, 1/2: z}") == parse_fin("{1/2: z}")
+
+    def test_prelude_names_are_plain_names(self):
+        c = parse_fin("I omega")
+        assert print_fin_dist(c) == "I omega"
+        assert embed(c) == parse("I omega", prelude={})
+
+    @pytest.mark.parametrize("make", [
+        lambda n: "y (" * n + "_|_" + ")" * n,
+        lambda n: "\\x. " * n + "_|_",
+        lambda n: "(" * n + "x" + ")" * n,
+    ], ids=["spine", "abstraction", "parentheses"])
+    def test_deep_nesting_is_a_parse_error(self, make):
+        # truncation and embedding recurse deeper per level than the
+        # parser: past their depth the reader still raises only a
+        # ParseError
+        for n in (10, 150, 200, 250, 400, 600, 1000):
+            try:
+                parse_fin(make(n))
+            except ParseError as exc:
+                assert "nesting too deep" in str(exc)
+
+    @pytest.mark.parametrize("src", CORPUS_SOURCES)
+    def test_printed_candidates_read_back(self, src):
+        # the candidates that `plamb approx` prints, as the benchmark runs it
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["approx", src, "--depth", "2", "--fuel", "16", "--grain", "1/8"]) == 0
+        lines = out.getvalue().splitlines()
+        read = [parse_fin(line) for line in lines]
+        assert [print_fin_dist(c) for c in read] == lines
+        assert set(read) == approx_generate(parse(src), 2, 16, F(1, 8))
 
 
 class TestFinDistKey:

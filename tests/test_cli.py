@@ -11,7 +11,7 @@ import plamb
 import pytest
 from hypothesis import given, settings
 
-from conftest import expand_prelude, stepped_in_table
+from conftest import check_candidate_reader, expand_prelude, stepped_in_table
 from plamb import cli, laws, syntax
 from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
 from plamb.approximants import parse_fin
@@ -54,6 +54,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "#0")
         assert code == 2
         assert "reserved" in err
+
+    def test_bottom_is_not_a_program(self, capsys):
+        code, out, err = run(capsys, "eval", "_|_")
+        assert code == 2 and out == ""
+        assert err.startswith("error: 1:1: ") and err.count("\n") == 1
 
     def test_deep_nesting_exit_2(self, capsys):
         code, out, err = run(capsys, "eval", "(" * 400 + "x" + ")" * 400)
@@ -254,6 +259,14 @@ class TestApprox:
             "--depth", "2", "--fuel", "6",
         )
         assert code == 1 and out.strip() == "false"
+
+    @pytest.mark.parametrize("src", [r"(\x. x) y", "_|_ y", r"\x. (\y. y) x"])
+    def test_check_file_with_a_redex_exit_2(self, capsys, tmp_path, src):
+        f = tmp_path / "cand.fin"
+        f.write_text(src + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "approx", "I", "--check", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a finite approximant") and err.count("\n") == 1
 
     def test_check_file_nested_too_deep(self, capsys, tmp_path):
         f = tmp_path / "cand.fin"
@@ -540,7 +553,7 @@ class TestMalformedInput:
 
 
 FUZZ_TOKENS = [
-    "x", "y", "I", "tt", "ff", "xor", "omega", "Y", "_|_", "#a", "\\", ".", "(", ")",
+    "x", "y", "I", "tt", "ff", "xor", "omega", "Y", "_|_", "_", "#a", "\\", ".", "(", ")",
     "{", "}", ",", ":", "/", "|", "0", "1", "2", "1/2", "0.25", "3/4", "--c\n", "\n", "@",
 ] + ["\\%s." % name for name in DEFAULT_PRELUDE]
 OVERLONG_NUMERALS = ["9" * 5000, "0." + "1" * 5000, "1/" + "3" * 5000]
@@ -590,6 +603,13 @@ class TestInputContract:
         assert got == want
         if got is not None:
             assert print_dist(got) == print_dist(want)
+
+    @FUZZ_SETTINGS
+    @given(fuzz_sources)
+    def test_parse_fin_agrees_with_second_grammar(self, src):
+        # the candidates read as by the grammar of finite terms that read
+        # them before parse_fin was the calculus parser plus the _|_ atom
+        check_candidate_reader(src)
 
     @FUZZ_SETTINGS
     @given(fuzz_sources, st.sampled_from([

@@ -165,3 +165,25 @@ class TestLabelDiscipline:
     def test_available_labels(self):
         labels = available_labels(parse(r"{1/3: \x. x, 1/3: y z}"), "#0")
         assert labels == [CONVERGE, Ret("#0"), Call("y", 0, 1), Call("y", 1, 1)]
+
+    def test_identity_is_kind_and_fields(self):
+        labels = [
+            TAU, CONVERGE, Ret("#0"), Ret("#1"), Ret("y"),
+            Call("y", 0, 1), Call("y", 1, 1), Call("y", 0, 2), Call("z", 0, 1),
+        ]
+        # a second instance of every label, built apart from the first
+        again = [type(TAU)(), type(CONVERGE)(), Ret("#0"), Ret("#1"), Ret("y"),
+                 Call("y", 0, 1), Call("y", 1, 1), Call("y", 0, 2), Call("z", 0, 1)]
+        for i, a in enumerate(labels):
+            for j, b in enumerate(again):
+                assert (a == b) is (i == j) and (a != b) is (i != j)
+                if i == j:
+                    assert a is not b and hash(a) == hash(b)
+            assert a != repr(a) and a != None  # noqa: E711
+        # a ret and a call that share their symbol differ in kind
+        assert Ret("y") != Call("y", 0, 0)
+        assert len({*labels, *again}) == len(labels)
+        assert [repr(a) for a in labels] == [
+            "tau", "conv", "ret #0", "ret #1", "ret y",
+            "call y 0/1", "call y 1/1", "call y 0/2", "call z 0/1",
+        ]

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
@@ -8,7 +10,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import dists, expand_prelude, gen_dist, stepped_in_table
+from conftest import check_candidate_reader, dists, expand_prelude, gen_dist, stepped_in_table
 from plamb import syntax
 from plamb.corpus import CORPUS_SOURCES
 from plamb.prelude import DEFAULT_PRELUDE
@@ -117,6 +119,22 @@ class TestParse:
             P("x {1/2: y}")
         P("x ({1/2: y})")
 
+    @pytest.mark.parametrize("src", ["_|_", "_ | _", "_\n|\n_", "_ -- c\n| -- d\n _"])
+    def test_bottom_is_one_token(self, src):
+        assert [t[:2] for t in syntax._tokenize(src)] == [("bottom", src), ("eof", "")]
+
+    @pytest.mark.parametrize("src", ["_|__", "_|_x", "_|_'", "x | y", "_ | -- c\n x"])
+    def test_bar_outside_bottom_is_unexpected(self, src):
+        with pytest.raises(ParseError, match=r"unexpected character '\|'"):
+            syntax._tokenize(src)
+
+    @pytest.mark.parametrize("src", ["_|_", "x _|_", "{1/2: _ | _}", "(_|_)"])
+    def test_bottom_is_not_in_the_calculus(self, src):
+        with pytest.raises(ParseError, match=r"expected a variable or '\(' \(got '_"):
+            P(src)
+        with pytest.raises(ParseError):
+            parse(src)
+
 
 class TestPrint:
     def test_examples(self):
@@ -189,19 +207,28 @@ def lambda_sources(names=NAMES, binders=NAMES):
     return st.recursive(names, extend, max_leaves=12)
 
 
-def fin_sources():
+# spellings of bottom: the bar and the two names around it may be apart
+BOTTOMS = st.sampled_from(["_|_", "_ | _", "_\n|\n_", "_ --c\n|_"])
+
+
+def fin_sources(redexes=False):
     """As ``lambda_sources`` with finite terms: term ::= _|_ | \\v. dist
-    | v atom*;  atom ::= _|_ | v | (dist)."""
+    | v atom*;  atom ::= _|_ | v | (dist), with _|_ spelled as in
+    ``BOTTOMS``.  With ``redexes``, a term may also be a redex that is not
+    a finite term: _|_ atom, or (\\v. dist) atom."""
     def extend(dist):
-        atom = NAMES | st.just("_|_") | dist.map("({})".format)
+        atom = NAMES | BOTTOMS | dist.map("({})".format)
         term = (
-            st.just("_|_")
+            BOTTOMS
             | st.tuples(NAMES, dist).map(lambda p: "\\%s. %s" % p)
             | st.tuples(NAMES, st.lists(atom, max_size=2)).map(
                 lambda p: " ".join([p[0]] + p[1]))
         )
+        if redexes:
+            term |= st.tuples(BOTTOMS, atom).map(" ".join)
+            term |= st.tuples(NAMES, dist, atom).map(lambda p: "(\\%s. %s) %s" % p)
         return term | weighted(term) | st.just("{}")
-    return st.recursive(NAMES | st.just("_|_"), extend, max_leaves=12)
+    return st.recursive(NAMES | BOTTOMS, extend, max_leaves=12)
 
 
 ROUNDTRIP_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -228,6 +255,13 @@ class TestPrintParseProperty:
         again = parse_fin(text)
         assert again == d
         assert print_fin_dist(again) == text
+
+    @ROUNDTRIP_SETTINGS
+    @given(fin_sources(redexes=True))
+    def test_finite_reads_as_second_grammar(self, src):
+        # the oracle is the grammar of finite terms that read candidates
+        # before parse_fin was the calculus parser plus the _|_ atom
+        check_candidate_reader(src)
 
 
 PRELUDE_NAMES = tuple(DEFAULT_PRELUDE)
@@ -299,6 +333,37 @@ class TestPreludeResolution:
             parse("f A", prelude=pre)
         with pytest.raises(LambError, match=msg):
             expand_prelude("f A", pre)
+
+    def test_nesting_limit_does_not_depend_on_earlier_parses(self):
+        # in a process of its own, so both searches run at one stack
+        # depth: the deepest Y in parentheses that parses while Y's
+        # definition is unparsed before each try, and once it is parsed
+        script = """if True:
+            from plamb import syntax
+            from plamb.syntax import LambError, parse
+
+            def deepest(fresh):
+                best = None
+                for n in range(280, 380):
+                    if fresh:
+                        syntax._definitions = None
+                    try:
+                        parse("(" * n + "Y" + ")" * n)
+                        best = n
+                    except LambError:
+                        pass
+                return best
+
+            fresh = deepest(True)
+            parse("Y")
+            print(fresh, deepest(False))
+        """
+        src = os.path.dirname(os.path.dirname(syntax.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout.split()
+        assert out[0] == out[1] and 280 < int(out[0]) < 379
 
     def test_unused_definitions_are_never_parsed(self):
         pre = {"A": "A", "B": "{", "C": r"\x. x"}

@@ -369,7 +369,7 @@ def parse_fin(src):
     ``DIVERGE``, and truncated at no depth; a source whose truncation does
     not embed back to what was read (it has a redex other than bottom) is
     refused.  A literal ``DIVERGE`` reads as bottom."""
-    parser = _Parser(_tokenize(src), bottom=unit(DIVERGE))
+    parser = _Parser(_tokenize(src), src, bottom=unit(DIVERGE))
     d = parser.whole()
     # truncation and embedding recurse deeper per level than the parser
     c = parser.parse_nested(lambda: truncate(d, math.inf))

@@ -64,12 +64,18 @@ def _prelude():
     return DEFAULT_PRELUDE
 
 
-def _load_operand(text):
-    if os.path.exists(text):
-        return parse(_read_file(text), prelude=_prelude())
-    if text.endswith(".lam"):
-        raise LambError("file not found: %s" % text)
-    return parse(text, prelude=_prelude())
+def _load_operands(*texts):
+    """The programs of ``texts``, each a file or inline source, parsed
+    against one reading of the prelude, made when the first needs it."""
+    prelude = functools.cache(_prelude)
+    out = []
+    for text in texts:
+        if os.path.exists(text):
+            text = _read_file(text)
+        elif text.endswith(".lam"):
+            raise LambError("file not found: %s" % text)
+        out.append(parse(text, prelude=prelude()))
+    return out
 
 
 # the longest numeral read from outside: int() refuses a string of more
@@ -185,7 +191,7 @@ def normalize(m, fuel):
 
 
 def _cmd_eval(args):
-    d = _load_operand(args.expr)
+    d, = _load_operands(args.expr)
     report = evolve(d, args.fuel)
     if args.format == "json":
         print(json.dumps({
@@ -203,7 +209,7 @@ def _cmd_eval(args):
 def _cmd_trace(args):
     # only the current distribution is held: a term keeps its head reduct,
     # so holding the parsed program would keep every step printed so far
-    cur = _load_operand(args.expr)
+    cur, = _load_operands(args.expr)
     for i in range(args.fuel + 1):
         v = vals(cur)
         print("%d\t%s\tvalue=%s\tresidual=%s" % (
@@ -216,7 +222,7 @@ def _cmd_trace(args):
 
 
 def _cmd_lts(args):
-    d = _load_operand(args.expr)
+    d, = _load_operands(args.expr)
     report = evolve(d, args.fuel)
     print("tau\t%s\tresidual=%s" % (
         print_dist(report.values, explicit=True), print_weight(report.residual)
@@ -235,8 +241,7 @@ def _verdict_exit(verdicts):
 
 
 def _cmd_sim(args):
-    m = _load_operand(args.left)
-    n = _load_operand(args.right)
+    m, n = _load_operands(args.left, args.right)
     params = SimParams(args.depth, args.fuel, not args.no_slack)
     v = sim_check(m, n, params)
     if args.format == "json":
@@ -247,8 +252,7 @@ def _cmd_sim(args):
 
 
 def _cmd_bisim(args):
-    m = _load_operand(args.left)
-    n = _load_operand(args.right)
+    m, n = _load_operands(args.left, args.right)
     params = SimParams(args.depth, args.fuel, not args.no_slack)
     fwd, bwd = bisim_check(m, n, params)
     if args.format == "json":
@@ -338,7 +342,7 @@ def _cmd_lift(args):
 
 def _cmd_approx(args):
     grain = _fraction(args.grain, "--grain")
-    m = _load_operand(args.expr)
+    m, = _load_operands(args.expr)
     if args.check:
         candidate = parse_fin(_read_file(args.check))
         ok = approx_check(candidate, m, args.depth, args.fuel)
@@ -352,7 +356,7 @@ def _cmd_approx(args):
 
 def _cmd_normalize(args):
     # the program is not held here: normalize steps from it alone
-    report = normalize(_load_operand(args.expr), args.fuel)
+    report = normalize(_load_operands(args.expr)[0], args.fuel)
     if args.format == "json":
         print(json.dumps({
             "rows": [
@@ -410,6 +414,7 @@ def _nonnegative_int(text):
 
 @functools.cache
 def _build_parser():
+    """The top-level parser and the subcommands' parsers by name, built once."""
     ap = argparse.ArgumentParser(
         prog="plamb",
         description="Probabilistic lazy lambda calculus workbench",
@@ -478,12 +483,27 @@ def _build_parser():
     common(p, fuel=False, seed=True)
     p.set_defaults(fn=_cmd_selftest)
 
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv):
+    """``_build_parser()[0].parse_args(argv)``, cheaper: after a subcommand
+    its parser reads the rest alone, and anything left over goes back to
+    the top-level parser, which is where argparse reports it."""
+    ap, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except LambError as exc:

@@ -81,12 +81,13 @@ def random_lift_instance(rng, max_support, denoms, densities):
 
 def lift_agreement(instances):
     """The max-flow decider and the splitting criterion agree on whether
-    the lift holds and on its deficit."""
+    the lift holds, on its deficit and on its witness cut: the violation
+    is supermodular, so both report its inclusion-least maximiser."""
     bad = []
     for d, e, rel in instances:
         a = lift_check_flow(d, e, rel)
         b = lift_check_subsets(d, e, rel)
-        if a.holds != b.holds or a.deficit != b.deficit:
+        if (a.holds, a.deficit, a.witness_cut) != (b.holds, b.deficit, b.witness_cut):
             bad.append((d, e, rel))
     return bad
 

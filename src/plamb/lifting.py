@@ -251,6 +251,11 @@ def lift_check_subsets(d, e, related):
     half, each with a table of its 2^(n/2) subsets, and the target weight
     of an image is read from tables of 8-point chunks, so memory stays
     small up to the guard.
+
+    A high half (hw, himg) is skipped when hw + min(max(lo_w) - T(himg),
+    max over lo of (lw - T(limg))) <= worst: T, the target weight of an
+    image, is monotone, so no mask of that half violates by more, and
+    only a strictly larger violation replaces the worst one.
     """
     if len(d) > _SUBSET_GUARD:
         raise SupportTooLargeError(
@@ -265,8 +270,16 @@ def lift_check_subsets(d, e, related):
     hi_w, hi_img = _subset_tables(items[half:])
     shifts = range(0, len(tw), 8)
     chunks = [_subset_tables([(w, 0) for w in tw[s:s + 8]])[0] for s in shifts]
+
+    def target(img):
+        return sum(chunk[img >> s & 255] for s, chunk in zip(shifts, chunks))
+
+    lo_top_w = max(lo_w)
+    lo_top_gap = max(lw - target(li) for lw, li in zip(lo_w, lo_img))
     worst = worst_mask = 0
     for hi, (hw, himg) in enumerate(zip(hi_w, hi_img)):
+        if hw + min(lo_top_w - target(himg), lo_top_gap) <= worst:
+            continue
         imgs = [himg | li for li in lo_img]
         violations = [hw + lw for lw in lo_w]
         for s, chunk in zip(shifts, chunks):

@@ -705,52 +705,50 @@ def print_dist(d, explicit=False):
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
-# ``_|_`` is one token, with any whitespace and comments between its parts;
-# a comment there ends in a newline, so the match never backtracks in it
-_GAP = r"(?:\s|--[^\n]*\n)*"
+# A match is a token and the gap before it, whose comments end in a newline
+# or at the end, so it never backtracks into one; ``_|_`` may hold gaps.  An
+# error token takes the rest of the text, so it comes last before ``eof``;
+# an ``eof`` that takes a gap is followed by an empty one, dropped here.
+_GAP = r"\s*(?:--[^\n]*(?:\n|\Z)\s*)*"
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>--[^\n]*)
-      | (?P<number>\d+\.\d+|\d+)
+    r"""%s(?:
+        (?P<number>\d+\.\d+|\d+)
       | (?P<bottom>_%s\|%s_(?![A-Za-z0-9_'#]))
-      | (?P<name>[A-Za-z_#][A-Za-z0-9_'#]*)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_'#]*)
       | (?P<punct>[\\.(){},:/])
-    """ % (_GAP, _GAP),
+      | (?P<eof>\Z)
+      | (?P<reserved>\#[\s\S]*)
+      | (?P<bad>[\s\S]+))
+    """ % (_GAP, _GAP, _GAP),
     re.VERBOSE,
 )
 
 
 def _tokenize(src):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % src[pos], line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "name" and text.startswith("#"):
-            raise ReservedNameError(
-                "names beginning with '#' are reserved", line, col
-            )
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+    """The tokens of ``src`` as (kind, text, offset) triples, the last of
+    kind ``eof``; an offset becomes a line and a column only for an error
+    (``_line_col``)."""
+    tokens = [(k := m.lastgroup, m[k], m.start(k)) for m in _TOKEN_RE.finditer(src)]
+    if len(tokens) > 1:
+        kind, text, pos = tokens[-2]
+        if kind == "eof":
+            tokens.pop()
+        elif kind == "reserved":
+            raise ReservedNameError("names beginning with '#' are reserved", *_line_col(src, pos))
+        elif kind == "bad":
+            raise ParseError("unexpected character %r" % text[0], *_line_col(src, pos))
     return tokens
 
 
+def _line_col(src, pos):
+    """The 1-based line and column of offset ``pos`` in ``src``."""
+    return src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos)
+
+
 class _Parser:
-    def __init__(self, tokens, definitions=None, resolving=(), bottom=None):
+    def __init__(self, tokens, src, definitions=None, resolving=(), bottom=None):
         self.tokens = tokens
+        self.src = src
         self.i = 0
         # the prelude's _Definitions, or None, and the names whose
         # definitions are being parsed
@@ -767,13 +765,15 @@ class _Parser:
         self.i += 1
         return tok
 
+    def error(self, msg, pos):
+        return ParseError(msg, *_line_col(self.src, pos))
+
     def fail(self, msg):
-        _, text, line, col = self.peek()
-        raise ParseError(msg + (" (got %r)" % text if text else " (got end of input)"), line, col)
+        _, text, pos = self.peek()
+        raise self.error(msg + (" (got %r)" % text if text else " (got end of input)"), pos)
 
     def expect(self, text):
-        kind, t, line, col = self.peek()
-        if t != text:
+        if self.peek()[1] != text:
             self.fail("expected %r" % text)
         return self.next()
 
@@ -789,8 +789,7 @@ class _Parser:
         try:
             return rule()
         except RecursionError:
-            _, _, line, col = self.peek()
-            raise ParseError("nesting too deep", line, col) from None
+            raise self.error("nesting too deep", self.peek()[2]) from None
 
     def whole(self):
         """The distribution that is the whole of the input."""
@@ -805,52 +804,56 @@ class _Parser:
     # dist ::= term | '{' weight ':' term (',' weight ':' term)* '}' | '{}'
     def dist(self):
         if self.at("{"):
-            _, _, line, col = self.next()
+            pos = self.next()[2]
             if self.at("}"):
                 self.next()
                 return Dist()
-            pairs = []
+            entries = []
             while True:
-                w = self.weight()
+                n, d = self.weight()
                 self.expect(":")
-                t = self.term()
-                pairs.append((t, w))
+                entries.append((self.term(), n, d))
                 if self.at(","):
                     self.next()
                     continue
                 self.expect("}")
                 break
+            den = math.lcm(*[d for _, _, d in entries])
             try:
-                return Dist(pairs)
+                return Dist([(t, n * (den // d)) for t, n, d in entries], den)
             except MassError:
                 # weight() already refused every weight outside [0, 1]
-                raise ParseError("weights sum above 1", line, col) from None
+                raise self.error("weights sum above 1", pos) from None
         return Dist(((self.term(), 1),), 1)
 
-    # weight ::= INT '/' INT | DECIMAL | INT
+    # weight ::= INT '/' INT | DECIMAL | INT, as (numerator, denominator)
     def weight(self):
         if not self.at_kind("number"):
             self.fail("expected a weight")
-        _, text, line, col = self.next()
+        _, text, pos = self.next()
         try:
             if "." in text:
-                w = Fraction(text)
+                # as Fraction reads a decimal: one int() a side
+                whole, _, frac = text.partition(".")
+                den = 10 ** len(frac)
+                num = int(whole) * den + int(frac)
             elif self.at("/"):
                 self.next()
                 if not self.at_kind("number"):
                     self.fail("expected a denominator")
-                _, den, _, _ = self.next()
+                den = self.next()[1]
                 if "." in den or int(den) == 0:
-                    raise ParseError("bad denominator %r" % den, line, col)
-                w = Fraction(int(text), int(den))
+                    raise self.error("bad denominator %r" % den, pos)
+                num, den = int(text), int(den)
             else:
-                w = Fraction(int(text))
+                num, den = int(text), 1
+            if num > den:
+                # str() refuses a weight of too many digits: out of range
+                raise self.error("weight %s exceeds 1" % Fraction(num, den), pos)
         except ValueError:
             # int() refuses a numeral longer than sys.get_int_max_str_digits()
-            raise ParseError("number out of range", line, col) from None
-        if w > 1:
-            raise ParseError("weight %s exceeds 1" % w, line, col)
-        return w
+            raise self.error("number out of range", pos) from None
+        return num, den
 
     # term ::= '\' var '.' dist | atom atom+ | var
     def term(self):
@@ -858,7 +861,7 @@ class _Parser:
             self.next()
             if not self.at_kind("name") or self.defined(self.peek()[1]):
                 self.fail("expected a binder name")
-            _, name, _, _ = self.next()
+            name = self.next()[1]
             self.expect(".")
             return Abs(name, self.dist())
         atoms = [self.atom()]
@@ -877,9 +880,9 @@ class _Parser:
     # atom ::= var | '(' dist ')' | '_|_' (when the grammar has bottom)
     def atom(self):
         if self.at_kind("name"):
-            _, name, line, col = self.next()
+            _, name, pos = self.next()
             if self.defined(name):
-                return self.definitions.use(name, self.resolving, line, col)
+                return self.definitions.use(name, self.resolving, self.src, pos)
             return unit(Var(name))
         if self.at("("):
             self.next()
@@ -910,13 +913,13 @@ def parse(src, prelude=None):
     tokens = _tokenize(src)
     defs = _definitions_of(prelude) if prelude else None
     if defs is not None and len(defs.parsed) < len(defs.source):
-        for kind, text, line, col in tokens:
+        for kind, text, pos in tokens:
             if kind == "name" and text in defs.source and text not in defs.parsed:
                 try:
-                    defs.use(text, (), line, col)
+                    defs.use(text, (), src, pos)
                 except LambError:
                     pass
-    return _Parser(tokens, defs).whole()
+    return _Parser(tokens, src, defs).whole()
 
 
 class _Definitions:
@@ -944,18 +947,19 @@ class _Definitions:
         # name -> (parsed definition, plan of its fresh parts)
         self.parsed = {}
 
-    def use(self, name, resolving, line, col):
-        """The definition of ``name``, used at ``line``:``col`` while the
-        definitions named in ``resolving`` are being parsed."""
+    def use(self, name, resolving, src, pos):
+        """The definition of ``name``, used at offset ``pos`` of ``src``
+        while the definitions named in ``resolving`` are being parsed."""
         entry = self.parsed.get(name)
         if entry is None:
             if name in resolving:
                 raise LambError("prelude expansion did not terminate (recursive definition?)")
+            text = self.source[name]
             try:
-                d = _Parser(_tokenize(self.source[name]), self, resolving + (name,)).whole()
+                d = _Parser(_tokenize(text), text, self, resolving + (name,)).whole()
             except ParseError as exc:
                 msg = "in the definition of %s: %s" % (name, exc)
-                raise ParseError(msg, line, col) from None
+                raise ParseError(msg, *_line_col(src, pos)) from None
             entry = self.parsed[name] = (d, _fresh_plan(d, frozenset()))
         d, plan = entry
         return d if plan is None else _fresh_copy(d, plan)

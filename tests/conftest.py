@@ -7,12 +7,14 @@ import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 
 from plamb import syntax
 from plamb.approximants import (
     FIN_BOTTOM, OMEGA, FinAbs, FinDist, FinSpine, parse_fin, print_fin_dist,
 )
-from plamb.syntax import Abs, App, Dist, LambError, MassError, ParseError, Var
+from plamb.prelude import DEFAULT_PRELUDE
+from plamb.syntax import Abs, App, Dist, LambError, MassError, ParseError, ReservedNameError, Var
 from plamb.reduction import evolve
 
 GRID8 = [Fraction(i, 8) for i in range(1, 9)]
@@ -133,17 +135,17 @@ _ORACLE_TOKEN_RE = re.compile(
 
 
 def _oracle_tokens(src):
-    # positions are offsets on line 1: the oracle decides acceptance and
-    # the result, not messages
+    # (kind, text, offset) triples, as the calculus parser takes them; the
+    # oracle decides acceptance and the result, not messages
     tokens, pos = [], 0
     while pos < len(src):
         m = _ORACLE_TOKEN_RE.match(src, pos)
         if m is None or m.group().startswith("#"):
             raise ParseError("unexpected input", 1, pos + 1)
         if m.lastgroup not in ("ws", "comment"):
-            tokens.append((m.lastgroup, m.group(), 1, pos + 1))
+            tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(("eof", "", 1, pos + 1))
+    tokens.append(("eof", "", pos))
     return tokens
 
 
@@ -153,13 +155,13 @@ class _FinOracleParser(syntax._Parser):
 
     def dist(self):
         if self.at("{"):
-            _, _, line, col = self.next()
+            pos = self.next()[2]
             if self.at("}"):
                 self.next()
                 return FinDist()
             pairs = []
             while True:
-                w = self.weight()
+                w = Fraction(*self.weight())
                 self.expect(":")
                 pairs.append((self.term(), w))
                 if self.at(","):
@@ -170,7 +172,7 @@ class _FinOracleParser(syntax._Parser):
             try:
                 return FinDist(pairs)
             except MassError:
-                raise ParseError("weights sum above 1", line, col) from None
+                raise self.error("weights sum above 1", pos) from None
         return FinDist(((self.term(), 1),), 1)
 
     def term(self):
@@ -181,12 +183,12 @@ class _FinOracleParser(syntax._Parser):
             self.next()
             if not self.at_kind("name"):
                 self.fail("expected a binder name")
-            _, name, _, _ = self.next()
+            name = self.next()[1]
             self.expect(".")
             return FinAbs(name, self.dist())
         if not self.at_kind("name"):
             self.fail("expected a finite term")
-        _, head, _, _ = self.next()
+        head = self.next()[1]
         args = []
         while self.at_kind("name") or self.at("("):
             args.append(self.atom())
@@ -197,17 +199,17 @@ class _FinOracleParser(syntax._Parser):
             self.i += 3
             return FIN_BOTTOM
         if self.at_kind("name"):
-            _, name, _, _ = self.next()
+            name = self.next()[1]
             return FinDist(((FinSpine(name, ()), 1),), 1)
         return super().atom()
 
     def _bottom_ahead(self):
-        return [t for _, t, _, _ in self.tokens[self.i:self.i + 3]] == ["_", "|", "_"]
+        return [t for _, t, _ in self.tokens[self.i:self.i + 3]] == ["_", "|", "_"]
 
 
 def parse_fin_oracle(src):
     """``src`` read by the second grammar, or a LambError."""
-    return _FinOracleParser(_oracle_tokens(src)).whole()
+    return _FinOracleParser(_oracle_tokens(src), src).whole()
 
 
 def _calculus_only(src):
@@ -216,7 +218,7 @@ def _calculus_only(src):
     of weight 0, which is dropped before the entries are checked."""
     return any(
         text == "(" or kind == "number" and not text.strip("0.")
-        for kind, text, _, _ in _oracle_tokens(src)
+        for kind, text, _ in _oracle_tokens(src)
     )
 
 
@@ -239,3 +241,83 @@ def check_candidate_reader(src):
     elif got is not None:
         assert _calculus_only(src)
         assert parse_fin_oracle(print_fin_dist(got)) == got
+
+
+# The oracle for the tokenizer: the one that matched whitespace, comments
+# and each token separately and counted lines and columns as it went.
+_ORACLE_GAP = r"(?:\s|--[^\n]*\n)*"
+_LAMBDA_ORACLE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>--[^\n]*)
+      | (?P<number>\d+\.\d+|\d+)
+      | (?P<bottom>_%s\|%s_(?![A-Za-z0-9_'#]))
+      | (?P<name>[A-Za-z_#][A-Za-z0-9_'#]*)
+      | (?P<punct>[\\.(){},:/])
+    """ % (_ORACLE_GAP, _ORACLE_GAP),
+    re.VERBOSE,
+)
+
+
+def tokenize_oracle(src):
+    """(kind, text, line, col) tokens of ``src``, ending in ``eof``."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    n = len(src)
+    while pos < n:
+        m = _LAMBDA_ORACLE_TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError("unexpected character %r" % src[pos], line, col)
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "name" and text.startswith("#"):
+            raise ReservedNameError(
+                "names beginning with '#' are reserved", line, col
+            )
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, text, line, col))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def check_tokenizer(src):
+    """``syntax._tokenize`` against the oracle on ``src``: tokens of the
+    same kinds and texts at the same line and column, or a ParseError of
+    the same type and text (position included)."""
+    try:
+        want = tokenize_oracle(src)
+    except ParseError as exc:
+        with pytest.raises(type(exc)) as got:
+            syntax._tokenize(src)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = [(k, t, *syntax._line_col(src, pos)) for k, t, pos in syntax._tokenize(src)]
+    assert got == want
+
+
+# Short sources over the grammar's tokens, and over-long numerals
+FUZZ_TOKENS = [
+    "x", "y", "I", "tt", "ff", "xor", "omega", "Y", "_|_", "_", "#a", "\\", ".", "(", ")",
+    "{", "}", ",", ":", "/", "|", "0", "1", "2", "1/2", "0.25", "3/4", "--c\n", "\n", "@",
+] + ["\\%s." % name for name in DEFAULT_PRELUDE]
+OVERLONG_NUMERALS = ["9" * 5000, "0." + "1" * 5000, "1/" + "3" * 5000]
+
+fuzz_sources = st.one_of(
+    st.builds(
+        str.join,
+        st.sampled_from([" ", ""]),
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=12),
+    ),
+    st.builds(
+        str.__mod__,
+        st.sampled_from(["%s", "{%s: x}", "\\x. {1/2: x, %s: y}"]),
+        st.sampled_from(OVERLONG_NUMERALS),
+    ),
+)

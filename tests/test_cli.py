@@ -11,7 +11,7 @@ import plamb
 import pytest
 from hypothesis import given, settings
 
-from conftest import check_candidate_reader, expand_prelude, stepped_in_table
+from conftest import check_candidate_reader, expand_prelude, fuzz_sources, stepped_in_table
 from plamb import cli, laws, syntax
 from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
 from plamb.approximants import parse_fin
@@ -377,6 +377,22 @@ class TestPreludeNames:
         assert run(capsys, "eval", "K") == (0, "{1: K}\n", "")
         assert run(capsys, "eval", "I") == (0, "{1: \\x. x}\n", "")
 
+    @pytest.mark.parametrize("command", ["sim", "bisim"])
+    def test_prelude_file_read_once_per_command(self, capsys, tmp_path, monkeypatch, command):
+        f = tmp_path / "prelude.txt"
+        f.write_text("K = a\n", encoding="utf-8")
+        monkeypatch.setenv("PLAMB_PRELUDE", str(f))
+        reads = []
+        read = cli._read_file
+
+        def counted(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(cli, "_read_file", counted)
+        assert run(capsys, command, "K", "K")[0] == 0
+        assert reads == [str(f)]
+
     def test_commands_leave_the_definitions_unreduced(self, capsys):
         prog = r"{1/4: xor tt ff, 1/4: Y (\x. {1/2: I, 1/2: x}), 1/4: x omega, 1/4: omega}"
         other = r"{1/2: Y (\x. {1/2: tt, 1/2: x}), 1/4: I, 1/4: y ff}"
@@ -490,14 +506,16 @@ class TestMalformedInput:
         code, _, _ = run(capsys, "lift", good)
         assert code == 0
 
-    @pytest.mark.parametrize("argv", [
+    REMOVED_OPTIONS = [
         ["trace", "I", "--format", "json"],
         ["lts", "I", "--format", "json"],
         ["approx", "I", "--format", "json"],
         ["selftest", "--format", "json"],
         ["lift", '{"source": {}}', "--fuel", "8"],
         ["selftest", "--fuel", "8"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", REMOVED_OPTIONS)
     def test_removed_options_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -552,24 +570,6 @@ class TestMalformedInput:
         assert err.startswith("error: malformed lift instance: ")
 
 
-FUZZ_TOKENS = [
-    "x", "y", "I", "tt", "ff", "xor", "omega", "Y", "_|_", "_", "#a", "\\", ".", "(", ")",
-    "{", "}", ",", ":", "/", "|", "0", "1", "2", "1/2", "0.25", "3/4", "--c\n", "\n", "@",
-] + ["\\%s." % name for name in DEFAULT_PRELUDE]
-OVERLONG_NUMERALS = ["9" * 5000, "0." + "1" * 5000, "1/" + "3" * 5000]
-
-fuzz_sources = st.one_of(
-    st.builds(
-        str.join,
-        st.sampled_from([" ", ""]),
-        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=12),
-    ),
-    st.builds(
-        str.__mod__,
-        st.sampled_from(["%s", "{%s: x}", "\\x. {1/2: x, %s: y}"]),
-        st.sampled_from(OVERLONG_NUMERALS),
-    ),
-)
 FUZZ_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
@@ -702,6 +702,66 @@ class TestInternalError:
         monkeypatch.setattr(cli, "evolve", lambda d, fuel: 1 / 0)
         assert run(capsys, "eval", "(")[0] == 2
         assert run(capsys, "eval", "x")[0] == 3
+
+
+def _parsed(parse, argv):
+    """Exit code (None when parsing succeeds), namespace, stdout and
+    stderr of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = ns = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ns = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, ns, out.getvalue(), err.getvalue()
+
+
+SIM_OPTIONS = [["--fuel", "3"], ["--format", "json"], ["--depth", "2"], ["--no-slack"]]
+# subcommand -> (positionals, one argv tail per option)
+COMMANDS = {
+    "eval": (["I"], [["--fuel", "3"], ["--format", "json"]]),
+    "trace": (["I"], [["--fuel", "3"]]),
+    "lts": (["I"], [["--fuel", "3"]]),
+    "sim": (["I", "I"], SIM_OPTIONS),
+    "bisim": (["I", "I"], SIM_OPTIONS),
+    "lift": (["{}"], [["--slack", "1/2"], ["--format", "json"]]),
+    "approx": (["I"], [["--fuel", "3"], ["--depth", "2"], ["--grain", "1/4"], ["--check", "c"]]),
+    "normalize": (["I"], [["--fuel", "3"], ["--format", "json"]]),
+    "selftest": ([], [["--seed", "3"]]),
+}
+
+
+def dispatch_argvs():
+    argvs = [[], ["-h"], ["nosuch"], ["--fuel", "3", "eval", "I"]]
+    for cmd, (pos, options) in COMMANDS.items():
+        argvs.append([cmd, *pos])
+        argvs += [[cmd, *pos, *o] for o in options]
+        argvs.append([cmd, *sum(options, []), *pos])
+        argvs += [
+            [cmd, *pos, "--fuel=3"], [cmd, *pos, "--fu", "3"], [cmd, *pos, "--format", "xml"],
+            [cmd, *pos, "--fuel", "-1"], [cmd, "-h"], [cmd, *pos, "--help"], [cmd, *pos, "--bogus"],
+            [cmd, *pos, "extra"], [cmd, "--", *pos],
+        ]
+        if pos:
+            argvs.append([cmd, *pos[:-1]])
+    return argvs + TestMalformedInput.REMOVED_OPTIONS
+
+
+class TestDispatch:
+    """``main`` parses a command with its subcommand's parser; in result,
+    output and exit code that is the top-level parser's work."""
+
+    @pytest.mark.parametrize("argv", dispatch_argvs(), ids=" ".join)
+    def test_direct_matches_top_level(self, argv):
+        top, _ = cli._build_parser()
+        assert _parsed(cli._parse_args, argv) == _parsed(top.parse_args, argv)
+
+    def test_subcommand_skips_the_top_level_parser(self, monkeypatch):
+        top, _ = cli._build_parser()
+        monkeypatch.setattr(top, "parse_args", None)
+        args = cli._parse_args(["sim", "I", "I", "--fuel", "3"])
+        assert (args.command, args.fuel, args.fn) == ("sim", 3, cli._cmd_sim)
 
 
 class TestParserReuse:

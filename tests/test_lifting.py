@@ -295,6 +295,55 @@ class TestLiftSubsets:
             lift_check_subsets(big, fsd("b", ["1"]), set())
 
 
+def subsets_by_enumeration(d, e, related):
+    """The oracle for ``lift_check_subsets``: every mask over ``d.points``
+    in integer order, each subset's weight less its image's, and the first
+    mask of the largest positive violation."""
+    sw = dict(zip(d.points, d.weights))
+    tw = dict(zip(e.points, e.weights))
+    worst, worst_mask = F(0), 0
+    for mask in range(1 << len(d)):
+        cut = {a for i, a in enumerate(d.points) if mask >> i & 1}
+        image = {b for a, b in related if a in cut}
+        v = sum((sw[a] for a in cut), F(0)) - sum((tw[b] for b in image), F(0))
+        if v > worst:
+            worst, worst_mask = v, mask
+    cut = frozenset(a for i, a in enumerate(d.points) if worst_mask >> i & 1)
+    return worst == 0, worst, cut
+
+
+def tied_instance(rng, n):
+    """A lift instance of ``n`` source points with many ties: equal
+    weights or weights from two values, and source points sharing a few
+    whole images."""
+    nt = rng.randint(1, 6)
+    unit = F(1, 2 * max(n, nt))
+    if rng.random() < 0.5:
+        sw = [unit] * n
+    else:
+        sw = [rng.choice((unit, 2 * unit)) for _ in range(n)]
+    d = fsd(["s%d" % i for i in range(n)], sw)
+    e = fsd(["t%d" % j for j in range(nt)], [rng.choice((unit, 2 * unit)) for _ in range(nt)])
+    images = [
+        {"t%d" % j for j in range(nt) if rng.random() < 0.4} for _ in range(rng.randint(1, 3))
+    ]
+    related = {(a, b) for a in d.points for b in rng.choice(images)}
+    return d, e, related
+
+
+class TestSubsetsOracle:
+    """The subset decider, high halves skipped by its bound included,
+    reports what a plain enumeration of all masks does."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_plain_enumeration(self, n):
+        rng = random.Random(n)
+        for _ in range(40 if n <= 8 else 10):
+            d, e, rel = tied_instance(rng, n)
+            v = lift_check_subsets(d, e, rel)
+            assert (v.holds, v.deficit, v.witness_cut) == subsets_by_enumeration(d, e, rel)
+
+
 class TestAgreementAndMonotonicity:
     def test_flow_agrees_with_subsets(self):
         rng = random.Random(5)

@@ -10,7 +10,10 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import check_candidate_reader, dists, expand_prelude, gen_dist, stepped_in_table
+from conftest import (
+    check_candidate_reader, check_tokenizer, dists, expand_prelude, fuzz_sources, gen_dist,
+    stepped_in_table,
+)
 from plamb import syntax
 from plamb.corpus import CORPUS_SOURCES
 from plamb.prelude import DEFAULT_PRELUDE
@@ -96,6 +99,27 @@ class TestParse:
         with pytest.raises(ParseError, match="number out of range") as e:
             read("{1/2: y,\n %s: x}" % weight)
         assert (e.value.line, e.value.col) == (2, 2)
+
+    @pytest.mark.parametrize("read", [P, parse_fin])
+    def test_unprintable_weight_above_one(self, read):
+        # each side of the decimal point is within int()'s limit, but the
+        # weight has too many digits to name in the message
+        side = "9" * 3000
+        with pytest.raises(ParseError, match="number out of range"):
+            read("{%s.%s: x}" % (side, side))
+
+    @pytest.mark.parametrize("src, pairs", [
+        ("{2/4: x, 0.50: y}", [("x", F(1, 2)), ("y", F(1, 2))]),
+        ("{0.125: x, 3/12: y, 0: z}", [("x", F(1, 8)), ("y", F(1, 4))]),
+        ("{1/6: x, 2/6: x, 0.50: y}", [("x", F(1, 2)), ("y", F(1, 2))]),
+        ("{1/3: x, 00.10: y, 0/1: z}", [("x", F(1, 3)), ("y", F(1, 10))]),
+        ("{1.0: x}", [("x", F(1))]),
+    ])
+    def test_int_weights_as_fraction_weights(self, src, pairs):
+        # the parser reads weights as ints over one lcm; the distribution
+        # is the one built from Fraction weights, in the same ints
+        d, want = P(src), Dist([(Var(n), w) for n, w in pairs])
+        assert d == want and (d._ints, d._den) == (want._ints, want._den)
 
     @pytest.mark.parametrize("read", [P, parse_fin])
     def test_longest_numeral_reparses(self, read):
@@ -232,6 +256,52 @@ def fin_sources(redexes=False):
 
 
 ROUNDTRIP_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+# pieces of multi-line sources: comments, with and without their newline,
+# inside and around _|_, next to tokens, reserved names and stray bars
+COMMENTED_PIECES = st.sampled_from([
+    "x", "_", "|", "_|_", "{1/2: y}", "(", ")", "\\a.", "#r", "@", " ", "\t", "\n", "\r\n",
+    "-- c\n", "--\n", "-- x | #y @ _|_\n", "---\n", "-- end", "-", "_ -- c\n| --d\n _",
+    "_\n--c\n|\n\n_", "_ --c|_", "_ | -- c\n x",
+])
+
+
+def commented(src):
+    """``src`` spread over lines, with a comment at every space."""
+    return src.replace(" ", " -- note\n ")
+
+
+class TestTokenizer:
+    """The one-pass tokenizer against the one it replaced (the oracle in
+    ``conftest``): the same kinds and texts at the same line and column,
+    and the same error at the same place."""
+
+    @ROUNDTRIP_SETTINGS
+    @given(st.one_of(lambda_sources(), lambda_sources().map(commented)))
+    def test_lambda(self, src):
+        check_tokenizer(src)
+
+    @ROUNDTRIP_SETTINGS
+    @given(st.one_of(fin_sources(redexes=True), fin_sources(redexes=True).map(commented)))
+    def test_finite(self, src):
+        check_tokenizer(src)
+
+    @ROUNDTRIP_SETTINGS
+    @given(fuzz_sources)
+    def test_fuzz_alphabet(self, src):
+        check_tokenizer(src)
+
+    @ROUNDTRIP_SETTINGS
+    @given(st.lists(COMMENTED_PIECES, max_size=16).map("".join))
+    def test_comments(self, src):
+        check_tokenizer(src)
+
+    @pytest.mark.parametrize("src", [
+        "", " ", "-- only", "x -- c", "x\n-- c\n", "\n\n  @", "x\n  #y", "{1/2:\n _ --c\n|\n_}",
+        "_ -- c\n| -- d\n _ x", "_ --c\n|_x", "x\n_ | -- c\n x", "a\r\nb @", "\t\u00a0x",
+    ])
+    def test_examples(self, src):
+        check_tokenizer(src)
 
 
 class TestPrintParseProperty:

@@ -350,13 +350,10 @@ def _round_down(c, g):
 
 
 def _round_term(t, g):
-    if isinstance(t, Omega):
-        return t
+    # _round_down keeps bottom entries itself, so t is a value tree
     if isinstance(t, FinAbs):
         return FinAbs(t.binder, _round_down(t.body, g))
-    if isinstance(t, FinSpine):
-        return FinSpine(t.head, tuple(_round_down(a, g) for a in t.args))
-    raise LambError("not a finite term: %r" % (t,))
+    return FinSpine(t.head, tuple(_round_down(a, g) for a in t.args))
 
 
 # ---------------------------------------------------------------------------

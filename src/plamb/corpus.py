@@ -4,6 +4,8 @@ spines, weighted sums, and a few divergent and half-divergent programs."""
 
 from __future__ import annotations
 
+import functools
+
 from .syntax import parse
 
 CORPUS_SOURCES = [
@@ -72,12 +74,7 @@ CORPUS_SOURCES = [
 ]
 
 
+@functools.cache
 def corpus():
     """Parsed corpus distributions (cached)."""
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = [parse(src) for src in CORPUS_SOURCES]
-    return _CACHE
-
-
-_CACHE = None
+    return [parse(src) for src in CORPUS_SOURCES]

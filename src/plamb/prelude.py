@@ -1,13 +1,9 @@
 """Bundled prelude: definitions that the parser resolves by name.
 
-A prelude name written as an atom stands for its definition, which
-``plamb.syntax.parse`` parses once, before the source that names it, and
-keeps for the last prelude.  Uses share the parsed definition, except that
-every application in it that mentions no binder of the definition is built
-afresh at each use, with every node above it: reduction can reach such an
-application in place and would then store its reduct there.  Here that is
-the top-level application of ``Y`` and of ``omega``.  Error positions refer
-to the text as written, and an error inside a definition names it.
+A prelude name written as an atom stands for its definition;
+``plamb.syntax._Definitions`` states when definitions are parsed and what
+a use shares.  Error positions refer to the text as written, and an error
+inside a definition names it.
 
 The fixpoint combinator is Turing's: its unfolding ``Y t -> t (Y t)`` is
 literal (two head reductions), so unfolding counts are predictable.  Prelude

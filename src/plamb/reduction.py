@@ -61,23 +61,17 @@ def whnf_view(t):
     """
     if isinstance(t, Abs):
         return t
-    if isinstance(t, Var):
-        return SpineView(t.name, ())
-    if isinstance(t, App):
-        args = [t.arg]
-        fun = t.fun
-        while True:
-            head = fun.point()
-            if head is None:
-                return None
-            if isinstance(head, Var):
-                args.reverse()
-                return SpineView(head.name, args)
-            if isinstance(head, Abs):
-                return None
-            args.append(head.arg)
-            fun = head.fun
-    raise LambError("not a term: %r" % (t,))
+    # a bare variable is the spine of no arguments
+    args, head = [], t
+    while isinstance(head, App):
+        args.append(head.arg)
+        head = head.fun.point()
+    if isinstance(head, Var):
+        args.reverse()
+        return SpineView(head.name, args)
+    if head is t:
+        raise LambError("not a term: %r" % (t,))
+    return None
 
 
 def is_whnf(t):

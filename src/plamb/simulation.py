@@ -119,11 +119,19 @@ class Witness:
 
 
 class Verdict:
+    """The outcome of a bounded check; ``holds``, ``exact`` and ``witness``
+    are an attribute or class data of each kind."""
+
     __slots__ = ()
 
-    @property
-    def holds(self):
-        raise NotImplementedError
+    def to_dict(self):
+        return {
+            "holds_at_bound": self.holds,
+            "exact": self.exact,
+            "depth": self.params.depth,
+            "fuel": self.params.fuel,
+            "witness": None if self.witness is None else self.witness.to_dict(),
+        }
 
 
 class NoCounterexample(Verdict):
@@ -131,50 +139,28 @@ class NoCounterexample(Verdict):
     only when ``exact`` is true; otherwise it is an honest "not refuted"."""
 
     __slots__ = ("params", "exact")
+    holds = True
+    witness = None
 
     def __init__(self, params, exact):
         self.params = params
         self.exact = exact
 
-    @property
-    def holds(self):
-        return True
-
     def __repr__(self):
         return "NoCounterexample(%r, exact=%s)" % (self.params, self.exact)
-
-    def to_dict(self):
-        return {
-            "holds_at_bound": True,
-            "exact": self.exact,
-            "depth": self.params.depth,
-            "fuel": self.params.fuel,
-            "witness": None,
-        }
 
 
 class Refuted(Verdict):
     __slots__ = ("params", "witness")
+    holds = False
+    exact = False
 
     def __init__(self, params, witness):
         self.params = params
         self.witness = witness
 
-    @property
-    def holds(self):
-        return False
-
     def __repr__(self):
         return "Refuted(%r)" % (self.witness,)
-
-    def to_dict(self):
-        return {
-            "holds_at_bound": False,
-            "exact": False,
-            "depth": self.params.depth,
-            "fuel": self.params.fuel,
-            "witness": self.witness.to_dict(),
-        }
 
 
 class _SimState:

@@ -49,9 +49,8 @@ its trajectory that has been stepped.  ``names_alike`` tells whether two
 terms with equal keys also print the same, so that one may stand for the
 other.
 
-``parse`` resolves a prelude name to its definition, parsed once and kept
-for the last prelude (``_Definitions``); a use shares it, except for the
-applications that reduction could reach in place, which are built afresh.
+``parse`` resolves a prelude name to its definition; ``_Definitions``
+states when definitions are parsed and what a use shares.
 """
 
 from __future__ import annotations
@@ -901,30 +900,26 @@ def parse(src, prelude=None):
     ``prelude`` maps names to definitions, as source text; pass an empty
     dict to disable prelude resolution.  Defaults to the bundled prelude.
     A prelude name written as an atom stands for its definition (see
-    ``_Definitions``) and may not be bound.  The definitions that ``src``
-    names are parsed before it, at the bottom of the stack, so how deep a
-    program may nest does not depend on earlier parses; an error there is
-    reported at the use.  Error positions refer to the text as written.
+    ``_Definitions``) and may not be bound.  Error positions refer to the
+    text as written.
     """
     if prelude is None:
         from .prelude import DEFAULT_PRELUDE
 
         prelude = DEFAULT_PRELUDE
     tokens = _tokenize(src)
-    defs = _definitions_of(prelude) if prelude else None
-    if defs is not None and len(defs.parsed) < len(defs.source):
-        for kind, text, pos in tokens:
-            if kind == "name" and text in defs.source and text not in defs.parsed:
-                try:
-                    defs.use(text, (), src, pos)
-                except LambError:
-                    pass
+    defs = _definitions_of(tuple(prelude.items())) if prelude else None
     return _Parser(tokens, src, defs).whole()
 
 
 class _Definitions:
-    """The definitions of one prelude, each parsed when a source first
-    names it and kept: a definition that no source names is never parsed.
+    """The definitions of one prelude, all parsed when the table is built.
+    The last prelude's table is kept (``_definitions_of``), and ``parse``
+    fetches it before reading its source, so a table is built at the bottom
+    of the stack of the first parse that uses its prelude: how deep a
+    program may nest does not depend on earlier parses.  A definition that
+    does not parse breaks nothing until a source names it; each use then
+    reports its error at the use.
 
     A use shares the parsed definition, except for every application in
     it that mentions no binder of the definition, which is built afresh at
@@ -939,13 +934,17 @@ class _Definitions:
     text alone, so concurrent parses at worst parse a definition twice.
     """
 
-    __slots__ = ("key", "source", "parsed")
+    __slots__ = ("source", "parsed")
 
-    def __init__(self, key):
-        self.key = key
-        self.source = dict(key)
+    def __init__(self, pairs):
+        self.source = dict(pairs)
         # name -> (parsed definition, plan of its fresh parts)
         self.parsed = {}
+        for name in self.source:
+            try:
+                self.use(name, (), "", 0)
+            except LambError:
+                pass
 
     def use(self, name, resolving, src, pos):
         """The definition of ``name``, used at offset ``pos`` of ``src``
@@ -965,19 +964,10 @@ class _Definitions:
         return d if plan is None else _fresh_copy(d, plan)
 
 
-# the definitions of the last prelude parsed with
-_definitions = None
-
-
-def _definitions_of(prelude):
-    """The table of ``prelude``'s definitions: the last one, kept while
-    ``prelude`` holds the same (name, source) pairs, or a new one."""
-    global _definitions
-    key = tuple(prelude.items())
-    defs = _definitions
-    if defs is None or defs.key != key:
-        defs = _definitions = _Definitions(key)
-    return defs
+@functools.lru_cache(maxsize=1)
+def _definitions_of(pairs):
+    """The table of the prelude with these (name, source) pairs."""
+    return _Definitions(pairs)
 
 
 def _fresh_plan(d, bound):

@@ -105,14 +105,22 @@ def reachable(d):
     return out
 
 
-def stepped_in_table():
-    """The nodes reachable from the prelude table that hold a reduction:
-    an application with its head reduct or a distribution with its
-    evolution.  Empty when no use tied the table to a reduction."""
-    defs = syntax._definitions
+def prelude_table(prelude):
+    """The kept table of ``prelude``, which must be the last prelude
+    parsed with, so that no table is built here."""
+    hits = syntax._definitions_of.cache_info().hits
+    defs = syntax._definitions_of(tuple(prelude.items()))
+    assert syntax._definitions_of.cache_info().hits == hits + 1, "not the kept table"
+    return defs
+
+
+def stepped_in_table(prelude):
+    """The nodes reachable from ``prelude``'s kept table that hold a
+    reduction: an application with its head reduct or a distribution with
+    its evolution.  Empty when no use tied the table to a reduction."""
     return [
         x
-        for d, _ in (defs.parsed.values() if defs is not None else ())
+        for d, _ in prelude_table(prelude).parsed.values()
         for x in reachable(d)
         if isinstance(x, App) and x._step is not None
         or isinstance(x, Dist) and x._evolved is not None

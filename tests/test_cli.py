@@ -11,8 +11,10 @@ import plamb
 import pytest
 from hypothesis import given, settings
 
-from conftest import check_candidate_reader, expand_prelude, fuzz_sources, stepped_in_table
-from plamb import cli, laws, syntax
+from conftest import (
+    check_candidate_reader, expand_prelude, fuzz_sources, prelude_table, stepped_in_table,
+)
+from plamb import cli, laws
 from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
 from plamb.approximants import parse_fin
 from plamb.prelude import DEFAULT_PRELUDE
@@ -145,6 +147,15 @@ class TestSimBisim:
         assert obj["holds_at_bound"] is False
         assert obj["forward"]["witness"]["kind"] == "FlowDeficit"
         assert obj["backward"]["witness"]["kind"] == "FlowDeficit"
+        assert out == (
+            '{"holds_at_bound": false, '
+            '"forward": {"holds_at_bound": false, "exact": false, "depth": 3, "fuel": 8, "witness": '
+            '{"path": [], "kind": "FlowDeficit", "deficit": "1", '
+            '"cut": ["x (\\\\t. \\\\f. t) (\\\\t. \\\\f. f)", "x (\\\\t. \\\\f. f) (\\\\t. \\\\f. t)"]}}, '
+            '"backward": {"holds_at_bound": false, "exact": false, "depth": 3, "fuel": 8, "witness": '
+            '{"path": [], "kind": "FlowDeficit", "deficit": "1", '
+            '"cut": ["x (\\\\t. \\\\f. t) (\\\\t. \\\\f. t)", "x (\\\\t. \\\\f. f) (\\\\t. \\\\f. f)"]}}}\n'
+        )
 
     def test_bisim_text(self, capsys):
         code, out, _ = run(capsys, "bisim", "I", "I", "--depth", "2", "--fuel", "4")
@@ -404,10 +415,8 @@ class TestPreludeNames:
             ["eval", "Y (xor tt)"], ["lts", r"Y (\x. {1/2: x, 1/2: z omega})"],
         ):
             assert run(capsys, *argv)[0] in (0, 1), argv
-        defs = syntax._definitions
-        assert defs.key == tuple(DEFAULT_PRELUDE.items())
-        assert set(defs.parsed) == set(DEFAULT_PRELUDE)
-        assert not stepped_in_table()
+        assert set(prelude_table(DEFAULT_PRELUDE).parsed) == set(DEFAULT_PRELUDE)
+        assert not stepped_in_table(DEFAULT_PRELUDE)
 
 
 class TestMalformedInput:
@@ -503,6 +512,9 @@ class TestMalformedInput:
         inline = json.dumps(dict(json.loads(good), slack="x"))
         code, _, err = run(capsys, "lift", inline)
         assert code == 2 and "slack: not a rational number" in err
+        assert run(capsys, "lift", good, "--slack", "-1") == (
+            2, "", "error: slack must be nonnegative\n"
+        )
         code, _, _ = run(capsys, "lift", good)
         assert code == 0
 
@@ -686,6 +698,42 @@ class TestRecursionLimit:
         code, out, err = deep
         assert code == 2 and out == ""
         assert err.startswith("error: eval: nesting too deep")
+
+    def test_parsed_value_too_deep_to_print_exit_2(self, capsys):
+        # the deepest abstraction chain up to 350 that the parser accepts
+        # here; evolving or printing it recurses deeper per level
+        src = next(
+            src for src in ("\\x. " * n + "x" for n in range(350, 0, -10)) if _parses(src)
+        )
+        assert run(capsys, "eval", src) == (
+            2, "", "error: eval: nesting too deep (recursion limit %d)\n" % sys.getrecursionlimit()
+        )
+
+
+def _parses(src):
+    try:
+        parse(src)
+    except LambError:
+        return False
+    return True
+
+
+class TestErrorExits:
+    """Error paths with their messages and exit codes."""
+
+    @pytest.mark.parametrize("src, msg", [
+        ("{1/0: x}", "1:2: bad denominator '0'"),
+        ("{1/: x}", "1:4: expected a denominator (got ':')"),
+        ("{1: ({1/2: x})}", "1:15: a parenthesized distribution is not a term by itself (got '}')"),
+    ])
+    def test_parse_errors(self, capsys, src, msg):
+        assert run(capsys, "eval", src) == (2, "", "error: %s\n" % msg)
+
+    def test_bad_prelude_line(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "prelude.txt"
+        f.write_text("bad line\n", encoding="utf-8")
+        monkeypatch.setenv("PLAMB_PRELUDE", str(f))
+        assert run(capsys, "eval", "x") == (2, "", "error: %s:1: bad prelude line\n" % f)
 
 
 class TestInternalError:

@@ -19,7 +19,7 @@ from plamb.lts import (
     weak_max_transition,
 )
 from plamb.reduction import AbsView, head_step, vals, whnf_view
-from plamb.syntax import Dist, parse, print_dist, subst, unit, Var
+from plamb.syntax import Dist, LambError, parse, print_dist, subst, unit, Var
 
 
 def term(src):
@@ -161,6 +161,11 @@ class TestLabelDiscipline:
         t = term("y z")
         assert label_target(t, Call("y", 0, 2)) is None
         assert label_target(t, Call("y", 0, 1)) is not None
+
+    def test_call_index_out_of_range(self):
+        with pytest.raises(LambError) as e:
+            Call("y", 3, 2)
+        assert str(e.value) == "call index 3 out of range 0..2"
 
     def test_available_labels(self):
         labels = available_labels(parse(r"{1/3: \x. x, 1/3: y z}"), "#0")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import BINDERS, dists, gen_dist, gen_terminating
@@ -14,6 +15,7 @@ from plamb.reduction import (
     head_step,
     is_whnf,
     step,
+    step_entry,
     vals,
     whnf_view,
 )
@@ -21,6 +23,7 @@ from plamb.syntax import (
     Abs,
     App,
     Dist,
+    LambError,
     Var,
     dist_leq,
     dist_scale,
@@ -65,6 +68,11 @@ class TestWhnfView:
         assert isinstance(v, SpineView)
         assert v.head == "x" and v.args == ()
 
+    def test_non_term_raises(self):
+        with pytest.raises(LambError) as e:
+            whnf_view(5)
+        assert str(e.value) == "not a term: 5"
+
     def test_deep_spine_order(self):
         v = whnf_view(term("x y z"))
         assert v.head == "x" and v.args == (parse("y"), parse("z"))
@@ -91,6 +99,15 @@ class TestStep:
 
     def test_empty_operator_drops_mass(self):
         assert step(parse("({}) y")).mass() == 0
+
+    def test_error_messages(self):
+        with pytest.raises(LambError) as e:
+            step_entry(parse("x"), 0)
+        assert str(e.value) == "no non-whnf entry at index 0"
+        for spine in (Var("x"), term("x y")):
+            with pytest.raises(LambError) as e:
+                head_step(spine)
+            assert str(e.value) == "head_step on a weak head normal form"
 
     def test_sub_unit_operator_leaks_mass(self):
         got = step(parse(r"({1/2: \x. x}) z"))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from plamb.lts import (
 )
 from plamb.reduction import SpineView, evolve, whnf_view
 from plamb.simulation import (
+    NoCounterexample,
     Refuted,
     SimParams,
     WitnessKind,
@@ -52,6 +54,11 @@ class TestBasics:
     def test_divergence_is_least(self):
         srcs = (r"\x. x", "y", "x tt ff", "{}", "{1/2: y, 1/2: omega}")
         assert not divergence_least([parse(src) for src in srcs], P(4, 8))
+
+    def test_negative_bound_refused(self):
+        with pytest.raises(LambError) as e:
+            SimParams(-1, 3)
+        assert str(e.value) == "depth and fuel must be nonnegative"
 
     def test_abstraction_above_divergence_refuted(self):
         v = sim_check(parse(r"\x. omega"), parse("omega"), P(1, 2))
@@ -246,6 +253,27 @@ class TestWitnesses:
         assert v.witness.kind is WitnessKind.CONVERGE_DEFICIT
         assert v.witness.deficit == F(1, 4)
         assert [repr(t) for t in v.witness.cut] == ["\\x. x"]
+
+
+class TestVerdictJson:
+    """The verdict schema, byte for byte: keys, key order and values."""
+
+    def test_no_counterexample(self):
+        v = sim_check(parse("I"), parse("I"), P(3, 8))
+        assert isinstance(v, NoCounterexample) and v.holds
+        assert repr(v) == "NoCounterexample(SimParams(depth=3, fuel=8, slack_enabled=True), exact=True)"
+        assert json.dumps(v.to_dict()) == (
+            '{"holds_at_bound": true, "exact": true, "depth": 3, "fuel": 8, "witness": null}'
+        )
+
+    def test_refuted(self):
+        v = sim_check(parse(r"\x. x"), parse(r"\x. omega"), P(3, 8))
+        assert isinstance(v, Refuted) and not v.holds
+        assert repr(v) == "Refuted(Witness(path=[ret #0], kind=KernelTypeMismatch, deficit=1, cut=[#0]))"
+        assert json.dumps(v.to_dict()) == (
+            '{"holds_at_bound": false, "exact": false, "depth": 3, "fuel": 8, "witness": '
+            '{"path": ["ret #0"], "kind": "KernelTypeMismatch", "deficit": "1", "cut": ["#0"]}}'
+        )
 
 
 class TestVerdictProperties:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from conftest import (
     check_candidate_reader, check_tokenizer, dists, expand_prelude, fuzz_sources, gen_dist,
-    stepped_in_table,
+    prelude_table, stepped_in_table,
 )
 from plamb import syntax
 from plamb.corpus import CORPUS_SOURCES
@@ -377,7 +377,7 @@ class TestPreludeResolution:
         assert a.body.point().fun is b.body.point().fun
         # reducing one use leaves the table's application unreduced
         evolve(parse("K u", prelude=pre), 8)
-        assert not stepped_in_table()
+        assert not stepped_in_table(pre)
 
     def test_binder_mentioning_application_shared(self):
         pre = {"K": r"\x. x (\y. y)"}
@@ -392,7 +392,7 @@ class TestPreludeResolution:
         assert parse("K", prelude=pre) == P(expand_prelude("K", pre))
         # K (\f. f u) reduces to omega's application itself
         evolve(parse(r"K (\f. f u)", prelude=pre), 8)
-        assert not stepped_in_table()
+        assert not stepped_in_table(pre)
 
     @pytest.mark.parametrize("pre", [
         {"A": "A"}, {"A": r"\x. B", "B": "x A"}, {"A": "B", "B": "C", "C": "A"},
@@ -416,7 +416,7 @@ class TestPreludeResolution:
                 best = None
                 for n in range(280, 380):
                     if fresh:
-                        syntax._definitions = None
+                        syntax._definitions_of.cache_clear()
                     try:
                         parse("(" * n + "Y" + ")" * n)
                         best = n
@@ -435,9 +435,22 @@ class TestPreludeResolution:
         ).stdout.split()
         assert out[0] == out[1] and 280 < int(out[0]) < 379
 
-    def test_unused_definitions_are_never_parsed(self):
+    def test_unused_broken_definition_breaks_nothing(self):
         pre = {"A": "A", "B": "{", "C": r"\x. x"}
         assert parse("C y", prelude=pre) == P(r"(\x. x) y")
+
+    def test_table_parses_every_definition(self):
+        pre = {"A": "A", "B": "{", "C": r"\x. x", "D": "C C"}
+        syntax._definitions_of.cache_clear()
+        assert parse("y", prelude=pre) == P("y")
+        assert set(prelude_table(pre).parsed) == {"C", "D"}
+        for _ in range(2):
+            with pytest.raises(ParseError) as e:
+                parse("y B", prelude=pre)
+            assert str(e.value) == "1:3: in the definition of B: 1:2: expected a weight (got end of input)"
+            with pytest.raises(LambError) as e:
+                parse("A", prelude=pre)
+            assert str(e.value) == "prelude expansion did not terminate (recursive definition?)"
 
     def test_broken_definition_reported_at_its_use(self):
         pre = {"B": r"\x. x )", "C": "f B"}

@@ -52,6 +52,27 @@ def linearity(pairs, fuel):
     ]
 
 
+def evolve_agreement(programs, fuel):
+    """``evolve`` reports what a whole-distribution ``step`` loop shows at
+    ``fuel``: the values printed with their names, the residual, the steps
+    used, convergence and the cycle verdict."""
+    bad = []
+    for d in programs:
+        cur, seen, steps, cycled = d, {d}, 0, False
+        while steps < fuel and vals(cur).mass() != cur.mass() and not cycled:
+            cur = step(cur)
+            steps += 1
+            cycled = cur in seen
+            seen.add(cur)
+        v, r = vals(cur), evolve(d, fuel)
+        left = cur.mass() - v.mass()
+        shown = (print_dist(v, explicit=True), left, steps, left == 0, left == 0 or cycled)
+        if shown != (print_dist(r.values, explicit=True), r.residual, r.steps_used,
+                     r.converged, r.limit_exact):
+            bad.append(d)
+    return bad
+
+
 def random_lift_instance(rng, max_support, denoms, densities):
     """A random lift instance (source, target, relation): 1 to
     ``max_support`` points a side, weights on a grid of 1/denom with the
@@ -205,10 +226,15 @@ def battery(seed):
     ]
     instances = [random_lift_instance(rng, 5, (8,), (0.4,)) for _ in range(100)]
     sim_pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(20)]
+    # the corpus programs a loop keeps live, each mixed with another
+    live = [m for m in terms if not evolve(m, 32).limit_exact]
+    loops = [dist_union(dist_scale(half, rng.choice(live)), dist_scale(half, rng.choice(terms)))
+             for _ in range(20)]
     return [
         ("parse/print round-trip", lambda: roundtrip(terms)),
         ("reduction laws", lambda: reduction_laws(terms, 8)),
         ("evolution linearity", lambda: linearity(halves, 16)),
+        ("evolve vs step", lambda: evolve_agreement(terms + loops, 24)),
         ("lift flow vs subsets", lambda: lift_agreement(instances)),
         ("simulation basics", lambda: _simulation_basics(terms)),
         ("rename invariance", lambda: rename_invariance(sim_pairs, SimParams(2, 8))),

@@ -18,11 +18,13 @@ the last fuel only.
 Each term is reduced once: an application keeps its head reduct, so
 ``head_step``, ``step`` and ``evolve`` on the same object reuse it, and
 within one ``evolve`` a residual term that recurs, as a recursive
-program's unfolding does, is stepped through its first copy.  Because a
-term's slot holds its reduct, a distribution that is kept keeps the part
-of its trajectory that has been stepped; a caller that steps a long way
-and need not keep the start, as ``plamb trace`` and ``plamb normalize``
-do, drops it.
+program's unfolding does, is stepped through its first copy; once the
+residual moves only among such terms (a closed chain), the rest of the
+fuel runs on one integer numerator per term, with the same report.
+Because a term's slot holds its reduct, a distribution that is kept keeps
+the part of its trajectory that has been stepped; a caller that steps a
+long way and need not keep the start, as ``plamb trace`` and ``plamb
+normalize`` do, drops it.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
@@ -32,6 +34,7 @@ provide the reference schedule used by the property suite.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .syntax import Abs, App, Dist, LambError, Var, ZERO, mixture, names_alike, subst, unit
 
@@ -156,36 +159,27 @@ def evolve(d, fuel):
     all mass is on values or the trajectory repeats.
 
     The result is that of iterating ``step``, but only the residual is
-    stepped: ``d`` is split once into its values (kept as canon ->
-    [display term, numerator]) and its non-whnf residual, each step
-    head-reduces the residual's entries in canonical order, whnf reducts
-    add into the values and the others form the next residual.  The
-    values' numerators are over one running common denominator, which a
-    step that needs a finer one raises to the lcm; the values ``Dist`` is
-    built once, at the end.
+    stepped: ``d`` is split once into its values (canon -> [display term,
+    numerator, last step that added to it]) and its non-whnf residual; each
+    step head-reduces the residual's entries in canonical order, whnf
+    reducts add into the values (``_add_value``, ``step``'s display rule)
+    and the others form the next residual.  The values' numerators are
+    over one running common denominator, raised to the lcm when a step
+    needs a finer one.  The cycle check is keyed on (residual, value mass):
+    the values only grow, so the whole distribution repeats exactly when
+    this key does.
 
-    Displays follow ``step``: the first term seen in a class is kept, and
-    ``step`` sees a value class's old entry before the reducts of residual
-    entries whose keys sort after it.  So a reduct replaces the display of
-    a class that existed before the step only when it is the first reduct
-    into that class in this step and its residual entry sorts first.
+    A recurring term is reduced once: a residual entry is stepped through
+    the first residual term of this call with its key when the two name
+    every binder alike (``names_alike``), so that both print, and reduce,
+    the same; an alpha-variant named otherwise is stepped on its own.
 
-    The cycle check is keyed on (residual, value mass), the mass as a
-    reduced (numerator, denominator) pair.  Along one trajectory the values
-    only grow pointwise, so two states' values are equal exactly when their
-    masses are, and the whole distribution repeats exactly when this key
-    does.
-
-    A recurring term is reduced once.  For the length of the call,
-    ``evolve`` keeps each residual key's first residual term, and a later
-    residual entry with that key is stepped through the first term when
-    the two name every binder alike (``names_alike``): they then print the
-    same, so their reducts do too, and the first term's reduct comes from
-    its ``_step`` slot.  A loop thus runs on terms it has already stepped
-    instead of building a new copy each time round.  An alpha-variant that
-    names a binder differently is stepped on its own, so every display
-    name is the one ``step`` would show.  The table is dropped when the
-    call returns; the reducts stay in the terms' slots.
+    A loop then closes.  After a step in which no residual entry was new
+    and each was stepped through its first term, ``_closed_chain`` follows
+    those terms' reducts; when every non-value reduct it reaches is again
+    a first term or named alike with one, ``_run_chain`` spends the rest of
+    the fuel on one integer numerator per term, building no ``Dist``,
+    hashing no key and reducing no term, with the same report.
 
     The report is stored on ``d`` and returned as it is when ``d`` itself
     is evolved again at the same fuel; a new fuel replaces it.  A ``d``
@@ -199,7 +193,7 @@ def evolve(d, fuel):
     pending = []
     for t, n in d._ints:
         if is_whnf(t):
-            values[t.canon()] = [t, n]
+            values[t.canon()] = [t, n, -1]
         else:
             pending.append((t, n))
     if not pending:
@@ -211,16 +205,20 @@ def evolve(d, fuel):
     seen = {(residual, value_num // g, den // g)}
     steps = 0
     cycled = False
+    chain = None
     # residual key -> the first residual term of this call with that key
     firsts = {}
-    for _ in range(fuel):
-        if residual.is_empty():
-            break
+    while steps < fuel and not residual.is_empty():
+        known = len(firsts)
+        alike = True
         reducts = []
         for t, n in residual._ints:
             first = firsts.setdefault(t._canon, t)
-            if first is not t and names_alike(first, t):
-                t = first
+            if first is not t:
+                if names_alike(first, t):
+                    t = first
+                else:
+                    alike = False
             reducts.append((t, n, head_step(t)))
         lcm = math.lcm(*[h._den for _, _, h in reducts])
         step_den = residual._den * lcm
@@ -232,7 +230,6 @@ def evolve(d, fuel):
             value_num *= f
             den = grown
         pending = []
-        reached = set()
         for t, n, h in reducts:
             s = n * (lcm // h._den) * (den // step_den)
             for rt, rn in h._ints:
@@ -240,15 +237,12 @@ def evolve(d, fuel):
                 if not is_whnf(rt):
                     pending.append((rt, rn))
                     continue
-                k = rt.canon()
+                k = rt._canon
                 slot = values.get(k)
                 if slot is None:
-                    values[k] = [rt, rn]
+                    values[k] = [rt, rn, steps]
                 else:
-                    if k not in reached and t.canon() < k:
-                        slot[0] = rt
-                    slot[1] += rn
-                reached.add(k)
+                    _add_value(slot, rt, rn, t._canon, k, steps)
                 value_num += rn
         residual = Dist(pending, den)
         steps += 1
@@ -258,12 +252,112 @@ def evolve(d, fuel):
             cycled = True
             break
         seen.add(key)
-    converged = residual.is_empty()
+        if alike and len(firsts) == known and steps < fuel and not residual.is_empty():
+            chain = _closed_chain(firsts, reducts)
+            if chain is not None:
+                break
+    left = residual.mass()
+    if chain is not None:
+        den, left, steps, cycled = _run_chain(chain, residual, values, den, seen, steps, fuel)
+    converged = left == 0
     report = EvolveReport(
-        Dist(values.values(), den), residual.mass(), steps, converged, converged or cycled
+        Dist([(slot[0], slot[1]) for slot in values.values()], den),
+        left, steps, converged, converged or cycled,
     )
     d._evolved = (fuel, report)
     return report
+
+
+def _add_value(slot, rt, rn, key, k, stamp):
+    """Add the value ``rt`` (key ``k``, numerator ``rn``), a reduct of the
+    residual entry keyed ``key``, into its class's slot in step ``stamp``:
+    ``step``'s display rule renames a class only with the first reduct
+    into it in a step, when that reduct's entry sorts before the class."""
+    if slot[2] != stamp:
+        slot[2] = stamp
+        if key < k:
+            slot[0] = rt
+    slot[1] += rn
+
+
+def _closed_chain(firsts, reducts):
+    """The first terms reachable from the stepped ones, by key, if every
+    non-value reduct on the way is a first term or named alike with one."""
+    chain = {}
+    todo = [t for t, _, _ in reducts]
+    for t in todo:
+        if t._canon not in chain:
+            chain[t._canon] = t
+            for rt, _ in head_step(t)._ints:
+                if not is_whnf(rt):
+                    first = firsts.get(rt._canon)
+                    if first is None or first is not rt and not names_alike(first, rt):
+                        return None
+                    todo.append(first)
+    return chain
+
+
+def _run_chain(chain, residual, values, den, seen, steps, fuel):
+    """Step ``residual`` on the closed ``chain`` until the fuel is spent,
+    the residual is empty or the state repeats; return (den, residual
+    mass, steps, cycled).  The states are ranked in key order, the step
+    loop's order, and each reduct is split once into value entries and
+    successors over the lcm of the reducts' denominators, by which every
+    step multiplies ``den``.  The total mass never grows, so a residual
+    comes back only with the same values: the cycle check holds residuals
+    alone, as reduced (vector, den) pairs, those seen before included."""
+    keys = sorted(chain)
+    rank = {k: i for i, k in enumerate(keys)}
+    reducts = [head_step(chain[k]) for k in keys]
+    lcm = math.lcm(*[h._den for h in reducts])
+    found, succ = [], []
+    for h in reducts:
+        f = lcm // h._den
+        found.append([(values[rt._canon], rt, rn * f, rt._canon)
+                      for rt, rn in h._ints if is_whnf(rt)])
+        succ.append([(rank[rt._canon], rn * f) for rt, rn in h._ints if not is_whnf(rt)])
+    # the residual mass never grows, so only a residual of the present mass can recur
+    vseen = {(tuple(v), r._den) for r, _, _ in seen
+             if r._total * residual._den == residual._total * r._den
+             and (v := _on_chain(r, rank)) is not None}
+    vec = [n * (den // residual._den) for n in _on_chain(residual, rank)]
+    start = den
+    slots = {id(e[0]): e[0] for entries in found for e in entries}
+    cycled = False
+    while steps < fuel and any(vec):
+        for slot in slots.values():
+            slot[1] *= lcm
+        den *= lcm
+        nxt = [0] * len(vec)
+        for i, r in enumerate(vec):
+            if r:
+                for slot, rt, c, k in found[i]:
+                    _add_value(slot, rt, r * c, keys[i], k, steps)
+                for j, c in succ[i]:
+                    nxt[j] += r * c
+        vec = nxt
+        steps += 1
+        g = math.gcd(den, *vec)
+        key = (tuple([n // g for n in vec]), den // g)
+        if key in vseen:
+            cycled = True
+            break
+        vseen.add(key)
+    for slot in values.values():
+        if id(slot) not in slots:
+            slot[1] *= den // start
+    return den, Fraction(sum(vec), den), steps, cycled
+
+
+def _on_chain(d, rank):
+    """The numerators of ``d`` by rank; None if a term is off the chain."""
+    vec = [0] * len(rank)
+    for t, n in d._ints:
+        i = rank.get(t._canon)
+        if i is None:
+            return None
+        vec[i] = n
+    return vec
 
 
 def step_entry(d, index):

@@ -53,6 +53,28 @@ def gen_terminating(rng, depth=3, fuel=32, tries=50):
     raise AssertionError("could not generate a terminating distribution")
 
 
+# Loops of one to three states: {0} and {1} are the weights of staying
+# on the loop and of leaving it for the value v.
+LOOP_TEMPLATES = (
+    r"(\{b}. {b} {b}) (\{b}. {{{0}: {b} {b}, {1}: v}})",
+    r"(\z. \f. f (z z f)) (\z. \f. f (z z f)) (\{b}. {{{0}: {b}, {1}: v}})",
+    r"Y (\{b}. {{{1}: I, {0}: {b}}})",
+)
+
+
+def gen_loop_program(rng, depth=2):
+    """Source of a program whose residual runs into a loop of one to three
+    states, mixed with a part that converges: a loop from LOOP_TEMPLATES
+    with random weights and binder, and a terminating distribution."""
+    p = Fraction(rng.randint(1, 7), 8)
+    loop = rng.choice(LOOP_TEMPLATES).format(p, 1 - p, b=rng.choice(BINDERS))
+    w = rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+    rest = gen_terminating(rng, depth)
+    return syntax.print_dist(
+        syntax.dist_union(syntax.dist_scale(w, syntax.parse(loop)), syntax.dist_scale(1 - w, rest))
+    )
+
+
 # hypothesis strategies built over the seeded generator: deterministic
 # per-example and cheap, at the cost of weaker shrinking
 

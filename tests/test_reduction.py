@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from conftest import BINDERS, dists, gen_dist, gen_terminating
+from conftest import BINDERS, dists, gen_dist, gen_loop_program, gen_terminating
 from plamb import reduction
 from plamb.laws import linearity, reduction_laws
 from plamb.reduction import (
@@ -170,23 +170,30 @@ def reference_evolve(d, fuel, reduced=None):
     """``evolve`` by iterating the whole-distribution step, uncached, with
     the cycle check on the whole distribution, as a tuple of what a report
     shows: printed values, residual, steps used, converged, limit exact."""
-    cur = d
-    seen = {cur}
-    steps = 0
+    return reference_reports(d, fuel, reduced)[fuel]
+
+
+def reference_reports(d, max_fuel, reduced=None):
+    """``reference_evolve(d, fuel)`` for every fuel up to ``max_fuel``,
+    read off one trajectory."""
+    trail = [d]
+    seen = {d}
     cycled = False
-    for _ in range(fuel):
-        if vals(cur).mass() == cur.mass():
-            break
-        cur = uncached_step(cur, reduced)
-        steps += 1
-        if cur in seen:
-            cycled = True
-            break
+    while len(trail) <= max_fuel and not cycled and vals(trail[-1]).mass() != trail[-1].mass():
+        cur = uncached_step(trail[-1], reduced)
+        cycled = cur in seen
         seen.add(cur)
-    v = vals(cur)
-    residual = cur.mass() - v.mass()
-    converged = residual == 0
-    return print_dist(v, explicit=True), residual, steps, converged, converged or cycled
+        trail.append(cur)
+    reports = []
+    for fuel in range(max_fuel + 1):
+        steps = min(fuel, len(trail) - 1)
+        v = vals(trail[steps])
+        residual = trail[steps].mass() - v.mass()
+        converged = residual == 0
+        stopped = cycled and steps == len(trail) - 1
+        reports.append((print_dist(v, explicit=True), residual, steps, converged,
+                        converged or stopped))
+    return reports
 
 
 def report_tuple(r):
@@ -264,6 +271,107 @@ class TestEvolveMatchesStep:
         src = r"{1/2: (\x. \p. x) u, 1/2: (\g. g u) (\x. \q. x)}"
         assert self.check(parse(src), 2)[0] == r"{1: \q. u}"
         assert self.check(parse(src), 5)[0] == r"{1: \q. u}"
+
+    # the closed-chain phase: once the residual moves only among terms it
+    # has stepped, the rest of the fuel runs on integer vectors
+
+    def chain_runs(self, monkeypatch):
+        """Record (step of the switch, fuel, cycled) for each switch to the
+        closed-chain phase."""
+        runs = []
+        run_chain = reduction._run_chain
+
+        def recording(*args):
+            out = run_chain(*args)
+            runs.append((args[5], args[6], out[3]))
+            return out
+
+        monkeypatch.setattr(reduction, "_run_chain", recording)
+        return runs
+
+    def check_fuels(self, src, max_fuel):
+        """Every fuel up to ``max_fuel``, on a fresh program and on one kept
+        warm across the fuels."""
+        want = reference_reports(parse(src), max_fuel)
+        warm = parse(src)
+        for fuel in range(max_fuel + 1):
+            assert report_tuple(evolve(parse(src), fuel)) == want[fuel], (src, fuel)
+            assert report_tuple(evolve(warm, fuel)) == want[fuel], (src, fuel)
+        return want
+
+    def test_loop_samples(self, monkeypatch):
+        runs = self.chain_runs(monkeypatch)
+        switched = 0
+        for seed in range(12):
+            self.check_fuels(gen_loop_program(random.Random(seed)), 40)
+            switched += any(fuel == 40 for _, fuel, _ in runs)
+            runs.clear()
+        assert switched == 12
+
+    def test_chain_closes_with_one_unit_of_fuel_left(self, monkeypatch):
+        runs = self.chain_runs(monkeypatch)
+        self.check_fuels(YT_SRC, 8)
+        assert (4, 5, False) in runs
+
+    def test_variant_state_stays_on_the_dist_path(self, monkeypatch):
+        # the loop state's first copy names its binders a and p; from step
+        # 1 on, only a copy named b and q recurs, so every step has an
+        # entry stepped on its own
+        runs = self.chain_runs(monkeypatch)
+        wa, wb = r"(\a. {1/2: a a, 1/2: \p. p})", r"(\b. {1/2: b b, 1/2: \q. q})"
+        src = "{1/2: %s %s, 1/2: ({1/2: %s, 1/2: u}) %s}" % (wa, wa, wb, wb)
+        want = self.check_fuels(src, 12)
+        assert runs == []
+        assert "\\q. q" in want[12][0] and "\\p" not in want[12][0]
+
+    def test_variant_successor_stays_on_the_dist_path(self, monkeypatch):
+        # a four-state loop whose redex (\a. \p. p) u first comes in with
+        # one state and comes back as (\b. \q. q) u from another; stepped
+        # through the first copy it would show \p. p where step shows \q. q
+        runs = self.chain_runs(monkeypatch)
+        x = r"(\x. \y. {1/2: y y x, 1/2: (\a. \p. p) u})"
+        f = r"(\y. \x. {2/3: x x y, 1/3: (\b. \q. q) u})"
+        want = self.check_fuels("%s %s %s" % (x, x, f), 16)
+        assert runs == []
+        assert [want[fuel][0] for fuel in (14, 16)] == [r"{26/27: \q. q}", r"{53/54: \p. p}"]
+
+    def test_cycle_back_to_a_state_before_the_switch(self, monkeypatch):
+        runs = self.chain_runs(monkeypatch)
+        src = r"{1/2: (\a. (\b. a a) c) (\a. (\b. a a) c), 1/2: (\x. (\y. (\z. z) y) x) u}"
+        want = self.check_fuels(src, 6)
+        assert want[6][2:] == (5, False, True)
+        # the switch came after step 4; the cycle closes on a state of step 3
+        assert runs[-1] == (4, 6, True)
+
+    def test_two_states_one_value_class_under_two_names(self, monkeypatch):
+        # a four-state loop: x x f yields \p. p two steps after the start,
+        # and f f x yields \q. q two steps after that, in turn
+        runs = self.chain_runs(monkeypatch)
+        x, f = r"(\x. \y. {1/2: y y x, 1/2: \p. p})", r"(\y. \x. {2/3: x x y, 1/3: \q. q})"
+        want = self.check_fuels("%s %s %s" % (x, x, f), 16)
+        assert (5, 16, False) in runs
+        assert [want[fuel][0] for fuel in (14, 16)] == [r"{53/54: \p. p}", r"{80/81: \q. q}"]
+
+    def test_a_closed_chain_builds_and_reduces_nothing(self, monkeypatch):
+        counts = {"dists": 0, "reducts": 0}
+        dist, head_reduct = reduction.Dist, reduction._head_reduct
+
+        def counting_dist(*args):
+            counts["dists"] += 1
+            return dist(*args)
+
+        def counting_reduct(t):
+            counts["reducts"] += 1
+            return head_reduct(t)
+
+        monkeypatch.setattr(reduction, "Dist", counting_dist)
+        monkeypatch.setattr(reduction, "_head_reduct", counting_reduct)
+        seen = []
+        for fuel in (40, 400):
+            counts.update(dists=0, reducts=0)
+            assert evolve(parse(YT_SRC), fuel).steps_used == fuel
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
 
 
 def rename_binders(d, rng):

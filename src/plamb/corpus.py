@@ -71,6 +71,9 @@ CORPUS_SOURCES = [
     r"x omega",
     r"\x. x omega",
     r"I omega",
+    # a loop state that recurs under other binder names than its first copy
+    r"(\x. \y. {1/2: y y x, 1/2: (\a. \p. p) u}) (\x. \y. {1/2: y y x, 1/2: (\a. \p. p) u})"
+    r" (\y. \x. {2/3: x x y, 1/3: (\b. \q. q) u})",
 ]
 
 

@@ -16,11 +16,12 @@ same fuel costs nothing; the cache lives as long as the object and holds
 the last fuel only.
 
 Each term is reduced once: an application keeps its head reduct, so
-``head_step``, ``step`` and ``evolve`` on the same object reuse it, and
-within one ``evolve`` a residual term that recurs, as a recursive
-program's unfolding does, is stepped through its first copy; once the
-residual moves only among such terms (a closed chain), the rest of the
-fuel runs on one integer numerator per term, with the same report.
+``head_step``, ``step`` and ``evolve`` on the same object reuse it.  One
+``evolve`` runs on ints over a state table of its own: each residual
+class gets a rank, each stepped term's reduct is split once into value
+entries and successor ranks, and a term that recurs, as a recursive
+program's unfolding does, is stepped through its class's first copy, so
+a loop builds no ``Dist`` and reduces no term once it has gone round.
 Because a term's slot holds its reduct, a distribution that is kept keeps
 the part of its trajectory that has been stepped; a caller that steps a
 long way and need not keep the start, as ``plamb trace`` and ``plamb
@@ -146,11 +147,8 @@ class EvolveReport:
         self.limit_exact = limit_exact
 
     def __repr__(self):
-        return "EvolveReport(values=%r, residual=%s, steps_used=%d, converged=%s)" % (
-            self.values,
-            self.residual,
-            self.steps_used,
-            self.converged,
+        return "EvolveReport(%s)" % ", ".join(
+            "%s=%s" % (name, getattr(self, name)) for name in self.__slots__
         )
 
 
@@ -159,27 +157,33 @@ def evolve(d, fuel):
     all mass is on values or the trajectory repeats.
 
     The result is that of iterating ``step``, but only the residual is
-    stepped: ``d`` is split once into its values (canon -> [display term,
-    numerator, last step that added to it]) and its non-whnf residual; each
-    step head-reduces the residual's entries in canonical order, whnf
-    reducts add into the values (``_add_value``, ``step``'s display rule)
-    and the others form the next residual.  The values' numerators are
-    over one running common denominator, raised to the lcm when a step
-    needs a finer one.  The cycle check is keyed on (residual, value mass):
-    the values only grow, so the whole distribution repeats exactly when
-    this key does.
+    stepped, on ints: ``d`` is split once into its values (key -> [display
+    term, numerator, last step that added to it]) and its residual, the
+    residual classes in canonical key order, each a rank with a display
+    term and a numerator.  All numerators are over one denominator, which
+    each step multiplies by the lcm of the denominators of the reducts it
+    reads.  A class gets a rank the first time it is seen.
 
-    A recurring term is reduced once: a residual entry is stepped through
-    the first residual term of this call with its key when the two name
+    A stepped term's stored head reduct is split once per call
+    (``_split``) into value entries and successor ranks, so each step is
+    int arithmetic over that table.  A residual term is stepped through
+    the first display term of its class in this call when the two name
     every binder alike (``names_alike``), so that both print, and reduce,
     the same; an alpha-variant named otherwise is stepped on its own.
+    That choice is made once per display object.  The next residual shows
+    a class by its first contributor in visit order, as ``step``'s
+    mixture does, and a value class is named by ``step``'s display rule:
+    a new class takes the first reduct into it; after that only the first
+    reduct into it in a step renames it, and only when the stepped class
+    sorts before it.
 
-    A loop then closes.  After a step in which no residual entry was new
-    and each was stepped through its first term, ``_closed_chain`` follows
-    those terms' reducts; when every non-value reduct it reaches is again
-    a first term or named alike with one, ``_run_chain`` spends the rest of
-    the fuel on one integer numerator per term, building no ``Dist``,
-    hashing no key and reducing no term, with the same report.
+    The cycle check is keyed on the residual alone (ranks, numerators and
+    denominator, reduced): the total mass never grows and the values never
+    shrink, so a residual that recurs brings back the same values, and
+    the whole distribution repeats exactly when the residual does.  The
+    residual mass never grows either, so once it falls no residual seen
+    before can recur and the table is cleared: it holds one run of equal
+    mass.
 
     The report is stored on ``d`` and returned as it is when ``d`` itself
     is evolved again at the same fuel; a new fuel replaces it.  A ``d``
@@ -190,174 +194,119 @@ def evolve(d, fuel):
     if cached is not None and cached[0] == fuel:
         return cached[1]
     values = {}
-    pending = []
+    # the residual: rank -> [display term, numerator], in key order, and
+    # its numerators in that order
+    res, keys, nums = {}, [], []
     for t, n in d._ints:
         if is_whnf(t):
-            values[t.canon()] = [t, n, -1]
+            values[t._canon] = [t, n, -1]
         else:
-            pending.append((t, n))
-    if not pending:
+            res[len(keys)] = [t, n]
+            keys.append(t._canon)
+            nums.append(n)
+    if not res:
         return EvolveReport(d, ZERO, 0, True, True)
     den = d._den
-    residual = d if not values else Dist(pending, den)
-    value_num = d._total - sum(n for _, n in pending)
-    g = math.gcd(value_num, den)
-    seen = {(residual, value_num // g, den // g)}
+    total = sum(nums)
+    # rank -> first display term; id(display term) -> split it is stepped
+    # by (every display term is held by d or by a split, so ids are unique)
+    rank = dict(zip(keys, res))
+    firsts, splits = {}, {}
+    seen, key = set(), None
     steps = 0
     cycled = False
-    chain = None
-    # residual key -> the first residual term of this call with that key
-    firsts = {}
-    while steps < fuel and not residual.is_empty():
-        known = len(firsts)
-        alike = True
-        reducts = []
-        for t, n in residual._ints:
-            first = firsts.setdefault(t._canon, t)
-            if first is not t:
-                if names_alike(first, t):
-                    t = first
+    while steps < fuel and res:
+        stepped = []
+        lcm = 1
+        for r, (t, _) in res.items():
+            split = splits.get(id(t))
+            if split is None:
+                first = firsts.setdefault(r, t)
+                if first is not t and names_alike(first, t):
+                    split = splits[id(first)]
                 else:
-                    alike = False
-            reducts.append((t, n, head_step(t)))
-        lcm = math.lcm(*[h._den for _, _, h in reducts])
-        step_den = residual._den * lcm
-        grown = math.lcm(den, step_den)
-        if grown != den:
-            f = grown // den
+                    split = _split(head_step(t), values, rank, keys, steps)
+                splits[id(t)] = split
+            stepped.append(split)
+            if lcm % split[0]:
+                lcm = math.lcm(lcm, split[0])
+        if lcm > 1:
+            den *= lcm
             for slot in values.values():
-                slot[1] *= f
-            value_num *= f
-            den = grown
-        pending = []
-        for t, n, h in reducts:
-            s = n * (lcm // h._den) * (den // step_den)
-            for rt, rn in h._ints:
-                rn *= s
-                if not is_whnf(rt):
-                    pending.append((rt, rn))
-                    continue
-                k = rt._canon
-                slot = values.get(k)
-                if slot is None:
-                    values[k] = [rt, rn, steps]
+                slot[1] *= lcm
+        nxt = {}
+        for r, n, (h_den, found, succ) in zip(res, nums, stepped):
+            s = n * (lcm // h_den)
+            if found:
+                at = keys[r]
+                for slot, rt, c, k in found:
+                    if slot[2] != steps:
+                        slot[2] = steps
+                        if slot[0] is not rt and at < k:
+                            slot[0] = rt
+                    slot[1] += c * s
+            for j, rt, c in succ:
+                e = nxt.get(j)
+                if e is None:
+                    nxt[j] = [rt, c * s]
                 else:
-                    _add_value(slot, rt, rn, t._canon, k, steps)
-                value_num += rn
-        residual = Dist(pending, den)
+                    e[1] += c * s
         steps += 1
-        g = math.gcd(value_num, den)
-        key = (residual, value_num // g, den // g)
+        if not nxt:
+            total = 0
+            break
+        if len(nxt) > 1:
+            order = list(nxt)
+            if any(not keys[a] < keys[b] for a, b in zip(order, order[1:])):
+                nxt = {r: nxt[r] for r in sorted(order, key=keys.__getitem__)}
+        was, was_nums, was_total = res, nums, total
+        nums = [e[1] for e in nxt.values()]
+        res, total = nxt, sum(nums)
+        if total != was_total * lcm:
+            seen.clear()
+            key = None
+            continue
+        seen.add(key or _state(was, was_nums, den // lcm))
+        key = _state(res, nums, den)
         if key in seen:
             cycled = True
             break
-        seen.add(key)
-        if alike and len(firsts) == known and steps < fuel and not residual.is_empty():
-            chain = _closed_chain(firsts, reducts)
-            if chain is not None:
-                break
-    left = residual.mass()
-    if chain is not None:
-        den, left, steps, cycled = _run_chain(chain, residual, values, den, seen, steps, fuel)
-    converged = left == 0
+    converged = total == 0
     report = EvolveReport(
         Dist([(slot[0], slot[1]) for slot in values.values()], den),
-        left, steps, converged, converged or cycled,
+        Fraction(total, den), steps, converged, converged or cycled,
     )
     d._evolved = (fuel, report)
     return report
 
 
-def _add_value(slot, rt, rn, key, k, stamp):
-    """Add the value ``rt`` (key ``k``, numerator ``rn``), a reduct of the
-    residual entry keyed ``key``, into its class's slot in step ``stamp``:
-    ``step``'s display rule renames a class only with the first reduct
-    into it in a step, when that reduct's entry sorts before the class."""
-    if slot[2] != stamp:
-        slot[2] = stamp
-        if key < k:
-            slot[0] = rt
-    slot[1] += rn
+def _state(res, nums, den):
+    """The cycle key of the residual ``res`` with numerators ``nums`` over
+    ``den``: its ranks, then its numerators and ``den`` reduced."""
+    g = math.gcd(den, *nums)
+    return (*res, *[n // g for n in nums], den // g)
 
 
-def _closed_chain(firsts, reducts):
-    """The first terms reachable from the stepped ones, by key, if every
-    non-value reduct on the way is a first term or named alike with one."""
-    chain = {}
-    todo = [t for t, _, _ in reducts]
-    for t in todo:
-        if t._canon not in chain:
-            chain[t._canon] = t
-            for rt, _ in head_step(t)._ints:
-                if not is_whnf(rt):
-                    first = firsts.get(rt._canon)
-                    if first is None or first is not rt and not names_alike(first, rt):
-                        return None
-                    todo.append(first)
-    return chain
-
-
-def _run_chain(chain, residual, values, den, seen, steps, fuel):
-    """Step ``residual`` on the closed ``chain`` until the fuel is spent,
-    the residual is empty or the state repeats; return (den, residual
-    mass, steps, cycled).  The states are ranked in key order, the step
-    loop's order, and each reduct is split once into value entries and
-    successors over the lcm of the reducts' denominators, by which every
-    step multiplies ``den``.  The total mass never grows, so a residual
-    comes back only with the same values: the cycle check holds residuals
-    alone, as reduced (vector, den) pairs, those seen before included."""
-    keys = sorted(chain)
-    rank = {k: i for i, k in enumerate(keys)}
-    reducts = [head_step(chain[k]) for k in keys]
-    lcm = math.lcm(*[h._den for h in reducts])
+def _split(h, values, rank, keys, stamp):
+    """The head reduct ``h`` as (its denominator, value entries (value
+    slot, display term, numerator, key), successors (rank, display term,
+    numerator)), opening a slot for a new value class in step ``stamp``
+    and a rank for a new residual class."""
     found, succ = [], []
-    for h in reducts:
-        f = lcm // h._den
-        found.append([(values[rt._canon], rt, rn * f, rt._canon)
-                      for rt, rn in h._ints if is_whnf(rt)])
-        succ.append([(rank[rt._canon], rn * f) for rt, rn in h._ints if not is_whnf(rt)])
-    # the residual mass never grows, so only a residual of the present mass can recur
-    vseen = {(tuple(v), r._den) for r, _, _ in seen
-             if r._total * residual._den == residual._total * r._den
-             and (v := _on_chain(r, rank)) is not None}
-    vec = [n * (den // residual._den) for n in _on_chain(residual, rank)]
-    start = den
-    slots = {id(e[0]): e[0] for entries in found for e in entries}
-    cycled = False
-    while steps < fuel and any(vec):
-        for slot in slots.values():
-            slot[1] *= lcm
-        den *= lcm
-        nxt = [0] * len(vec)
-        for i, r in enumerate(vec):
-            if r:
-                for slot, rt, c, k in found[i]:
-                    _add_value(slot, rt, r * c, keys[i], k, steps)
-                for j, c in succ[i]:
-                    nxt[j] += r * c
-        vec = nxt
-        steps += 1
-        g = math.gcd(den, *vec)
-        key = (tuple([n // g for n in vec]), den // g)
-        if key in vseen:
-            cycled = True
-            break
-        vseen.add(key)
-    for slot in values.values():
-        if id(slot) not in slots:
-            slot[1] *= den // start
-    return den, Fraction(sum(vec), den), steps, cycled
-
-
-def _on_chain(d, rank):
-    """The numerators of ``d`` by rank; None if a term is off the chain."""
-    vec = [0] * len(rank)
-    for t, n in d._ints:
-        i = rank.get(t._canon)
-        if i is None:
-            return None
-        vec[i] = n
-    return vec
+    for rt, rn in h._ints:
+        k = rt._canon
+        if is_whnf(rt):
+            slot = values.get(k)
+            if slot is None:
+                slot = values[k] = [rt, 0, stamp]
+            found.append((slot, rt, rn, k))
+        else:
+            j = rank.get(k)
+            if j is None:
+                j = rank[k] = len(keys)
+                keys.append(k)
+            succ.append((j, rt, rn))
+    return h._den, found, succ
 
 
 def step_entry(d, index):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -39,6 +40,16 @@ from plamb.syntax import (
 
 YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
 YT = parse(YT_SRC)
+# a loop state whose first copy names its binders a and p, and that recurs
+# only as a copy named b and q
+WA, WB = r"(\a. {1/2: a a, 1/2: \p. p})", r"(\b. {1/2: b b, 1/2: \q. q})"
+VARIANT_STATE_SRC = "{1/2: %s %s, 1/2: ({1/2: %s, 1/2: u}) %s}" % (WA, WA, WB, WB)
+# a four-state loop whose redex comes in as (\a. \p. p) u from one state
+# and as (\b. \q. q) u from another
+VARIANT_SUCCESSOR_SRC = (
+    r"(\x. \y. {1/2: y y x, 1/2: (\a. \p. p) u}) (\x. \y. {1/2: y y x, 1/2: (\a. \p. p) u})"
+    r" (\y. \x. {2/3: x x y, 1/3: (\b. \q. q) u})"
+)
 
 
 def term(src):
@@ -141,6 +152,29 @@ class TestEvolve:
             cur = evolve(YT, fuel).values
             assert dist_leq(prev, cur)
             prev = cur
+
+    def test_repr_shows_every_field(self):
+        assert repr(evolve(YT, 9)) == (
+            r"EvolveReport(values={7/8: \x. x}, residual=1/8, steps_used=9, "
+            "converged=False, limit_exact=False)"
+        )
+        assert repr(evolve(parse("omega"), 5)) == (
+            "EvolveReport(values={}, residual=1, steps_used=1, converged=False, limit_exact=True)"
+        )
+
+    def test_cycle_table_is_bounded_in_fuel(self):
+        # the residual mass of the README loop halves on every turn, so
+        # the table of residuals seen never holds more than one turn
+        peaks = []
+        for fuel in (300, 3000):
+            d = parse(YT_SRC)
+            tracemalloc.start()
+            try:
+                assert evolve(d, fuel).steps_used == fuel
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 50_000, peaks
 
 
 def uncached_head_step(t, reduced=None):
@@ -272,23 +306,6 @@ class TestEvolveMatchesStep:
         assert self.check(parse(src), 2)[0] == r"{1: \q. u}"
         assert self.check(parse(src), 5)[0] == r"{1: \q. u}"
 
-    # the closed-chain phase: once the residual moves only among terms it
-    # has stepped, the rest of the fuel runs on integer vectors
-
-    def chain_runs(self, monkeypatch):
-        """Record (step of the switch, fuel, cycled) for each switch to the
-        closed-chain phase."""
-        runs = []
-        run_chain = reduction._run_chain
-
-        def recording(*args):
-            out = run_chain(*args)
-            runs.append((args[5], args[6], out[3]))
-            return out
-
-        monkeypatch.setattr(reduction, "_run_chain", recording)
-        return runs
-
     def check_fuels(self, src, max_fuel):
         """Every fuel up to ``max_fuel``, on a fresh program and on one kept
         warm across the fuels."""
@@ -299,60 +316,52 @@ class TestEvolveMatchesStep:
             assert report_tuple(evolve(warm, fuel)) == want[fuel], (src, fuel)
         return want
 
-    def test_loop_samples(self, monkeypatch):
-        runs = self.chain_runs(monkeypatch)
-        switched = 0
+    def test_loop_samples(self):
         for seed in range(12):
-            self.check_fuels(gen_loop_program(random.Random(seed)), 40)
-            switched += any(fuel == 40 for _, fuel, _ in runs)
-            runs.clear()
-        assert switched == 12
+            rng = random.Random(seed)
+            src = gen_loop_program(rng)
+            self.check_fuels(src, 40)
+            # the same loop with its binders named otherwise, so that a
+            # state recurs under other names than its first copy's
+            for _ in range(3):
+                renamed = print_dist(rename_binders(parse(src), rng), explicit=True)
+                self.check_fuels(renamed, 40)
 
-    def test_chain_closes_with_one_unit_of_fuel_left(self, monkeypatch):
-        runs = self.chain_runs(monkeypatch)
+    def test_chain_closes_with_one_unit_of_fuel_left(self):
         self.check_fuels(YT_SRC, 8)
-        assert (4, 5, False) in runs
 
-    def test_variant_state_stays_on_the_dist_path(self, monkeypatch):
+    def test_variant_state_stays_on_the_dist_path(self):
         # the loop state's first copy names its binders a and p; from step
         # 1 on, only a copy named b and q recurs, so every step has an
         # entry stepped on its own
-        runs = self.chain_runs(monkeypatch)
-        wa, wb = r"(\a. {1/2: a a, 1/2: \p. p})", r"(\b. {1/2: b b, 1/2: \q. q})"
-        src = "{1/2: %s %s, 1/2: ({1/2: %s, 1/2: u}) %s}" % (wa, wa, wb, wb)
-        want = self.check_fuels(src, 12)
-        assert runs == []
+        want = self.check_fuels(VARIANT_STATE_SRC, 12)
         assert "\\q. q" in want[12][0] and "\\p" not in want[12][0]
 
-    def test_variant_successor_stays_on_the_dist_path(self, monkeypatch):
+    def test_variant_successor_stays_on_the_dist_path(self):
         # a four-state loop whose redex (\a. \p. p) u first comes in with
         # one state and comes back as (\b. \q. q) u from another; stepped
         # through the first copy it would show \p. p where step shows \q. q
-        runs = self.chain_runs(monkeypatch)
-        x = r"(\x. \y. {1/2: y y x, 1/2: (\a. \p. p) u})"
-        f = r"(\y. \x. {2/3: x x y, 1/3: (\b. \q. q) u})"
-        want = self.check_fuels("%s %s %s" % (x, x, f), 16)
-        assert runs == []
+        want = self.check_fuels(VARIANT_SUCCESSOR_SRC, 16)
         assert [want[fuel][0] for fuel in (14, 16)] == [r"{26/27: \q. q}", r"{53/54: \p. p}"]
 
-    def test_cycle_back_to_a_state_before_the_switch(self, monkeypatch):
-        runs = self.chain_runs(monkeypatch)
+    def test_cycle_back_to_a_state_before_the_switch(self):
+        # the cycle closes on a state of step 3, seen two steps before
         src = r"{1/2: (\a. (\b. a a) c) (\a. (\b. a a) c), 1/2: (\x. (\y. (\z. z) y) x) u}"
         want = self.check_fuels(src, 6)
         assert want[6][2:] == (5, False, True)
-        # the switch came after step 4; the cycle closes on a state of step 3
-        assert runs[-1] == (4, 6, True)
 
-    def test_two_states_one_value_class_under_two_names(self, monkeypatch):
+    def test_two_states_one_value_class_under_two_names(self):
         # a four-state loop: x x f yields \p. p two steps after the start,
         # and f f x yields \q. q two steps after that, in turn
-        runs = self.chain_runs(monkeypatch)
         x, f = r"(\x. \y. {1/2: y y x, 1/2: \p. p})", r"(\y. \x. {2/3: x x y, 1/3: \q. q})"
         want = self.check_fuels("%s %s %s" % (x, x, f), 16)
-        assert (5, 16, False) in runs
         assert [want[fuel][0] for fuel in (14, 16)] == [r"{53/54: \p. p}", r"{80/81: \q. q}"]
 
-    def test_a_closed_chain_builds_and_reduces_nothing(self, monkeypatch):
+    def test_recurring_loops_build_no_dist_per_step(self, monkeypatch):
+        # on the README loop and the two variant-naming loops, the Dists
+        # built do not grow with the fuel; the README loop and the
+        # variant-successor loop also reduce no term twice (the
+        # variant-state loop makes a new variant object on each step)
         counts = {"dists": 0, "reducts": 0}
         dist, head_reduct = reduction.Dist, reduction._head_reduct
 
@@ -366,17 +375,22 @@ class TestEvolveMatchesStep:
 
         monkeypatch.setattr(reduction, "Dist", counting_dist)
         monkeypatch.setattr(reduction, "_head_reduct", counting_reduct)
-        seen = []
-        for fuel in (40, 400):
-            counts.update(dists=0, reducts=0)
-            assert evolve(parse(YT_SRC), fuel).steps_used == fuel
-            seen.append(dict(counts))
-        assert seen[0] == seen[1]
+        for src, reducts in ((YT_SRC, 4), (VARIANT_STATE_SRC, None), (VARIANT_SUCCESSOR_SRC, 8)):
+            seen = []
+            for fuel in (40, 400):
+                counts.update(dists=0, reducts=0)
+                assert evolve(parse(src), fuel).steps_used == fuel
+                seen.append(dict(counts))
+            assert seen[0]["dists"] == seen[1]["dists"], src
+            if reducts is not None:
+                assert seen[0]["reducts"] == seen[1]["reducts"] == reducts, src
 
 
 def rename_binders(d, rng):
     """An alpha-equivalent copy of ``d`` with its binders renamed at random
-    from BINDERS wherever that captures no free name."""
+    from BINDERS wherever the new name is neither free in the body nor
+    bound inside it, so that the copy prints with names the parser reads
+    (a capture-avoiding substitution would bring in a ``#`` name)."""
     return Dist([(_rename_term(t, rng), n) for t, n in d._ints], d._den)
 
 
@@ -387,7 +401,9 @@ def _rename_term(t, rng):
         return App(rename_binders(t.fun, rng), rename_binders(t.arg, rng))
     b, body = rng.choice(BINDERS), t.body
     if b != t.binder:
-        if b in body.free_names():
+        if b in body.free_names() or any(
+            isinstance(s, Abs) and s.binder == b for s in subterms(body)
+        ):
             b = t.binder
         else:
             body = subst(body, t.binder, unit(Var(b)))

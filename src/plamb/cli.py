@@ -319,19 +319,9 @@ def _cmd_lift(args):
     if len(d) <= 12 and slack == 0:
         subsets = lift_check_subsets(d, e, relation)
     if args.format == "json":
-        out = {
-            "flow": {
-                "holds": flow.holds,
-                "deficit": print_weight(flow.deficit),
-                "witness_cut": sorted(map(str, flow.witness_cut)),
-            }
-        }
+        out = {"flow": flow.to_dict()}
         if subsets is not None:
-            out["subsets"] = {
-                "holds": subsets.holds,
-                "deficit": print_weight(subsets.deficit),
-                "witness_cut": sorted(map(str, subsets.witness_cut)),
-            }
+            out["subsets"] = subsets.to_dict()
         print(json.dumps(out))
     else:
         print("flow:    %r" % flow)

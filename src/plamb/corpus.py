@@ -71,9 +71,12 @@ CORPUS_SOURCES = [
     r"x omega",
     r"\x. x omega",
     r"I omega",
-    # a loop state that recurs under other binder names than its first copy
+    # a loop whose redex recurs under other binder names than it is met with
     r"(\x. \y. {1/2: y y x, 1/2: (\a. \p. p) u}) (\x. \y. {1/2: y y x, 1/2: (\a. \p. p) u})"
     r" (\y. \x. {2/3: x x y, 1/3: (\b. \q. q) u})",
+    # a loop state met as a copy named a and p, recurring only as b and q
+    r"{1/2: (\a. {1/2: a a, 1/2: \p. p}) (\a. {1/2: a a, 1/2: \p. p}),"
+    r" 1/2: ({1/2: \b. {1/2: b b, 1/2: \q. q}, 1/2: u}) (\b. {1/2: b b, 1/2: \q. q})}",
 ]
 
 

@@ -88,6 +88,13 @@ class LiftVerdict:
         cut = ", ".join(sorted(map(repr, self.witness_cut)))
         return "LiftVerdict(deficit=%s, cut={%s})" % (print_weight(self.deficit), cut)
 
+    def to_dict(self):
+        return {
+            "holds": self.holds,
+            "deficit": print_weight(self.deficit),
+            "witness_cut": sorted(map(str, self.witness_cut)),
+        }
+
 
 def max_flow(supplies, demands, pairs):
     """Maximum flow through the bipartite lift network on int capacities.

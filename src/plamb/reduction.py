@@ -18,14 +18,13 @@ the last fuel only.
 Each term is reduced once: an application keeps its head reduct, so
 ``head_step``, ``step`` and ``evolve`` on the same object reuse it.  One
 ``evolve`` runs on ints over a state table of its own: each residual
-class gets a rank, each stepped term's reduct is split once into value
-entries and successor ranks, and a term that recurs, as a recursive
-program's unfolding does, is stepped through its class's first copy, so
-a loop builds no ``Dist`` and reduces no term once it has gone round.
-Because a term's slot holds its reduct, a distribution that is kept keeps
-the part of its trajectory that has been stepped; a caller that steps a
-long way and need not keep the start, as ``plamb trace`` and ``plamb
-normalize`` do, drops it.
+class gets a rank listing the terms met in it, each with the split it is
+stepped by (its own reduct's, split once into value entries and successor
+ranks, or a listed term's that it prints like), so a loop builds no
+``Dist`` and reduces no term once it has gone round.  A kept distribution
+keeps the stepped part of its trajectory, since a term's slot holds its
+reduct; a caller that steps a long way and need not keep the start, as
+``plamb trace`` and ``plamb normalize`` do, drops it.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
@@ -164,26 +163,24 @@ def evolve(d, fuel):
     each step multiplies by the lcm of the denominators of the reducts it
     reads.  A class gets a rank the first time it is seen.
 
-    A stepped term's stored head reduct is split once per call
-    (``_split``) into value entries and successor ranks, so each step is
-    int arithmetic over that table.  A residual term is stepped through
-    the first display term of its class in this call when the two name
-    every binder alike (``names_alike``), so that both print, and reduce,
-    the same; an alpha-variant named otherwise is stepped on its own.
-    That choice is made once per display object.  The next residual shows
-    a class by its first contributor in visit order, as ``step``'s
-    mixture does, and a value class is named by ``step``'s display rule:
-    a new class takes the first reduct into it; after that only the first
-    reduct into it in a step renames it, and only when the stepped class
-    sorts before it.
+    Each rank lists every term of its class met in this call with the
+    split it is stepped by, a head reduct split once (``_split``) into
+    value entries and successor ranks, so a step is int arithmetic.  A
+    term met before is found by identity; a new one takes the split of
+    the first listed term that names every binder alike (``names_alike``,
+    so both print, and reduce, the same), else it is stepped on its own.
+    The next residual shows a class by its first contributor in visit
+    order, as ``step``'s mixture does, and a value class is named by
+    ``step``'s display rule: a new class takes the first reduct into it;
+    after that only the first reduct into it in a step renames it, and
+    only when the stepped class sorts before it.
 
     The cycle check is keyed on the residual alone (ranks, numerators and
     denominator, reduced): the total mass never grows and the values never
-    shrink, so a residual that recurs brings back the same values, and
-    the whole distribution repeats exactly when the residual does.  The
+    shrink, so a recurring residual brings back the same values, and the
+    whole distribution repeats exactly when the residual does.  The
     residual mass never grows either, so once it falls no residual seen
-    before can recur and the table is cleared: it holds one run of equal
-    mass.
+    before can recur and the table is cleared to hold one run of equal mass.
 
     The report is stored on ``d`` and returned as it is when ``d`` itself
     is evolved again at the same fuel; a new fuel replaces it.  A ``d``
@@ -208,25 +205,27 @@ def evolve(d, fuel):
         return EvolveReport(d, ZERO, 0, True, True)
     den = d._den
     total = sum(nums)
-    # rank -> first display term; id(display term) -> split it is stepped
-    # by (every display term is held by d or by a split, so ids are unique)
     rank = dict(zip(keys, res))
-    firsts, splits = {}, {}
+    # rank -> [(term of its class met so far, the split it is stepped by)]
+    met = [[] for _ in keys]
     seen, key = set(), None
     steps = 0
     cycled = False
-    while steps < fuel and res:
+    while steps < fuel:
         stepped = []
         lcm = 1
         for r, (t, _) in res.items():
-            split = splits.get(id(t))
-            if split is None:
-                first = firsts.setdefault(r, t)
-                if first is not t and names_alike(first, t):
-                    split = splits[id(first)]
+            terms = met[r]
+            for u, split in terms:
+                if u is t:
+                    break
+            else:
+                for u, split in terms:
+                    if names_alike(u, t):
+                        break
                 else:
-                    split = _split(head_step(t), values, rank, keys, steps)
-                splits[id(t)] = split
+                    split = _split(head_step(t), values, rank, keys, met, steps)
+                terms.append((t, split))
             stepped.append(split)
             if lcm % split[0]:
                 lcm = math.lcm(lcm, split[0])
@@ -287,11 +286,11 @@ def _state(res, nums, den):
     return (*res, *[n // g for n in nums], den // g)
 
 
-def _split(h, values, rank, keys, stamp):
+def _split(h, values, rank, keys, met, stamp):
     """The head reduct ``h`` as (its denominator, value entries (value
     slot, display term, numerator, key), successors (rank, display term,
     numerator)), opening a slot for a new value class in step ``stamp``
-    and a rank for a new residual class."""
+    and a rank and an empty ``met`` list for a new residual class."""
     found, succ = [], []
     for rt, rn in h._ints:
         k = rt._canon
@@ -305,6 +304,7 @@ def _split(h, values, rank, keys, stamp):
             if j is None:
                 j = rank[k] = len(keys)
                 keys.append(k)
+                met.append([])
             succ.append((j, rt, rn))
     return h._den, found, succ
 

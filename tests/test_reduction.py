@@ -40,7 +40,7 @@ from plamb.syntax import (
 
 YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
 YT = parse(YT_SRC)
-# a loop state whose first copy names its binders a and p, and that recurs
+# a loop state met first with its binders named a and p, and that recurs
 # only as a copy named b and q
 WA, WB = r"(\a. {1/2: a a, 1/2: \p. p})", r"(\b. {1/2: b b, 1/2: \q. q})"
 VARIANT_STATE_SRC = "{1/2: %s %s, 1/2: ({1/2: %s, 1/2: u}) %s}" % (WA, WA, WB, WB)
@@ -162,18 +162,32 @@ class TestEvolve:
             "EvolveReport(values={}, residual=1, steps_used=1, converged=False, limit_exact=True)"
         )
 
-    def test_cycle_table_is_bounded_in_fuel(self):
-        # the residual mass of the README loop halves on every turn, so
-        # the table of residuals seen never holds more than one turn
+    @staticmethod
+    def traced_peaks(src):
+        """The traced memory peak of ``evolve`` on ``src`` at fuel 300 and
+        at fuel 3000, each on a fresh parse that runs out of fuel."""
         peaks = []
         for fuel in (300, 3000):
-            d = parse(YT_SRC)
+            d = parse(src)
             tracemalloc.start()
             try:
                 assert evolve(d, fuel).steps_used == fuel
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_cycle_table_is_bounded_in_fuel(self):
+        # the residual mass of the README loop halves on every turn, so
+        # the table of residuals seen never holds more than one turn
+        peaks = self.traced_peaks(YT_SRC)
+        assert peaks[1] - peaks[0] < 50_000, peaks
+
+    def test_met_table_is_bounded_in_fuel(self):
+        # the variant-state loop recurs as a b and q copy of a state met
+        # first as an a and p copy; once listed, that copy's split serves
+        # every later step, so the table of met terms stops growing
+        peaks = self.traced_peaks(VARIANT_STATE_SRC)
         assert peaks[1] - peaks[0] < 50_000, peaks
 
 
@@ -322,29 +336,29 @@ class TestEvolveMatchesStep:
             src = gen_loop_program(rng)
             self.check_fuels(src, 40)
             # the same loop with its binders named otherwise, so that a
-            # state recurs under other names than its first copy's
+            # state recurs under other names than those it was met with
             for _ in range(3):
                 renamed = print_dist(rename_binders(parse(src), rng), explicit=True)
                 self.check_fuels(renamed, 40)
 
-    def test_chain_closes_with_one_unit_of_fuel_left(self):
+    def test_loop_closes_with_one_unit_of_fuel_left(self):
         self.check_fuels(YT_SRC, 8)
 
-    def test_variant_state_stays_on_the_dist_path(self):
-        # the loop state's first copy names its binders a and p; from step
-        # 1 on, only a copy named b and q recurs, so every step has an
-        # entry stepped on its own
+    def test_variant_state_stepped_under_its_own_names(self):
+        # the loop state is met first with binders a and p; from step 1 on,
+        # only a copy named b and q recurs, and it is stepped by the split
+        # of a b and q copy, never by the a and p one
         want = self.check_fuels(VARIANT_STATE_SRC, 12)
         assert "\\q. q" in want[12][0] and "\\p" not in want[12][0]
 
-    def test_variant_successor_stays_on_the_dist_path(self):
+    def test_variant_successor_stepped_under_its_own_names(self):
         # a four-state loop whose redex (\a. \p. p) u first comes in with
         # one state and comes back as (\b. \q. q) u from another; stepped
-        # through the first copy it would show \p. p where step shows \q. q
+        # by the first copy's split it would show \p. p where step shows \q. q
         want = self.check_fuels(VARIANT_SUCCESSOR_SRC, 16)
         assert [want[fuel][0] for fuel in (14, 16)] == [r"{26/27: \q. q}", r"{53/54: \p. p}"]
 
-    def test_cycle_back_to_a_state_before_the_switch(self):
+    def test_cycle_back_to_a_state_two_steps_earlier(self):
         # the cycle closes on a state of step 3, seen two steps before
         src = r"{1/2: (\a. (\b. a a) c) (\a. (\b. a a) c), 1/2: (\x. (\y. (\z. z) y) x) u}"
         want = self.check_fuels(src, 6)
@@ -358,10 +372,10 @@ class TestEvolveMatchesStep:
         assert [want[fuel][0] for fuel in (14, 16)] == [r"{53/54: \p. p}", r"{80/81: \q. q}"]
 
     def test_recurring_loops_build_no_dist_per_step(self, monkeypatch):
-        # on the README loop and the two variant-naming loops, the Dists
-        # built do not grow with the fuel; the README loop and the
-        # variant-successor loop also reduce no term twice (the
-        # variant-state loop makes a new variant object on each step)
+        # on the README loop and the two variant-naming loops, neither the
+        # Dists built nor the head reducts computed grow with the fuel (in
+        # the variant-state loop, a b and q copy is reduced once, and its
+        # reduct, a new b and q copy, takes its split from then on)
         counts = {"dists": 0, "reducts": 0}
         dist, head_reduct = reduction.Dist, reduction._head_reduct
 
@@ -375,15 +389,14 @@ class TestEvolveMatchesStep:
 
         monkeypatch.setattr(reduction, "Dist", counting_dist)
         monkeypatch.setattr(reduction, "_head_reduct", counting_reduct)
-        for src, reducts in ((YT_SRC, 4), (VARIANT_STATE_SRC, None), (VARIANT_SUCCESSOR_SRC, 8)):
+        for src, reducts in ((YT_SRC, 4), (VARIANT_STATE_SRC, 3), (VARIANT_SUCCESSOR_SRC, 8)):
             seen = []
             for fuel in (40, 400):
                 counts.update(dists=0, reducts=0)
                 assert evolve(parse(src), fuel).steps_used == fuel
                 seen.append(dict(counts))
             assert seen[0]["dists"] == seen[1]["dists"], src
-            if reducts is not None:
-                assert seen[0]["reducts"] == seen[1]["reducts"] == reducts, src
+            assert seen[0]["reducts"] == seen[1]["reducts"] == reducts, src
 
 
 def rename_binders(d, rng):
@@ -422,7 +435,7 @@ def subterms(d):
 
 class TestHeadStepCache:
     """An application keeps its head reduct, and ``evolve`` steps a term
-    that recurs through its first copy when the two print the same."""
+    that recurs by the split of a term met before that prints the same."""
 
     def test_reduct_is_stored(self):
         t = term(r"(\x. x) y")

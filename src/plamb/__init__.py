@@ -17,11 +17,9 @@ from .syntax import (
     ReservedNameError,
     Term,
     Var,
-    Weight,
     dist_leq,
     dist_scale,
     dist_union,
-    dist_way_below,
     free_names,
     parse,
     print_dist,
@@ -41,11 +39,9 @@ __all__ = [
     "ReservedNameError",
     "Term",
     "Var",
-    "Weight",
     "dist_leq",
     "dist_scale",
     "dist_union",
-    "dist_way_below",
     "free_names",
     "parse",
     "print_dist",

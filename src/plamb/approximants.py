@@ -4,16 +4,17 @@ An approximant is a finite tree over a bottom element, abstractions, and
 open applications, with rational weights.  ``approx_check`` decides
 fuel-bounded membership at an index k on the candidate's embedding into
 the calculus (bottom becomes the divergent redex ``DIVERGE``), so both
-sides are read through ``plamb.lts``: the value split of each, and for
-abstractions the ``ret`` target under one symbol fresh for both.  The
-candidate's value mass must match strictly below the evolved value mass of
-the program (strictly, on every set of entries), with ``ret`` targets and
-spine arguments checked recursively one index down.  The strict matching
-is one exact max-flow of ``plamb.lifting``, with every supply raised by a
-bump too small to undo any strict inequality and large enough to break
-every tie.  The embedded bottom is a redex, affords no label and so needs
-no support at all: the bottom-only candidates approximate every program at
-every index.
+sides are read through ``plamb.lts``: the value split of each, the spine
+pairs of one call family (``call_pairs``), and for abstractions the
+``ret`` target under one symbol fresh for both blocks (``fresh_symbol``).
+The candidate's value mass must match strictly below the evolved value
+mass of the program (strictly, on every set of entries), with ``ret``
+targets and spine arguments checked recursively one index down.  The
+strict matching is one exact max-flow of ``plamb.lifting``, with every
+supply raised by a bump too small to undo any strict inequality and large
+enough to break every tie.  The embedded bottom is a redex, affords no
+label and so needs no support at all: the bottom-only candidates
+approximate every program at every index.
 
 Every level first tests the set of all candidate entries alone: a
 candidate whose value mass is not strictly below the program's is
@@ -56,13 +57,12 @@ from .syntax import (
     _tokenize,
     _union,
     check_name,
-    fresh_name,
     parse as _parse_lambda,
     print_dist,
     unit,
 )
 from .lifting import max_flow
-from .lts import ret_target, split_values
+from .lts import call_pairs, fresh_symbol, ret_target, split_values
 from .reduction import AbsView, SpineView, evolve, whnf_view
 
 
@@ -266,17 +266,14 @@ def _member(c, m, k, fuel):
         return False
     m_abs, m_spines = split_values(values)
     edges = []
-    for i, (ct, _, cv) in enumerate(c_abs):
-        for j, (mt, _, mv) in enumerate(m_abs):
-            sym = fresh_name(ct.free_names() | mt.free_names())
+    sym = fresh_symbol(c_abs, m_abs)
+    for i, (_, _, cv) in enumerate(c_abs):
+        for j, (_, _, mv) in enumerate(m_abs):
             if _member(ret_target(cv, sym), ret_target(mv, sym), k - 1, fuel):
                 edges.append((i, j))
-    for i, (_, _, cv) in enumerate(c_spines, len(c_abs)):
-        for j, (_, _, mv) in enumerate(m_spines, len(m_abs)):
-            if (cv.head, len(cv.args)) == (mv.head, len(mv.args)) and all(
-                _member(ca, ma, k - 1, fuel) for ca, ma in zip(cv.args, mv.args)
-            ):
-                edges.append((i, j))
+    for i, j, args in call_pairs(c_spines, m_spines, len(c_abs), len(m_abs)):
+        if all(_member(a, b, k - 1, fuel) for a, b in args):
+            edges.append((i, j))
     n = len(entries)
     lcm = math.lcm(c._den, values._den)
     fc, fm = n * (lcm // c._den), n * (lcm // values._den)

@@ -145,24 +145,29 @@ def rename_free(d, renaming):
     return d
 
 
-def _observed(verdict):
-    """What a simulation verdict states: holds, exact, and the deficit."""
+def _observed(verdict, renaming):
+    """What a simulation verdict states: holds, exact, and for a refutation
+    the deficit and its witness's kind, printed path and cut, the cut
+    renamed by ``renaming`` and read as a set of alpha-classes."""
     if verdict.holds:
         return True, verdict.exact, None
-    return False, False, verdict.witness.deficit
+    w = verdict.witness
+    cut = frozenset(rename_free(unit(t), renaming) for t in w.cut)
+    return False, False, (w.deficit, w.kind, [str(l) for l in w.path], cut)
 
 
 def rename_invariance(pairs, params):
-    """A bijective renaming of free names leaves a simulation verdict's
-    ``holds``, ``exact`` and deficit unchanged.  Each pair's free names are
-    reversed in sorted order, which turns round the order of every two
-    free heads.  A counterexample is (m, n, renaming)."""
+    """A bijective renaming of free names leaves a simulation verdict
+    unchanged: ``holds``, ``exact``, the deficit, and a witness's kind,
+    printed path and renamed cut.  Each pair's free names are reversed in
+    sorted order, which turns round the order of every two free heads.  A
+    counterexample is (m, n, renaming)."""
     bad = []
     for m, n in pairs:
         names = sorted(m.free_names() | n.free_names())
         r = dict(zip(names, reversed(names)))
-        before = _observed(sim_check(m, n, params))
-        after = _observed(sim_check(rename_free(m, r), rename_free(n, r), params))
+        before = _observed(sim_check(m, n, params), r)
+        after = _observed(sim_check(rename_free(m, r), rename_free(n, r), params), {})
         if before != after:
             bad.append((m, n, r))
     return bad

@@ -12,14 +12,15 @@ The applicative test folds the beta step into the transition: ``ret s`` on
 ``\\x. B`` goes straight to ``B[s/x]`` instead of to the application, since
 the silent step would fire immediately anyway.
 
-This module alone knows which labels a whnf affords (``split_values``) and
-their targets (``strong_target``, ``ret_target``, ``ret_block``); the
+This module alone knows which labels a whnf affords (``split_values``,
+``call_pairs``), the ``ret`` symbol fresh for both sides (``fresh_symbol``)
+and the targets (``strong_target``, ``ret_target``, ``ret_block``); the
 simulation check and approximant membership take theirs from here.
 """
 
 from __future__ import annotations
 
-from .syntax import Abs, LambError, Var, mixture, subst, unit
+from .syntax import Abs, LambError, Var, fresh_name, mixture, subst, unit
 from .reduction import AbsView, SpineView, evolve, whnf_view
 
 IDENTITY = Abs("x", unit(Var("x")))
@@ -109,6 +110,24 @@ def split_values(d):
     return abs_entries, spine_entries
 
 
+def call_pairs(left, right, i0=0, j0=0):
+    """Spine entries of two ``split_values`` blocks that afford one call
+    family (same head and arity), as ``(i, j, argument pairs)`` in entry
+    order, with indices counted from ``i0`` and ``j0``."""
+    return [
+        (i, j, tuple(zip(u.args, v.args)))
+        for i, (_, _, u) in enumerate(left, i0)
+        for j, (_, _, v) in enumerate(right, j0)
+        if u.head == v.head and len(u.args) == len(v.args)
+    ]
+
+
+def fresh_symbol(*blocks):
+    """The first ``#i`` free in no term of the ``split_values`` blocks: a
+    ``ret`` symbol fresh for every side."""
+    return fresh_name(set().union(*[t.free_names() for b in blocks for t, _, _ in b]))
+
+
 def ret_target(view, sym):
     """Strong ``ret sym`` target of one abstraction, at unit weight: its
     body with the binder replaced by ``sym``.  The abstraction keeps its
@@ -128,8 +147,6 @@ def ret_block(abs_entries, den, sym):
 
 
 def _unit_target(view, label):
-    if isinstance(label, Ret):
-        return ret_target(view, label.sym)
     if label == CONVERGE or label.index == 0:
         return unit(IDENTITY)
     return view.args[label.index - 1]
@@ -149,8 +166,10 @@ def strong_target(d, label):
         hit = abs_entries if isinstance(label, (Ret, _Converge)) else []
     if not hit:
         raise LabelNotApplicableError("no entry affords %r" % label)
-    if isinstance(label, Ret) and any(label.sym in t.free_names() for t, _, _ in hit):
-        raise FreshNameCollisionError("%r occurs free in the term" % label.sym)
+    if isinstance(label, Ret):
+        if any(label.sym in t.free_names() for t, _, _ in hit):
+            raise FreshNameCollisionError("%r occurs free in the term" % label.sym)
+        return ret_block(hit, d._den, label.sym)
     return mixture([(n, _unit_target(view, label)) for _, n, view in hit], d._den)
 
 

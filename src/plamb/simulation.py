@@ -9,10 +9,12 @@ linear with respect to formal sums, so a single block is sound and
 complete).  Spine points are compared by an exact max-flow matching whose
 edges require equal head and arity and, for every argument position, a
 nested check at the same depth; merging spine points instead would conflate
-behaviorally different sums, so they stay separate.  The split and the
-abstraction block's ret target are the transition system's own
-(``lts.split_values`` and ``lts.ret_block``); this module only decides
-which pairs to compare and how much mass each comparison may miss.
+behaviorally different sums, so they stay separate.  The split, the spine
+pairs of one call family, the fresh ret symbol and the abstraction block's
+ret target are the transition system's own (``lts.split_values``,
+``lts.call_pairs``, ``lts.fresh_symbol`` and ``lts.ret_block``); this
+module only decides how each pair is compared and how much mass each
+comparison may miss.
 
 Depth therefore counts applicative (ret) unfoldings; spine argument edges
 do not consume depth, and re-entrant argument comparisons (possible only
@@ -47,9 +49,9 @@ from fractions import Fraction
 
 from .lifting import max_flow
 from .lifting import lift_check_flow  # unused here; perfbench/tracing.py rebinds it
-from .lts import Ret, ret_block, split_values
+from .lts import Ret, call_pairs, fresh_symbol, ret_block, split_values
 from .reduction import evolve
-from .syntax import LambError, fresh_name, print_weight
+from .syntax import LambError, print_weight
 from .syntax import subst  # unused here; perfbench/tracing.py rebinds it
 
 
@@ -235,23 +237,22 @@ def _sim_level(st, m, n, k, sn, sd):
             Fraction(gap - slack, den),
         )
     if d_abs:
-        sym = fresh_name(_block_names(d_abs) | _block_names(e_abs))
+        sym = fresh_symbol(d_abs, e_abs)
         d_body = ret_block(d_abs, dd, sym)
         e_body = ret_block(e_abs, de, sym)
         wit = _sim(st, d_body, e_body, k - 1, sn, sd)
         if wit is not None:
             return wit.prepend(Ret(sym))
 
-    # (b) spine points, matched by exact max flow over same-head edges;
+    # (b) spine points, matched by exact max flow over the pairs of one call
+    # family whose arguments pass at the current depth and unit scale;
     # points are entry indices, whose order is the canonical order, and the
     # witness cut is the residual-reachable side of the minimum cut
     if d_app:
-        edges = [
-            (i, j)
-            for i, (_, _, vu) in enumerate(d_app)
-            for j, (_, _, vv) in enumerate(e_app)
-            if _edge(st, vu, vv, k)
-        ]
+        edges = []
+        for i, j, args in call_pairs(d_app, e_app):
+            if all(_sim(st, a, b, k, 0, 1) is None for a, b in args):
+                edges.append((i, j))
         supplies = [w * fd for _, w, _ in d_app]
         value, reached = max_flow(supplies, [w * fe for _, w, _ in e_app], edges)
         gap = sum(supplies) - value
@@ -264,23 +265,6 @@ def _sim_level(st, m, n, k, sn, sd):
             cut = tuple(d_app[i][0] for i in sorted(reached))
             return Witness((), kind, cut, Fraction(gap - slack, den))
     return None
-
-
-def _block_names(entries):
-    names = set()
-    for t, _, _ in entries:
-        names |= t.free_names()
-    return names
-
-
-def _edge(st, vu, vv, k):
-    """Edge predicate between two spine views: same head, same arity, and
-    every argument pair passes at the current depth and unit scale."""
-    return (
-        vu.head == vv.head
-        and len(vu.args) == len(vv.args)
-        and all(_sim(st, au, av, k, 0, 1) is None for au, av in zip(vu.args, vv.args))
-    )
 
 
 def sim_check(m, n, params):

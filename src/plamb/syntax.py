@@ -60,8 +60,6 @@ import math
 import re
 from fractions import Fraction
 
-Weight = Fraction
-
 ZERO = Fraction(0)
 
 _USER_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
@@ -579,16 +577,6 @@ def dist_leq(a, b):
     bidx, da, db = b._key_index(), a._den, b._den
     for k, n in a._canon.pairs:
         if n * db > bidx.get(k, 0) * da:
-            return False
-    return True
-
-
-def dist_way_below(a, b):
-    """Strict pointwise domination: every entry of ``a`` weighs strictly
-    less than its class does in ``b``.  Vacuously true for empty ``a``."""
-    bidx, da, db = b._key_index(), a._den, b._den
-    for k, n in a._canon.pairs:
-        if n * db >= bidx.get(k, 0) * da:
             return False
     return True
 

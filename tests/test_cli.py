@@ -709,6 +709,21 @@ class TestRecursionLimit:
             2, "", "error: eval: nesting too deep (recursion limit %d)\n" % sys.getrecursionlimit()
         )
 
+    def test_nested_spines_simulate_at_the_default_limit(self):
+        # in a process of its own, at the default recursion limit: the
+        # spine-argument recursion of sim_check, three frames per nesting
+        # level, follows a spine 200 deep
+        s = "x (" * 200 + "y" + ")" * 200
+        src = os.path.dirname(os.path.dirname(plamb.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plamb.cli", "sim", s, s, "--depth", "1", "--fuel", "4"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            "NoCounterexample(SimParams(depth=1, fuel=4, slack_enabled=True), exact=True)\n"
+        )
+
 
 def _parses(src):
     try:

@@ -14,11 +14,13 @@ from plamb.lts import (
     Ret,
     TAU,
     available_labels,
+    call_pairs,
     ret_target,
+    split_values,
     strong_target,
     weak_max_transition,
 )
-from plamb.reduction import AbsView, head_step, vals, whnf_view
+from plamb.reduction import AbsView, evolve, head_step, vals, whnf_view
 from plamb.syntax import Dist, LambError, parse, print_dist, subst, unit, Var
 
 
@@ -192,3 +194,39 @@ class TestLabelDiscipline:
             "tau", "conv", "ret #0", "ret #1", "ret y",
             "call y 0/1", "call y 1/1", "call y 0/2", "call z 0/1",
         ]
+
+
+class TestCallPairs:
+    """``call_pairs`` pairs exactly the spine entries that ``strong_target``
+    groups under one ``Call(head, 0, arity)`` family, with the family's
+    argument targets as the argument pairs."""
+
+    def test_pairs_are_the_call_families(self):
+        rng = random.Random(26)
+        paired = with_args = 0
+        for _ in range(200):
+            d, e = (evolve(gen_dist(rng, 3), 8).values for _ in "de")
+            d_app, e_app = split_values(d)[1], split_values(e)[1]
+            got = call_pairs(d_app, e_app, 2, 5)
+            want = []
+            for label in available_labels(d, "#0"):
+                if not isinstance(label, Call) or label.index != 0:
+                    continue
+                left = [i for i, e in enumerate(d_app) if label_target(e[0], label) is not None]
+                right = [j for j, e in enumerate(e_app) if label_target(e[0], label) is not None]
+                # the entries read one at a time are the ones the family groups
+                mass = sum(F(d_app[i][1], d._den) for i in left)
+                assert strong_target(d, label).mass() == mass
+                for i in left:
+                    for j in right:
+                        t, u = d_app[i][0], e_app[j][0]
+                        args = tuple(
+                            (label_target(t, arg), label_target(u, arg))
+                            for arg in (Call(label.sym, p, label.arity)
+                                        for p in range(1, label.arity + 1))
+                        )
+                        want.append((i + 2, j + 5, args))
+            assert got == sorted(want, key=lambda x: x[:2])
+            paired += len(got)
+            with_args += sum(1 for _, _, args in got if args)
+        assert paired > 100 and with_args > 50

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import gen_dist, gen_terminating
-from plamb import simulation
+from plamb import laws, simulation
 from plamb.cli import main
 from plamb.corpus import corpus
 from plamb.laws import divergence_least, reflexivity, rename_free, rename_invariance
@@ -15,16 +15,18 @@ from plamb.lts import (
     LabelNotApplicableError,
     Ret,
     available_labels,
+    call_pairs,
     split_values,
     weak_max_transition,
 )
-from plamb.reduction import SpineView, evolve, whnf_view
+from plamb.reduction import evolve
 from plamb.simulation import (
     NoCounterexample,
     Refuted,
     SimParams,
+    Witness,
     WitnessKind,
-    _edge,
+    _sim,
     _SimState,
     bisim_check,
     sim_check,
@@ -125,11 +127,16 @@ class TestSpineSums:
 
 
 def app_edge(u, v, k, fuel):
-    """The simulation's edge predicate on two whnf spine terms: equal head
-    and arity and argument-wise simulation at depth ``k`` and unit scale."""
-    vu, vv = whnf_view(u), whnf_view(v)
-    assert isinstance(vu, SpineView) and isinstance(vv, SpineView)
-    return _edge(_SimState(fuel, True), vu, vv, k)
+    """The simulation's edge test on two whnf spine terms: a pair of one
+    call family (``lts.call_pairs``) whose arguments are simulated at depth
+    ``k`` and unit scale."""
+    (_, u_app), (_, v_app) = split_values(unit(u)), split_values(unit(v))
+    assert len(u_app) == len(v_app) == 1
+    st = _SimState(fuel, True)
+    return any(
+        all(_sim(st, a, b, k, 0, 1) is None for a, b in args)
+        for _, _, args in call_pairs(u_app, v_app)
+    )
 
 
 class TestAppEdge:
@@ -426,6 +433,26 @@ class TestRenameInvariance:
         assert rename_invariance(pairs, P(depth, 20)) == []
         swap = {"g": "h", "h": "g"}
         assert tuple(rename_free(d, swap) for d in pairs[0]) == pairs[1]
+
+    @pytest.mark.parametrize("field", ["kind", "path", "cut"])
+    def test_witness_that_ignores_the_renaming_breaks_the_law(self, monkeypatch, field):
+        # y against z is refuted with the cut y; a checker whose witness
+        # follows the name y rather than the renaming is caught
+        def named(m, n, params):
+            w = sim_check(m, n, params).witness
+            y = "y" in m.free_names()
+            parts = {"path": w.path, "kind": w.kind, "cut": w.cut}
+            parts[field] = {
+                "path": (Ret("#0"),) if y else (),
+                "kind": WitnessKind.FLOW_DEFICIT if y else WitnessKind.CONVERGE_DEFICIT,
+                "cut": (term("y"),),
+            }[field]
+            return Refuted(params, Witness(parts["path"], parts["kind"], parts["cut"], w.deficit))
+
+        pair = (parse("y"), parse("z"))
+        assert rename_invariance([pair], P(1, 2)) == []
+        monkeypatch.setattr(laws, "sim_check", named)
+        assert rename_invariance([pair], P(1, 2)) == [(*pair, {"y": "z", "z": "y"})]
 
     def test_renaming_is_simultaneous_and_avoids_capture(self):
         d = parse(r"{1/2: g (\h. h g), 1/2: h x}", prelude={})

@@ -35,7 +35,6 @@ from plamb.syntax import (
     dist_leq,
     dist_scale,
     dist_union,
-    dist_way_below,
     free_names,
     parse,
     print_dist,
@@ -613,17 +612,6 @@ class TestDistAlgebra:
         assert dist_leq(a, b) and not dist_leq(b, a)
         c = P("{1/2: x, 1/4: y}")
         assert dist_leq(b, c) and dist_leq(a, c)
-
-    def test_way_below(self):
-        assert dist_way_below(P("{1/4: x}"), P("{1/2: x}"))
-        assert not dist_way_below(P("{1/2: x}"), P("{1/2: x}"))
-        assert dist_way_below(EMPTY, P("{1/2: x}"))
-
-    @given(dists(), dists())
-    @settings(max_examples=100)
-    def test_way_below_implies_leq(self, a, b):
-        if dist_way_below(a, b):
-            assert dist_leq(a, b)
 
 
 class TestCanonicalization:

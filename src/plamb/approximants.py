@@ -30,11 +30,11 @@ membership rules, so generated candidates always pass the check.
 
 The finite terms (``Omega``, ``FinAbs``, ``FinSpine``) and ``FinDist`` are
 built on the node and distribution bases of ``plamb.syntax``: identity is
-alpha-equivalence, keys come from the same key function as the calculus's
-(an abstraction's key is the same in both worlds), and a finite term is
-never equal to a term of the calculus.  ``parse_fin`` reads a candidate as
-a program over the calculus grammar plus the ``_|_`` atom, whose every
-entry is a value tree.
+alpha-equivalence, keys and texts come from the same functions as the
+calculus's (an abstraction's key and text are the same in both worlds),
+``print_dist`` prints both, and a finite term is never equal to a term of
+the calculus.  ``parse_fin`` reads a candidate as a program over the
+calculus grammar plus the ``_|_`` atom, whose every entry is a value tree.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .syntax import (
     _canon_dist,
     _name_key,
     _name_set,
+    _print_atom,
     _tokenize,
     _union,
     check_name,
@@ -79,9 +80,6 @@ class FinTerm(Node):
 
     __slots__ = ()
 
-    def __repr__(self):
-        return print_fin_term(self)
-
 
 class Omega(FinTerm):
     __slots__ = ()
@@ -94,6 +92,9 @@ class Omega(FinTerm):
 
     def _free(self):
         return frozenset()
+
+    def _text(self):
+        return "_|_"
 
 
 OMEGA = Omega()
@@ -109,9 +110,10 @@ class FinAbs(FinTerm):
         self.body = body
         self._canon = self._fn = None
 
-    # keyed like an abstraction of the calculus
+    # keyed and printed like an abstraction of the calculus
     _key = Abs._key
     _free = Abs._free
+    _text = Abs._text
 
 
 class FinSpine(FinTerm):
@@ -134,6 +136,9 @@ class FinSpine(FinTerm):
             fn = _union(fn, a.free_names())
         return fn
 
+    def _text(self):
+        return " ".join([self.head] + [_print_atom(a) for a in self.args])
+
 
 class FinDist(Distribution):
     """Finite map from finite terms to rational weights, total mass <= 1,
@@ -151,27 +156,7 @@ FIN_EMPTY = FinDist()
 FIN_BOTTOM = FinDist(((OMEGA, 1),), 1)
 
 
-def print_fin_term(t):
-    if isinstance(t, Omega):
-        return "_|_"
-    if isinstance(t, FinAbs):
-        return "\\%s. %s" % (t.binder, print_fin_dist(t.body))
-    if isinstance(t, FinSpine):
-        return " ".join([t.head] + [_fin_atom(a) for a in t.args])
-    raise LambError("not a finite term: %r" % (t,))
-
-
-def _fin_atom(d):
-    t = d.point()
-    if isinstance(t, Omega):
-        return "_|_"
-    if isinstance(t, FinSpine) and not t.args:
-        return t.head
-    return "(%s)" % print_fin_dist(d)
-
-
-# one printer for the distributions of both worlds; a FinDist's terms
-# print through print_fin_term
+# the one printer, under the name the approximants' callers use
 print_fin_dist = print_dist
 
 

@@ -27,7 +27,7 @@ from . import laws
 from .approximants import approx_check, approx_generate, parse_fin, print_fin_dist
 from .approximants import embed  # unused here; perfbench/tracing.py rebinds it
 from .lifting import FinSupportDist, lift_check_flow, lift_check_subsets
-from .lts import available_labels, weak_max_transition
+from .lts import available_labels, fresh_symbol, split_values, weak_max_transition
 from .prelude import DEFAULT_PRELUDE, parse_prelude
 from .reduction import evolve, step, vals
 from .simulation import SimParams, bisim_check, sim_check
@@ -35,8 +35,6 @@ from .syntax import (
     Dist,
     LambError,
     ZERO,
-    fresh_name,
-    free_names,
     parse,
     print_dist,
     print_weight,
@@ -227,7 +225,7 @@ def _cmd_lts(args):
     print("tau\t%s\tresidual=%s" % (
         print_dist(report.values, explicit=True), print_weight(report.residual)
     ))
-    sym = fresh_name(free_names(d))
+    sym = fresh_symbol(*split_values(report.values))
     for label in available_labels(report.values, sym):
         r = weak_max_transition(report.values, label, args.fuel)
         print("%s\t%s\tresidual=%s" % (

@@ -17,8 +17,8 @@ and only entries that mention an enclosing binder are keyed anew.  Free
 names are sets shared up the term wherever a union or a difference would
 not change them.  ``Node`` and ``Distribution`` hold this identity once
 for both term worlds, the calculus's and the approximants'
-(``plamb.approximants``): a node defines only its key under binders and
-its free names.
+(``plamb.approximants``): a node defines only its key under binders, its
+free names and its text.
 
 Weights are exact.  A distribution holds them as positive int numerators
 over one int denominator, the least common denominator of its weights, so
@@ -136,6 +136,7 @@ class Node:
     ``env`` (bound name -> binding depth), and ``_free()``, its free names;
     both are computed once here and cached.  Two nodes are equal when they
     are of the same concrete type and alpha-equivalent (equal ``canon()``).
+    ``_text()`` is its concrete syntax, uncached.
     """
 
     __slots__ = ("_canon", "_fn")
@@ -156,14 +157,14 @@ class Node:
     def __hash__(self):
         return hash(self.canon())
 
+    def __repr__(self):
+        return self._text()
+
 
 class Term(Node):
     """Base class of the three term forms; equality is alpha-equivalence."""
 
     __slots__ = ()
-
-    def __repr__(self):
-        return print_term(self)
 
 
 def _name_key(name, env, depth):
@@ -195,6 +196,9 @@ class Var(Term):
     def _free(self):
         return _name_set(self.name)
 
+    def _text(self):
+        return self.name
+
 
 @functools.lru_cache(maxsize=1024)
 def _name_set(name):
@@ -223,6 +227,9 @@ class Abs(Term):
         fn = self.body.free_names()
         return fn - {self.binder} if self.binder in fn else fn
 
+    def _text(self):
+        return "\\%s. %s" % (self.binder, print_dist(self.body))
+
 
 class App(Term):
     # _step caches the head reduct for plamb.reduction.head_step
@@ -240,6 +247,16 @@ class App(Term):
 
     def _free(self):
         return _union(self.fun.free_names(), self.arg.free_names())
+
+    def _text(self):
+        # flatten the left-associated spine for display
+        parts, t = [], self
+        while isinstance(t, App):
+            parts.append(_print_atom(t.arg))
+            fun = t.fun
+            t = fun.point()
+        parts.append(_print_atom(fun))
+        return " ".join(reversed(parts))
 
 
 def names_alike(a, b):
@@ -634,31 +651,19 @@ def _subst_term(t, v, replacement):
 # Printer
 
 def print_term(t):
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        return "\\%s. %s" % (t.binder, print_dist(t.body))
-    if isinstance(t, App):
-        # flatten the left-associated spine for display
-        parts = [_print_atom(t.arg)]
-        fun = t.fun
-        while True:
-            inner = fun.point()
-            if isinstance(inner, App):
-                parts.append(_print_atom(inner.arg))
-                fun = inner.fun
-            else:
-                parts.append(_print_atom(fun))
-                break
-        return " ".join(reversed(parts))
-    raise LambError("not a term: %r" % (t,))
+    """Concrete syntax of a term of either world."""
+    return t._text()
 
 
 def _print_atom(d):
+    """``d`` as a spine atom: bare when a weight-1 point whose text is one
+    token (a variable, ``_|_``, an argumentless spine), else in parentheses."""
     t = d.point()
-    if isinstance(t, Var):
-        return t.name
-    return "(%s)" % print_dist(d)
+    if t is None:
+        return "(%s)" % print_dist(d)
+    # not through print_dist, so that a nesting level costs two frames
+    text = t._text()
+    return text if " " not in text else "(%s)" % text
 
 
 def print_weight(w):
@@ -674,7 +679,7 @@ def print_weight(w):
 
 def print_dist(d, explicit=False):
     """Deterministic concrete syntax for a distribution of either term
-    world; its terms print through their ``repr`` (``print_term`` here).
+    world; each of its terms prints its own text.
 
     A one-entry distribution of weight 1 prints as the bare term unless
     ``explicit`` is set, in which case the braced form with weights is
@@ -685,8 +690,8 @@ def print_dist(d, explicit=False):
         return "{}"
     t = d.point()
     if not explicit and t is not None:
-        return repr(t)
-    return "{%s}" % ", ".join("%s: %r" % (print_weight(w), t) for t, w in d.entries())
+        return t._text()
+    return "{%s}" % ", ".join("%s: %s" % (print_weight(w), t._text()) for t, w in d.entries())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from plamb import syntax
 from plamb.approximants import (
-    FIN_BOTTOM, OMEGA, FinAbs, FinDist, FinSpine, parse_fin, print_fin_dist,
+    FIN_BOTTOM, OMEGA, FinAbs, FinDist, FinSpine, FinTerm, Omega, parse_fin, print_fin_dist,
 )
 from plamb.prelude import DEFAULT_PRELUDE
 from plamb.syntax import Abs, App, Dist, LambError, MassError, ParseError, ReservedNameError, Var
@@ -351,3 +351,60 @@ fuzz_sources = st.one_of(
         st.sampled_from(OVERLONG_NUMERALS),
     ),
 )
+
+
+# The oracle for the printer: the two printers that the term worlds had,
+# one per world, each telling the term forms apart itself.
+def print_dist_oracle(d, explicit=False):
+    if d.is_empty():
+        return "{}"
+    t = d.point()
+    if not explicit and t is not None:
+        return print_term_oracle(t)
+    return "{%s}" % ", ".join("%s: %s" % (w, print_term_oracle(t)) for t, w in d.entries())
+
+
+def print_term_oracle(t):
+    return _print_fin_term_oracle(t) if isinstance(t, FinTerm) else _print_term_oracle(t)
+
+
+def _print_term_oracle(t):
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Abs):
+        return "\\%s. %s" % (t.binder, print_dist_oracle(t.body))
+    parts = [_print_atom_oracle(t.arg)]
+    fun = t.fun
+    while True:
+        inner = fun.point()
+        if isinstance(inner, App):
+            parts.append(_print_atom_oracle(inner.arg))
+            fun = inner.fun
+        else:
+            parts.append(_print_atom_oracle(fun))
+            break
+    return " ".join(reversed(parts))
+
+
+def _print_atom_oracle(d):
+    t = d.point()
+    if isinstance(t, Var):
+        return t.name
+    return "(%s)" % print_dist_oracle(d)
+
+
+def _print_fin_term_oracle(t):
+    if isinstance(t, Omega):
+        return "_|_"
+    if isinstance(t, FinAbs):
+        return "\\%s. %s" % (t.binder, print_dist_oracle(t.body))
+    return " ".join([t.head] + [_fin_atom_oracle(a) for a in t.args])
+
+
+def _fin_atom_oracle(d):
+    t = d.point()
+    if isinstance(t, Omega):
+        return "_|_"
+    if isinstance(t, FinSpine) and not t.args:
+        return t.head
+    return "(%s)" % print_dist_oracle(d)

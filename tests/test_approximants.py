@@ -1,12 +1,13 @@
 import io
 import math
 import random
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import gen_terminating
+from conftest import gen_dist, gen_terminating, print_dist_oracle, print_term_oracle
 from plamb import approximants
 from plamb.approximants import (
     DIVERGE,
@@ -33,6 +34,7 @@ from plamb.reduction import evolve
 from plamb.simulation import SimParams, sim_check
 from plamb.syntax import (
     EMPTY, Abs, Dist, LambError, ParseError, dist_scale, fresh_name, parse, print_dist,
+    print_term,
 )
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
@@ -486,6 +488,41 @@ class TestCandidateReader:
         read = [parse_fin(line) for line in lines]
         assert [print_fin_dist(c) for c in read] == lines
         assert set(read) == approx_generate(parse(src), 2, 16, F(1, 8))
+
+
+class TestOnePrinter:
+    """``print_dist`` prints the distributions of both worlds, as the two
+    printers it replaced did, and as deep as either world is read."""
+
+    def test_same_text_as_the_two_printers_it_replaced(self):
+        rng = random.Random(28)
+        for _ in range(300):
+            m = gen_dist(rng, 3)
+            values = evolve(m, 16).values
+            sample = [m, values] + [truncate(values, depth) for depth in range(4)]
+            sample += approx_generate(m, 2, 16, F(1, 8))
+            for d in sample:
+                for explicit in (False, True):
+                    assert print_dist(d, explicit) == print_dist_oracle(d, explicit)
+                for t in d.support():
+                    assert print_term(t) == repr(t) == print_term_oracle(t)
+
+    def test_deepest_candidate_prints_and_reads_back(self):
+        # printing a nesting level takes fewer frames than reading it
+        def make(n):
+            return "y (" * n + "y _|_" + ")" * n
+
+        lo, hi = 0, sys.getrecursionlimit()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse_fin(make(mid))
+                lo = mid
+            except ParseError:
+                hi = mid
+        c = parse_fin(make(lo))
+        assert print_fin_dist(c) == make(lo)
+        assert parse_fin(print_fin_dist(c)) == c
 
 
 class TestFinDistKey:

@@ -699,15 +699,19 @@ class TestRecursionLimit:
         assert code == 2 and out == ""
         assert err.startswith("error: eval: nesting too deep")
 
-    def test_parsed_value_too_deep_to_print_exit_2(self, capsys):
-        # the deepest abstraction chain up to 350 that the parser accepts
-        # here; evolving or printing it recurses deeper per level
-        src = next(
-            src for src in ("\\x. " * n + "x" for n in range(350, 0, -10)) if _parses(src)
+    def test_deepest_parsed_programs_print_at_the_default_limit(self):
+        # in a process of its own, at the default recursion limit: the
+        # deepest abstraction chain and the deepest parenthesised spine
+        # that the parser accepts there evaluate and print as written
+        src = os.path.dirname(os.path.dirname(plamb.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEEPEST_PROGRAMS_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
         )
-        assert run(capsys, "eval", src) == (
-            2, "", "error: eval: nesting too deep (recursion limit %d)\n" % sys.getrecursionlimit()
-        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for depth, prog, (code, out, err) in json.loads(proc.stdout):
+            assert depth > 100
+            assert (code, out, err) == (0, "{1: %s}\n" % prog, "")
 
     def test_nested_spines_simulate_at_the_default_limit(self):
         # in a process of its own, at the default recursion limit: the
@@ -725,12 +729,30 @@ class TestRecursionLimit:
         )
 
 
-def _parses(src):
-    try:
-        parse(src)
-    except LambError:
-        return False
-    return True
+# `plamb eval` of the deepest program of each shape whose error, if any,
+# is not the parser's positioned "nesting too deep"
+_DEEPEST_PROGRAMS_SCRIPT = r"""
+import contextlib, io, json, re, sys
+from plamb.cli import main
+
+def run(src):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", src])
+    return code, out.getvalue(), err.getvalue()
+
+results = []
+for make in (lambda n: "\\x. " * n + "x", lambda n: "x (" * n + "x y" + ")" * n):
+    lo, hi = 0, sys.getrecursionlimit()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if re.match(r"error: 1:\d+: nesting too deep", run(make(mid))[2]):
+            hi = mid
+        else:
+            lo = mid
+    results.append((lo, make(lo), run(make(lo))))
+print(json.dumps(results))
+"""
 
 
 class TestErrorExits:

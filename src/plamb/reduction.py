@@ -330,7 +330,7 @@ def evolve_sequential(d, max_steps, rng=None):
     order; used to cross-check confluence of the parallel step."""
     cur = d
     for steps in range(max_steps):
-        pending = sum(1 for t, _ in cur.entries() if not is_whnf(t))
+        pending = sum(1 for t, _ in cur._ints if not is_whnf(t))
         if pending == 0:
             return EvolveReport(vals(cur), ZERO, steps, True, True)
         index = rng.randrange(pending) if rng is not None else 0

@@ -251,7 +251,10 @@ def _sim_level(st, m, n, k, sn, sd):
     if d_app:
         edges = []
         for i, j, args in call_pairs(d_app, e_app):
-            if all(_sim(st, a, b, k, 0, 1) is None for a, b in args):
+            for a, b in args:
+                if _sim(st, a, b, k, 0, 1) is not None:
+                    break
+            else:
                 edges.append((i, j))
         supplies = [w * fd for _, w, _ in d_app]
         value, reached = max_flow(supplies, [w * fe for _, w, _ in e_app], edges)

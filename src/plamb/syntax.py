@@ -23,31 +23,31 @@ free names and its text.
 Weights are exact.  A distribution holds them as positive int numerators
 over one int denominator, the least common denominator of its weights, so
 equal distributions hold equal numbers; scaling and summing distributions
-(``mixture``) is int arithmetic, and ``Fraction`` weights are built only
-at the edge: ``entries()``, ``weight_of``, ``mass()``, parsing and
-printing.  A distribution's canonical form is a ``DistKey``: its sorted
-(term key, numerator) pairs and the denominator, with a hash computed once,
-when the key is built (nested keys contribute their cached hash).  Keys
-order weights by exact value, by cross-multiplication when denominators
-differ.  Outside any binder a term's key reuses its operands' keys, so the
-key of an application ``f a`` is ``("a", f.canon(), a.canon())`` and costs
-O(1).  Most distributions are built from distinct terms already in
-canonical order; construction checks that in one pass and merges through
-a dict and a sort only when it fails.  Machine-generated names live in the
-reserved ``#`` namespace, which the parser rejects.
+(``mixture``) is int arithmetic, and ``Fraction`` weights are built only at
+the edge, when asked, and never stored: ``entries()``, ``weight_of``,
+``mass()``, parsing and printing.  A distribution's canonical form is a
+``DistKey``: its sorted (term key, numerator) pairs and the denominator,
+with a hash computed once, when the key is built (nested keys contribute
+their cached hash).  Keys order weights by exact value, by
+cross-multiplication when denominators differ.  Outside any binder a term's
+key reuses its operands' keys, so the key of an application ``f a`` is
+``("a", f.canon(), a.canon())`` and costs O(1).  Most distributions are
+built from distinct terms already in canonical order; construction checks
+that in one pass and merges through a dict and a sort only when it fails.
+Machine-generated names live in the reserved ``#`` namespace, which the
+parser rejects.
 
 All values are immutable after construction and safe to share between
 threads; every function here is pure.  The cache slots (a node's key and
-free names, a distribution's ``Fraction`` entries and key index, an
-abstraction's last ``ret`` target, an application's head reduct, a
-``Dist``'s last evolution, a ``FinDist``'s embedding) are written from the
-object alone, and a given key always yields the same value, so writing one
-is idempotent: concurrent threads at worst compute it twice.  A slot lives
-as long as its object; an application's head reduct holds the terms it
-reduces to, whose own slots hold theirs, so a term keeps alive the part of
-its trajectory that has been stepped.  ``names_alike`` tells whether two
-terms with equal keys also print the same, so that one may stand for the
-other.
+free names, a distribution's free names, an abstraction's last ``ret``
+target, an application's head reduct, a ``Dist``'s last evolution, a
+``FinDist``'s embedding) are written from the object alone, and a given key
+always yields the same value, so writing one is idempotent: concurrent
+threads at worst compute it twice.  A slot lives as long as its object; an
+application's head reduct holds the terms it reduces to, whose own slots
+hold theirs, so a term keeps alive the part of its trajectory that has been
+stepped.  ``names_alike`` tells whether two terms with equal keys also
+print the same, so that one may stand for the other.
 
 ``parse`` resolves a prelude name to its definition; ``_Definitions``
 states when definitions are parsed and what a use shares.
@@ -367,17 +367,17 @@ class Distribution:
     least common denominator of its weights, so every weight is
     ``numerator / _den`` and equal distributions store equal numbers.
     The library's own layers read and build them as ints; ``Fraction``
-    weights appear only at the edge: ``entries()``, ``weight_of``,
-    ``mass()``, parsing and printing.  Alpha-equivalent keys are merged by
-    weight addition at construction, zero-weight entries are dropped, and
-    the canonical order makes iteration, printing and hashing deterministic
-    and alpha-invariant.  The canonical form is a ``DistKey`` whose hash is
-    computed once, so equality, hashing and use as a memo key are cheap.
-    Two distributions are equal when they are of the same concrete type
-    and have equal keys.
+    weights are built on each call, only at the edge: ``entries()``,
+    ``weight_of``, ``mass()``, parsing and printing.  Alpha-equivalent keys
+    are merged by weight addition at construction, zero-weight entries are
+    dropped, and the canonical order makes iteration, printing and hashing
+    deterministic and alpha-invariant.  The canonical form is a
+    ``DistKey`` whose hash is computed once, so equality, hashing and use
+    as a memo key are cheap.  Two distributions are equal when they are of
+    the same concrete type and have equal keys.
     """
 
-    __slots__ = ("_ints", "_den", "_total", "_index", "_canon", "_entries", "_fn")
+    __slots__ = ("_ints", "_den", "_total", "_canon", "_fn")
 
     def _merge(self, pairs, den, term_type, what):
         """Build this distribution from (term, numerator) pairs over the
@@ -419,7 +419,7 @@ class Distribution:
             self._canon = DistKey(((key, n),), den)
             self._den = den
             self._total = n
-            self._index = self._entries = self._fn = None
+            self._fn = None
             return
         display, keys, nums = [], [], []
         # the empty tuple sorts below every key
@@ -464,16 +464,13 @@ class Distribution:
         self._canon = DistKey(tuple(zip(keys, nums)), den)
         self._den = den
         self._total = total
-        self._index = self._entries = self._fn = None
+        self._fn = None
 
     def entries(self):
         """Entries as (term, weight) pairs in canonical order, with
-        ``Fraction`` weights built on first use."""
-        e = self._entries
-        if e is None:
-            den = self._den
-            e = self._entries = tuple([(t, Fraction(n, den)) for t, n in self._ints])
-        return e
+        ``Fraction`` weights built on each call."""
+        den = self._den
+        return tuple([(t, Fraction(n, den)) for t, n in self._ints])
 
     def point(self):
         """The term ``t`` if this is the point distribution {1: t}, else None."""
@@ -489,16 +486,9 @@ class Distribution:
     def canon(self):
         return self._canon
 
-    def _key_index(self):
-        """Canonical key -> numerator, built on first use."""
-        idx = self._index
-        if idx is None:
-            idx = self._index = dict(self._canon.pairs)
-        return idx
-
     def weight_of(self, t):
         """Weight of the alpha-equivalence class of ``t`` (0 if absent)."""
-        n = self._key_index().get(t.canon())
+        n = dict(self._canon.pairs).get(t.canon())
         return ZERO if n is None else Fraction(n, self._den)
 
     def free_names(self):
@@ -591,7 +581,7 @@ def dist_scale(p, d):
 
 def dist_leq(a, b):
     """True iff ``b`` extends ``a``: pointwise weight of a <= weight in b."""
-    bidx, da, db = b._key_index(), a._den, b._den
+    bidx, da, db = dict(b._canon.pairs), a._den, b._den
     for k, n in a._canon.pairs:
         if n * db > bidx.get(k, 0) * da:
             return False

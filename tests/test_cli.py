@@ -700,49 +700,55 @@ class TestRecursionLimit:
         assert err.startswith("error: eval: nesting too deep")
 
     def test_deepest_parsed_programs_print_at_the_default_limit(self):
-        # in a process of its own, at the default recursion limit: the
-        # deepest abstraction chain and the deepest parenthesised spine
-        # that the parser accepts there evaluate and print as written
-        src = os.path.dirname(os.path.dirname(plamb.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", _DEEPEST_PROGRAMS_SCRIPT],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        for depth, prog, (code, out, err) in json.loads(proc.stdout):
+        # the deepest abstraction chain and the deepest parenthesised spine
+        # that the parser accepts evaluate and print as written
+        shapes = [("\\x. ", "x", ""), ("x (", "x y", ")")]
+        for depth, prog, (code, out, err) in _deepest(shapes, ["eval", "{}"]):
             assert depth > 100
             assert (code, out, err) == (0, "{1: %s}\n" % prog, "")
 
     def test_nested_spines_simulate_at_the_default_limit(self):
-        # in a process of its own, at the default recursion limit: the
-        # spine-argument recursion of sim_check, three frames per nesting
-        # level, follows a spine 200 deep
-        s = "x (" * 200 + "y" + ")" * 200
-        src = os.path.dirname(os.path.dirname(plamb.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "plamb.cli", "sim", s, s, "--depth", "1", "--fuel", "4"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == (
-            "NoCounterexample(SimParams(depth=1, fuel=4, slack_enabled=True), exact=True)\n"
-        )
+        # the spine-argument recursion of sim_check, two frames per nesting
+        # level, follows the deepest spine that the parser accepts
+        argv = ["sim", "{}", "{}", "--depth", "1", "--fuel", "4"]
+        (depth, _, result), = _deepest([("x (", "y", ")")], argv)
+        assert depth > 300
+        assert result == [0, "NoCounterexample(SimParams(depth=1, fuel=4, slack_enabled=True), "
+                          "exact=True)\n", ""]
 
 
-# `plamb eval` of the deepest program of each shape whose error, if any,
-# is not the parser's positioned "nesting too deep"
-_DEEPEST_PROGRAMS_SCRIPT = r"""
+def _deepest(shapes, argv):
+    """In a process of its own, at the default recursion limit: for each
+    (prefix, core, suffix) shape, the deepest program ``prefix * n + core
+    + suffix * n`` that the parser accepts when ``plamb`` runs ``argv``
+    with each ``{}`` replaced by it, with that program and (exit code,
+    stdout, stderr) of the run."""
+    src = os.path.dirname(os.path.dirname(plamb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEPEST_SCRIPT, json.dumps(shapes), json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+# bisects n for the deepest program whose error, if any, is not the
+# parser's positioned "nesting too deep"
+_DEEPEST_SCRIPT = r"""
 import contextlib, io, json, re, sys
 from plamb.cli import main
+
+shapes, argv = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 
 def run(src):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", src])
+        code = main([src if a == "{}" else a for a in argv])
     return code, out.getvalue(), err.getvalue()
 
 results = []
-for make in (lambda n: "\\x. " * n + "x", lambda n: "x (" * n + "x y" + ")" * n):
+for prefix, core, suffix in shapes:
+    make = lambda n: prefix * n + core + suffix * n
     lo, hi = 0, sys.getrecursionlimit()
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -870,7 +870,8 @@ class TestMergePaths:
                 assert got.canon() == d.canon() and got.canon().den == den
                 assert got.canon().pairs == d.canon().pairs
                 assert [repr(t) for t in got.support()] == [repr(t) for t, _ in shown]
-                assert got._key_index() == dict(d.canon().pairs)
+                assert all(got.weight_of(t) == F(n, den) for t, n in got._ints)
+                assert got.entries() == got.entries()
         assert shuffled_runs > 50
 
 

@@ -173,21 +173,22 @@ def embed(c):
     distribution keeps its image, so asking again returns the same ``Dist``
     (and its cached ``ret`` targets and evolution)."""
     if c._embedded is None:
-        c._embedded = Dist(((_embed_term(t), n) for t, n in c._ints), c._den)
+        pairs = []
+        for t, n in c._ints:
+            if isinstance(t, Omega):
+                t = DIVERGE
+            elif isinstance(t, FinAbs):
+                t = Abs(t.binder, embed(t.body))
+            elif isinstance(t, FinSpine):
+                term = Var(t.head)
+                for a in t.args:
+                    term = App(unit(term), embed(a))
+                t = term
+            else:
+                raise LambError("not a finite term: %r" % (t,))
+            pairs.append((t, n))
+        c._embedded = Dist(pairs, c._den)
     return c._embedded
-
-
-def _embed_term(t):
-    if isinstance(t, Omega):
-        return DIVERGE
-    if isinstance(t, FinAbs):
-        return Abs(t.binder, embed(t.body))
-    if isinstance(t, FinSpine):
-        term = Var(t.head)
-        for a in t.args:
-            term = App(unit(term), embed(a))
-        return term
-    raise LambError("not a finite term: %r" % (t,))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +257,9 @@ def _member(c, m, k, fuel):
         for j, (_, _, mv) in enumerate(m_abs):
             if _member(ret_target(cv, sym), ret_target(mv, sym), k - 1, fuel):
                 edges.append((i, j))
-    for i, j, args in call_pairs(c_spines, m_spines, len(c_abs), len(m_abs)):
+    for i, j, args in call_pairs(c_spines, m_spines):
         if all(_member(a, b, k - 1, fuel) for a, b in args):
-            edges.append((i, j))
+            edges.append((i + len(c_abs), j + len(m_abs)))
     n = len(entries)
     lcm = math.lcm(c._den, values._den)
     fc, fm = n * (lcm // c._den), n * (lcm // values._den)
@@ -299,20 +300,17 @@ def _grid_denominator(granularity):
 def truncate(d, depth):
     """The value trees of ``d`` cut at ``depth``, weights unrounded: deeper
     or still-reducible structure becomes bottom."""
-    return FinDist([(_truncate_term(t, depth), n) for t, n in d._ints], d._den)
-
-
-def _truncate_term(t, depth):
-    if depth <= 0:
-        return OMEGA
-    view = whnf_view(t)
-    if isinstance(view, AbsView):
-        return FinAbs(view.binder, truncate(view.body, depth - 1))
-    if isinstance(view, SpineView):
-        return FinSpine(
-            view.head, tuple(truncate(a, depth - 1) for a in view.args)
-        )
-    return OMEGA
+    pairs = []
+    for t, n in d._ints:
+        view = whnf_view(t) if depth > 0 else None
+        if isinstance(view, AbsView):
+            t = FinAbs(view.binder, truncate(view.body, depth - 1))
+        elif isinstance(view, SpineView):
+            t = FinSpine(view.head, [truncate(a, depth - 1) for a in view.args])
+        else:
+            t = OMEGA
+        pairs.append((t, n))
+    return FinDist(pairs, d._den)
 
 
 def _round_down(c, g):
@@ -326,16 +324,14 @@ def _round_down(c, g):
             pairs.append((t, n * fc))
             continue
         r = -(-n * g // c._den) - 1
-        if r > 0:
-            pairs.append((_round_term(t, g), r * fg))
+        if r <= 0:
+            continue
+        if isinstance(t, FinAbs):
+            t = FinAbs(t.binder, _round_down(t.body, g))
+        else:
+            t = FinSpine(t.head, [_round_down(a, g) for a in t.args])
+        pairs.append((t, r * fg))
     return FinDist(pairs, den)
-
-
-def _round_term(t, g):
-    # _round_down keeps bottom entries itself, so t is a value tree
-    if isinstance(t, FinAbs):
-        return FinAbs(t.binder, _round_down(t.body, g))
-    return FinSpine(t.head, tuple(_round_down(a, g) for a in t.args))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +346,9 @@ def parse_fin(src):
     refused.  A literal ``DIVERGE`` reads as bottom."""
     parser = _Parser(_tokenize(src), src, bottom=unit(DIVERGE))
     d = parser.whole()
-    # truncation and embedding recurse deeper per level than the parser
+    # keying a truncated spine under a binder, and comparing the two deep
+    # keys, recurse deeper per level than the parser
     c = parser.parse_nested(lambda: truncate(d, math.inf))
-    if parser.parse_nested(lambda: embed(c)) != d:
+    if parser.parse_nested(lambda: embed(c) != d):
         raise LambError("not a finite approximant: a redex other than _|_")
     return c

@@ -34,7 +34,6 @@ from .simulation import SimParams, bisim_check, sim_check
 from .syntax import (
     Dist,
     LambError,
-    ZERO,
     parse,
     print_dist,
     print_weight,
@@ -141,10 +140,13 @@ class NormalizationReport:
 
 def total_variation(a, b):
     """Half the pointwise absolute weight difference over the union of the
-    canonical supports."""
-    total = sum((abs(w - b.weight_of(t)) for t, w in a.entries()), ZERO)
-    total += sum((w for t, w in b.entries() if not a.weight_of(t)), ZERO)
-    return total / 2
+    canonical supports, summed on the int numerators of both keys."""
+    ka, kb = a.canon(), b.canon()
+    da, db = ka.den, kb.den
+    rest = dict(kb.pairs)
+    total = sum([abs(n * db - rest.pop(k, 0) * da) for k, n in ka.pairs])
+    total += sum(rest.values()) * da
+    return Fraction(total, 2 * da * db)
 
 
 def normalize(m, fuel):

@@ -110,14 +110,14 @@ def split_values(d):
     return abs_entries, spine_entries
 
 
-def call_pairs(left, right, i0=0, j0=0):
+def call_pairs(left, right):
     """Spine entries of two ``split_values`` blocks that afford one call
     family (same head and arity), as ``(i, j, argument pairs)`` in entry
-    order, with indices counted from ``i0`` and ``j0``."""
+    order, indexed within each block."""
     return [
         (i, j, tuple(zip(u.args, v.args)))
-        for i, (_, _, u) in enumerate(left, i0)
-        for j, (_, _, v) in enumerate(right, j0)
+        for i, (_, _, u) in enumerate(left)
+        for j, (_, _, v) in enumerate(right)
         if u.head == v.head and len(u.args) == len(v.args)
     ]
 

@@ -49,8 +49,9 @@ hold theirs, so a term keeps alive the part of its trajectory that has been
 stepped.  ``names_alike`` tells whether two terms with equal keys also
 print the same, so that one may stand for the other.
 
-``parse`` resolves a prelude name to its definition; ``_Definitions``
-states when definitions are parsed and what a use shares.
+``parse`` resolves a prelude name to its definition: the prelude's table,
+``_Definitions``, keeps each definition's parse and whether a use needs
+fresh parts of it.
 """
 
 from __future__ import annotations
@@ -610,31 +611,29 @@ def subst(body, v, replacement):
         return body
     parts = []
     for t, n in body._ints:
-        if isinstance(t, Var) and t.name == v:
-            parts.append((n, replacement))
+        # an occurrence of v in term position is spliced here, at the
+        # distribution level; a term without v free is unchanged
+        if isinstance(t, Var):
+            if t.name == v:
+                t = replacement
+        elif v not in t.free_names():
+            pass
+        elif isinstance(t, App):
+            t = App(subst(t.fun, v, replacement), subst(t.arg, v, replacement))
+        elif isinstance(t, Abs):
+            if t.binder in replacement.free_names():
+                avoid = set(replacement.free_names())
+                avoid |= t.body.free_names()
+                avoid.add(v)
+                b = fresh_name(avoid)
+                renamed = subst(t.body, t.binder, unit(Var(b)))
+                t = Abs(b, subst(renamed, v, replacement))
+            else:
+                t = Abs(t.binder, subst(t.body, v, replacement))
         else:
-            parts.append((n, _subst_term(t, v, replacement)))
+            raise LambError("not a term: %r" % (t,))
+        parts.append((n, t))
     return mixture(parts, body._den)
-
-
-def _subst_term(t, v, replacement):
-    # A free occurrence of v in term position only happens at the
-    # distribution level, which subst() splices; a binder of v or a term
-    # without v free is unchanged.
-    if v not in t.free_names():
-        return t
-    if isinstance(t, App):
-        return App(subst(t.fun, v, replacement), subst(t.arg, v, replacement))
-    if isinstance(t, Abs):
-        if t.binder in replacement.free_names():
-            avoid = set(replacement.free_names())
-            avoid |= t.body.free_names()
-            avoid.add(v)
-            b = fresh_name(avoid)
-            renamed = subst(t.body, t.binder, unit(Var(b)))
-            return Abs(b, subst(renamed, v, replacement))
-        return Abs(t.binder, subst(t.body, v, replacement))
-    raise LambError("not a term: %r" % (t,))
 
 
 # ---------------------------------------------------------------------------
@@ -897,31 +896,34 @@ def parse(src, prelude=None):
 
 class _Definitions:
     """The definitions of one prelude, all parsed when the table is built.
-    The last prelude's table is kept (``_definitions_of``), and ``parse``
-    fetches it before reading its source, so a table is built at the bottom
-    of the stack of the first parse that uses its prelude: how deep a
-    program may nest does not depend on earlier parses.  A definition that
-    does not parse breaks nothing until a source names it; each use then
-    reports its error at the use.
+    The table keeps each definition's parse and whether a use needs fresh
+    parts of it.  The last prelude's table is kept (``_definitions_of``),
+    and ``parse`` fetches it before reading its source, so a table is built
+    at the bottom of the stack of the first parse that uses its prelude:
+    how deep a program may nest does not depend on earlier parses.  A
+    definition that does not parse breaks nothing until a source names it;
+    each use then reports its error at the use.
 
     A use shares the parsed definition, except for every application in
     it that mentions no binder of the definition, which is built afresh at
-    each use together with every node above it.  Weak-head reduction can
-    reach such an application in place (``subst`` keeps a part in which
-    the substituted name is not free), and an application keeps its head
-    reduct, so a shared one would tie the program's reducts to this table;
-    an application that mentions a binder of the definition is rebuilt by
-    the substitution for that binder before reduction reaches it.  For the
-    bundled prelude only the top-level applications of ``Y`` and ``omega``
-    are built afresh.  Entries are only ever added, each from its source
-    text alone, so concurrent parses at worst parse a definition twice.
+    each use together with every node above it (``_fresh``).  Weak-head
+    reduction can reach such an application in place (``subst`` keeps a
+    part in which the substituted name is not free), and an application
+    keeps its head reduct, so a shared one would tie the program's reducts
+    to this table; an application that mentions a binder of the definition
+    is rebuilt by the substitution for that binder before reduction reaches
+    it.  A definition that holds no such application is returned itself.
+    For the bundled prelude only the top-level applications of ``Y`` and
+    ``omega`` are built afresh.  Entries are only ever added, each from its
+    source text alone, so concurrent parses at worst parse a definition
+    twice.
     """
 
     __slots__ = ("source", "parsed")
 
     def __init__(self, pairs):
         self.source = dict(pairs)
-        # name -> (parsed definition, plan of its fresh parts)
+        # name -> (parsed definition, whether a use needs fresh parts)
         self.parsed = {}
         for name in self.source:
             try:
@@ -942,9 +944,9 @@ class _Definitions:
             except ParseError as exc:
                 msg = "in the definition of %s: %s" % (name, exc)
                 raise ParseError(msg, *_line_col(src, pos)) from None
-            entry = self.parsed[name] = (d, _fresh_plan(d, frozenset()))
-        d, plan = entry
-        return d if plan is None else _fresh_copy(d, plan)
+            entry = self.parsed[name] = (d, _fresh(d, frozenset()) is not d)
+        d, fresh = entry
+        return _fresh(d, frozenset()) if fresh else d
 
 
 @functools.lru_cache(maxsize=1)
@@ -953,38 +955,21 @@ def _definitions_of(pairs):
     return _Definitions(pairs)
 
 
-def _fresh_plan(d, bound):
-    """Which parts of ``d`` a use builds afresh, under the definition's
-    binders ``bound``: None when none, else a tuple of its entries' plans.
-    An application's plan is the pair of its operands' plans, and it is
-    built afresh when it mentions no name of ``bound`` or when an operand
-    is; an abstraction's plan is its body's."""
-    plans = tuple([_fresh_term_plan(t, bound) for t, _ in d._ints])
-    return plans if any(p is not None for p in plans) else None
-
-
-def _fresh_term_plan(t, bound):
-    if isinstance(t, Abs):
-        return _fresh_plan(t.body, bound | {t.binder})
-    if isinstance(t, App):
-        ops = (_fresh_plan(t.fun, bound), _fresh_plan(t.arg, bound))
-        if ops != (None, None) or bound.isdisjoint(t.free_names()):
-            return ops
-    return None
-
-
-def _fresh_copy(d, plan):
-    """``d`` with the parts that ``plan`` names built afresh."""
-    return Dist([
-        (t if p is None else _fresh_term(t, p), n) for (t, n), p in zip(d._ints, plan)
-    ], d._den)
-
-
-def _fresh_term(t, plan):
-    if isinstance(t, App):
-        fun, arg = plan
-        return App(
-            t.fun if fun is None else _fresh_copy(t.fun, fun),
-            t.arg if arg is None else _fresh_copy(t.arg, arg),
-        )
-    return Abs(t.binder, _fresh_copy(t.body, plan))
+def _fresh(d, bound):
+    """``d`` with every application that mentions no name of ``bound`` (the
+    definition's binders around ``d``) built afresh, together with every
+    node above it; ``d`` itself when it holds no such application."""
+    pairs, copied = [], False
+    for t, n in d._ints:
+        if isinstance(t, Abs):
+            body = _fresh(t.body, bound | {t.binder})
+            if body is not t.body:
+                t = Abs(t.binder, body)
+                copied = True
+        elif isinstance(t, App):
+            fun, arg = _fresh(t.fun, bound), _fresh(t.arg, bound)
+            if fun is not t.fun or arg is not t.arg or bound.isdisjoint(t.free_names()):
+                t = App(fun, arg)
+                copied = True
+        pairs.append((t, n))
+    return Dist(pairs, d._den) if copied else d

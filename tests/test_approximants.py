@@ -1,10 +1,13 @@
 import io
 import math
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
+import plamb
 import pytest
 
 from conftest import gen_dist, gen_terminating, print_dist_oracle, print_term_oracle
@@ -488,6 +491,47 @@ class TestCandidateReader:
         read = [parse_fin(line) for line in lines]
         assert [print_fin_dist(c) for c in read] == lines
         assert set(read) == approx_generate(parse(src), 2, 16, F(1, 8))
+
+
+class TestCandidateDepth:
+    """How deep ``parse_fin`` reads a candidate at the default recursion
+    limit, and that deeper sources are refused with a positioned
+    ParseError, never a bare RecursionError."""
+
+    def test_deepest_spine_and_chain_at_the_default_limit(self):
+        # in a process of its own, at the interpreter's default limit
+        script = """if True:
+            from plamb.approximants import parse_fin
+            from plamb.syntax import ParseError
+
+            def deepest(make):
+                best = 0
+                for n in range(150, 260):
+                    try:
+                        parse_fin(make(n))
+                        best = n
+                    except ParseError:
+                        pass
+                return best
+
+            print(deepest(lambda n: "y (" * n + "_|_" + ")" * n))
+            print(deepest(lambda n: "\\\\x. " * n + "x"))
+        """
+        src = os.path.dirname(os.path.dirname(plamb.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout.split()
+        assert all(190 <= int(n) < 259 for n in out) and len(out) == 2
+
+    def test_spine_keyed_under_a_binder_is_a_parse_error(self):
+        # keying the truncated spine walks under the binder down to x,
+        # deeper per level than the parser
+        for n in range(150, 400, 3):
+            try:
+                parse_fin("\\x. " + "y (" * n + "x" + ")" * n)
+            except ParseError as exc:
+                assert "nesting too deep" in str(exc)
 
 
 class TestOnePrinter:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import plamb
@@ -18,7 +19,7 @@ from plamb import cli, laws
 from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
 from plamb.approximants import parse_fin
 from plamb.prelude import DEFAULT_PRELUDE
-from plamb.syntax import LambError, parse, print_dist
+from plamb.syntax import Dist, LambError, Var, parse, print_dist
 
 YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
 
@@ -952,3 +953,17 @@ class TestTotalVariation:
         b = parse("{1/4: x, 3/4: y}")
         assert total_variation(a, b) == parse("{1/4: x}").mass()
         assert total_variation(parse(r"\x. x"), parse(r"\y. y")) == 0
+
+    def test_wide_distributions_with_partly_shared_supports(self):
+        # about 300 entries a side, 150 of them shared, over different
+        # denominators; the reference sums Fraction weights from entries()
+        def wide(names, den):
+            return Dist([(Var(v), F(i % 7 + 1, den)) for i, v in enumerate(names)])
+
+        names = ["v%d" % i for i in range(450)]
+        a, b = wide(names[:300], 2400), wide(names[150:], 3000)
+        wa, wb = dict(a.entries()), dict(b.entries())
+        ref = sum(abs(wa.get(t, 0) - wb.get(t, 0)) for t in set(wa) | set(wb)) / 2
+        assert total_variation(a, b) == total_variation(b, a) == ref
+        assert total_variation(a, a) == 0
+        assert total_variation(a, Dist()) == a.mass() / 2

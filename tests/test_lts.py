@@ -207,7 +207,7 @@ class TestCallPairs:
         for _ in range(200):
             d, e = (evolve(gen_dist(rng, 3), 8).values for _ in "de")
             d_app, e_app = split_values(d)[1], split_values(e)[1]
-            got = call_pairs(d_app, e_app, 2, 5)
+            got = call_pairs(d_app, e_app)
             want = []
             for label in available_labels(d, "#0"):
                 if not isinstance(label, Call) or label.index != 0:
@@ -225,7 +225,7 @@ class TestCallPairs:
                             for arg in (Call(label.sym, p, label.arity)
                                         for p in range(1, label.arity + 1))
                         )
-                        want.append((i + 2, j + 5, args))
+                        want.append((i, j, args))
             assert got == sorted(want, key=lambda x: x[:2])
             paired += len(got)
             with_args += sum(1 for _, _, args in got if args)

@@ -341,6 +341,41 @@ def expanded(src):
     return P(expand_prelude(src, DEFAULT_PRELUDE))
 
 
+def holds_closed_application(d, bound=frozenset()):
+    """Whether ``d`` holds an application that mentions no name of
+    ``bound``, the binders around ``d``: the parts a use builds afresh."""
+    for t in d.support():
+        if isinstance(t, Abs):
+            if holds_closed_application(t.body, bound | {t.binder}):
+                return True
+        elif isinstance(t, App):
+            if bound.isdisjoint(t.free_names()) or any(
+                holds_closed_application(o, bound) for o in (t.fun, t.arg)
+            ):
+                return True
+    return False
+
+
+# the sources over the names x, y, f and the first i definitions D0, D1, ...
+# (built once: building a recursive strategy costs more than drawing it)
+SOURCES_OVER_DEFINITIONS = [
+    lambda_sources(
+        st.sampled_from(["x", "y", "f"] + ["D%d" % j for j in range(i)]),
+        st.sampled_from(["x", "y", "f"]),
+    )
+    for i in range(5)
+]
+
+
+@st.composite
+def user_preludes(draw):
+    """An acyclic prelude of 2 to 4 definitions, each naming only earlier
+    ones, and a program over its names."""
+    count = draw(st.integers(2, 4))
+    pre = {"D%d" % i: draw(SOURCES_OVER_DEFINITIONS[i]) for i in range(count)}
+    return pre, draw(SOURCES_OVER_DEFINITIONS[count])
+
+
 class TestPreludeResolution:
     """Prelude names resolve in the parser to definitions parsed once; the
     textual expansion they replace is the oracle."""
@@ -392,6 +427,33 @@ class TestPreludeResolution:
         # K (\f. f u) reduces to omega's application itself
         evolve(parse(r"K (\f. f u)", prelude=pre), 8)
         assert not stepped_in_table(pre)
+
+    @ROUNDTRIP_SETTINGS
+    @given(user_preludes())
+    def test_user_preludes_match_expansion_and_share_by_the_rule(self, case):
+        pre, src = case
+        try:
+            want = P(expand_prelude(src, pre))
+        except LambError:
+            want = None
+            with pytest.raises(LambError):
+                parse(src, prelude=pre)
+        else:
+            d = parse(src, prelude=pre)
+            assert d == want
+            assert print_dist(d) == print_dist(want)
+        # a definition without a closed application is shared at every
+        # use; one with such an application is built afresh
+        for name, (defn, _) in prelude_table(pre).parsed.items():
+            use = parse("f %s %s" % (name, name), prelude=pre).point()
+            args = (use.fun.point().arg, use.arg)
+            if holds_closed_application(defn):
+                assert all(a is not defn and a == defn for a in args)
+            else:
+                assert all(a is defn for a in args)
+        if want is not None:
+            evolve(parse(src, prelude=pre), 8)
+            assert not stepped_in_table(pre)
 
     @pytest.mark.parametrize("pre", [
         {"A": "A"}, {"A": r"\x. B", "B": "x A"}, {"A": "B", "B": "C", "C": "A"},

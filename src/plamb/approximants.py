@@ -299,10 +299,13 @@ def _grid_denominator(granularity):
 
 def truncate(d, depth):
     """The value trees of ``d`` cut at ``depth``, weights unrounded: deeper
-    or still-reducible structure becomes bottom."""
+    or still-reducible structure becomes bottom.  At depth 0 that is one
+    bottom entry of ``d``'s mass."""
+    if depth <= 0:
+        return FinDist(((OMEGA, d._total),), d._den) if d._ints else FIN_EMPTY
     pairs = []
     for t, n in d._ints:
-        view = whnf_view(t) if depth > 0 else None
+        view = whnf_view(t)
         if isinstance(view, AbsView):
             t = FinAbs(view.binder, truncate(view.body, depth - 1))
         elif isinstance(view, SpineView):

@@ -20,7 +20,9 @@ simulation check and approximant membership take theirs from here.
 
 from __future__ import annotations
 
-from .syntax import Abs, LambError, Var, fresh_name, mixture, subst, unit
+import functools
+
+from .syntax import Abs, Dist, LambError, Var, fresh_name, mixture, subst, unit
 from .reduction import AbsView, SpineView, evolve, whnf_view
 
 IDENTITY = Abs("x", unit(Var("x")))
@@ -93,21 +95,28 @@ CONVERGE = _Converge()
 
 
 def split_values(d):
-    """Split the whnf entries of ``d`` by the labels they afford, as
-    ``(term, numerator, view)`` triples in entry order, each weight a
-    numerator over ``d``'s denominator: abstraction entries (conv and ret)
-    and spine entries (the call family of their head and arity).  Entries
-    that are not in weak head normal form afford no visible label and are
-    dropped."""
-    abs_entries = []
-    spine_entries = []
-    for t, n in d._ints:
-        view = whnf_view(t)
-        if isinstance(view, AbsView):
-            abs_entries.append((t, n, view))
-        elif isinstance(view, SpineView):
-            spine_entries.append((t, n, view))
-    return abs_entries, spine_entries
+    """Split the whnf entries of the ``Dist`` ``d`` by the labels they
+    afford, as two tuples of ``(term, numerator, view)`` triples in entry
+    order, each weight a numerator over ``d``'s denominator: abstraction
+    entries (conv and ret) and spine entries (the call family of their head
+    and arity).  Entries that are not in weak head normal form afford no
+    visible label and are dropped.  The split is computed once per ``Dist``:
+    it keeps the pair in its ``_split`` slot, and asking again returns that
+    same pair."""
+    if not isinstance(d, Dist):
+        raise LambError("not a Dist: %r" % (d,))
+    split = d._split
+    if split is None:
+        abs_entries = []
+        spine_entries = []
+        for t, n in d._ints:
+            view = whnf_view(t)
+            if isinstance(view, AbsView):
+                abs_entries.append((t, n, view))
+            elif isinstance(view, SpineView):
+                spine_entries.append((t, n, view))
+        split = d._split = (tuple(abs_entries), tuple(spine_entries))
+    return split
 
 
 def call_pairs(left, right):
@@ -132,11 +141,21 @@ def ret_target(view, sym):
     """Strong ``ret sym`` target of one abstraction, at unit weight: its
     body with the binder replaced by ``sym``.  The abstraction keeps its
     last target, so asking again for the same ``sym`` returns the same
-    ``Dist`` (and that ``Dist``'s cached evolution)."""
+    ``Dist`` (and that ``Dist``'s cached evolution).  Every abstraction
+    substitutes the one shared ``unit(Var(sym))`` of its symbol
+    (``_symbol``)."""
     cached = view._ret
     if cached is None or cached[0] != sym:
-        cached = view._ret = (sym, subst(view.body, view.binder, unit(Var(sym))))
+        cached = view._ret = (sym, subst(view.body, view.binder, _symbol(sym)))
     return cached[1]
+
+
+@functools.lru_cache(maxsize=1024)
+def _symbol(sym):
+    """The point distribution of the variable ``sym``, one object shared by
+    every ``ret`` target at ``sym`` (bounded, so hostile input cannot grow
+    it without limit)."""
+    return unit(Var(sym))
 
 
 def ret_block(abs_entries, den, sym):

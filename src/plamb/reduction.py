@@ -3,8 +3,10 @@
 Reduction stops at weak head normal forms: abstractions and open spines
 ``x M1 ... Mn``.  ``whnf_view`` tells them apart: an abstraction is its own
 view (``AbsView`` names ``Abs``), a spine is a ``SpineView`` of its head
-and arguments.  One parallel step rewrites every non-whnf component of a
-distribution by a single head reduction; fuel counts parallel steps.
+and arguments.  A term is classified once: a variable or an application
+keeps its view, or None for a redex, for as long as it lives.  One
+parallel step rewrites every non-whnf component of a distribution by a
+single head reduction; fuel counts parallel steps.
 ``evolve`` reports what iterating ``step`` reaches: the value mass found,
 the residual mass still unreduced, and whether the residual is provably
 inert (the trajectory reached a fixpoint or a cycle, so no further value
@@ -61,9 +63,24 @@ def whnf_view(t):
     A spine requires every operator position to be a weight-1 singleton
     down to the head variable; anything else (head redex, sub-unit or
     non-singleton operator) is not a weak head normal form.
+
+    A term is classified once: a variable or an application keeps its
+    answer in its ``_view`` slot, so asking again returns the same
+    ``SpineView`` (or None) without walking the spine.
     """
     if isinstance(t, Abs):
         return t
+    if not isinstance(t, (App, Var)):
+        raise LambError("not a term: %r" % (t,))
+    view = t._view
+    if view is False:
+        view = t._view = _spine_view(t)
+    return view
+
+
+def _spine_view(t):
+    """The SpineView of the variable or application ``t``, or None when it
+    is reducible, computed afresh."""
     # a bare variable is the spine of no arguments
     args, head = [], t
     while isinstance(head, App):
@@ -72,8 +89,6 @@ def whnf_view(t):
     if isinstance(head, Var):
         args.reverse()
         return SpineView(head.name, args)
-    if head is t:
-        raise LambError("not a term: %r" % (t,))
     return None
 
 
@@ -118,12 +133,14 @@ def _head_reduct(t):
 def step(d):
     """One parallel step: every non-whnf entry is replaced by its head
     reduction scaled by its weight; whnf entries pass through."""
-    return mixture([(n, t if is_whnf(t) else head_step(t)) for t, n in d._ints], d._den)
+    return mixture(
+        [(n, t if whnf_view(t) is not None else head_step(t)) for t, n in d._ints], d._den
+    )
 
 
 def vals(d):
     """Sub-distribution of ``d`` supported on weak head normal forms."""
-    return Dist([(t, n) for t, n in d._ints if is_whnf(t)], d._den)
+    return Dist([(t, n) for t, n in d._ints if whnf_view(t) is not None], d._den)
 
 
 class EvolveReport:
@@ -195,7 +212,7 @@ def evolve(d, fuel):
     # its numerators in that order
     res, keys, nums = {}, [], []
     for t, n in d._ints:
-        if is_whnf(t):
+        if whnf_view(t) is not None:
             values[t._canon] = [t, n, -1]
         else:
             res[len(keys)] = [t, n]
@@ -294,7 +311,7 @@ def _split(h, values, rank, keys, met, stamp):
     found, succ = [], []
     for rt, rn in h._ints:
         k = rt._canon
-        if is_whnf(rt):
+        if whnf_view(rt) is not None:
             slot = values.get(k)
             if slot is None:
                 slot = values[k] = [rt, 0, stamp]

@@ -40,10 +40,11 @@ parser rejects.
 All values are immutable after construction and safe to share between
 threads; every function here is pure.  The cache slots (a node's key and
 free names, a distribution's free names, an abstraction's last ``ret``
-target, an application's head reduct, a ``Dist``'s last evolution, a
-``FinDist``'s embedding) are written from the object alone, and a given key
-always yields the same value, so writing one is idempotent: concurrent
-threads at worst compute it twice.  A slot lives as long as its object; an
+target, an application's head reduct, a variable's or application's whnf
+view, a ``Dist``'s last evolution and its value split, a ``FinDist``'s
+embedding) are written from the object alone, and a given key always
+yields the same value, so writing one is idempotent: concurrent threads at
+worst compute it twice.  A slot lives as long as its object; an
 application's head reduct holds the terms it reduces to, whose own slots
 hold theirs, so a term keeps alive the part of its trajectory that has been
 stepped.  ``names_alike`` tells whether two terms with equal keys also
@@ -90,11 +91,17 @@ class ReservedNameError(ParseError):
 
 def check_name(name):
     """Validate a variable name (user identifier or machine ``#`` symbol)."""
-    if not isinstance(name, str) or not (
-        _USER_NAME_RE.match(name) or _MACHINE_NAME_RE.match(name)
-    ):
+    if not isinstance(name, str) or not _valid_name(name):
         raise LambError("invalid variable name: %r" % (name,))
     return name
+
+
+@functools.lru_cache(maxsize=1024)
+def _valid_name(name):
+    """Whether the string ``name`` is a user identifier or a machine symbol,
+    remembered for the names met most recently (bounded, like
+    ``_name_set``, so hostile input cannot grow it without limit)."""
+    return bool(_USER_NAME_RE.match(name) or _MACHINE_NAME_RE.match(name))
 
 
 def fresh_name(avoid):
@@ -185,11 +192,13 @@ def _name_key(name, env, depth):
 
 
 class Var(Term):
-    __slots__ = ("name",)
+    # _view caches plamb.reduction.whnf_view's answer; False until then
+    __slots__ = ("name", "_view")
 
     def __init__(self, name):
         self.name = check_name(name)
         self._canon = self._fn = None
+        self._view = False
 
     def _key(self, env, depth):
         return _name_key(self.name, env, depth)
@@ -233,8 +242,9 @@ class Abs(Term):
 
 
 class App(Term):
-    # _step caches the head reduct for plamb.reduction.head_step
-    __slots__ = ("fun", "arg", "_step")
+    # _step caches the head reduct for plamb.reduction.head_step, _view
+    # whnf_view's answer (a spine, or None when reducible; False until then)
+    __slots__ = ("fun", "arg", "_step", "_view")
 
     def __init__(self, fun, arg):
         if not isinstance(fun, Dist) or not isinstance(arg, Dist):
@@ -242,6 +252,7 @@ class App(Term):
         self.fun = fun
         self.arg = arg
         self._canon = self._fn = self._step = None
+        self._view = False
 
     def _key(self, env, depth):
         return ("a", _canon_dist(self.fun, env, depth), _canon_dist(self.arg, env, depth))
@@ -528,12 +539,13 @@ class Dist(Distribution):
     them.
     """
 
-    # _evolved caches (fuel, report) for plamb.reduction.evolve
-    __slots__ = ("_evolved",)
+    # _evolved caches (fuel, report) for plamb.reduction.evolve, _split
+    # the value split of plamb.lts.split_values
+    __slots__ = ("_evolved", "_split")
 
     def __init__(self, pairs=(), den=None):
         self._merge(pairs, den, Term, "distribution")
-        self._evolved = None
+        self._evolved = self._split = None
 
 
 EMPTY = Dist()

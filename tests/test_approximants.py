@@ -413,6 +413,22 @@ class TestApproxGenerate:
         assert not approximant_soundness(pairs, 2, 16, F(1, 8))
 
 
+class TestTruncateDepthZero:
+    """At depth 0 a distribution truncates to one bottom entry of its
+    mass, as the per-entry construction merges to."""
+
+    def test_matches_one_bottom_per_entry(self):
+        rng = random.Random(32)
+        sample = [EMPTY, parse("omega"), parse(r"{1/3: \x. x, 1/6: y z}")]
+        sample += [evolve(gen_dist(rng, 3), 8).values for _ in range(60)]
+        for d in sample:
+            want = FinDist([(OMEGA, n) for _, n in d._ints], d._den)
+            got = truncate(d, 0)
+            assert got == want and got._den == want._den
+            assert print_dist(got, explicit=True) == print_dist(want, explicit=True)
+        assert truncate(EMPTY, 0) is FIN_EMPTY
+
+
 class TestFinSyntax:
     def test_parse_bottom(self):
         assert parse_fin("_|_") == FIN_BOTTOM

@@ -3,8 +3,10 @@ from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import gen_dist
+from conftest import dists, gen_dist, reachable
+from plamb.approximants import FIN_BOTTOM
 from plamb.lts import (
     CONVERGE,
     Call,
@@ -20,8 +22,8 @@ from plamb.lts import (
     strong_target,
     weak_max_transition,
 )
-from plamb.reduction import AbsView, evolve, head_step, vals, whnf_view
-from plamb.syntax import Dist, LambError, parse, print_dist, subst, unit, Var
+from plamb.reduction import AbsView, SpineView, evolve, head_step, step, vals, whnf_view
+from plamb.syntax import Abs, App, Dist, LambError, parse, print_dist, subst, unit, Var
 
 
 def term(src):
@@ -141,6 +143,90 @@ class TestRetTargetCache:
         for _ in range(2):
             assert print_dist(ret_target(a, "#0")) == r"\a. #0 a"
             assert print_dist(ret_target(b, "#0")) == r"\b. #0 b"
+
+
+    def test_one_symbol_is_shared_and_prints_as_before(self):
+        a = term(r"\x. {1/2: x, 1/2: \y. x y}")
+        b = term(r"\z. z z")
+        ta, tb = ret_target(a, "#0"), ret_target(b, "#0")
+        assert print_dist(ta) == r"{1/2: #0, 1/2: \y. #0 y}"
+        assert print_dist(tb) == "#0 #0"
+        # both targets hold the one variable of the symbol
+        (sym, _), _ = ta._ints
+        assert isinstance(sym, Var) and tb.point().fun.point() is sym
+
+
+def reference_view(t):
+    """``whnf_view`` computed afresh, reading and writing no slot: the
+    abstraction itself, (head, arguments) of a spine, or None for a
+    redex."""
+    if isinstance(t, Abs):
+        return t
+    args, head = [], t
+    while isinstance(head, App):
+        args.append(head.arg)
+        head = head.fun.point()
+    if not isinstance(head, Var):
+        return None
+    return head.name, tuple(reversed(args))
+
+
+def reference_split(d):
+    """``split_values`` computed afresh from ``d._ints``, as lists of
+    (term, numerator, reference view)."""
+    abs_entries, spine_entries = [], []
+    for t, n in d._ints:
+        view = reference_view(t)
+        if view is t:
+            abs_entries.append((t, n, view))
+        elif view is not None:
+            spine_entries.append((t, n, view))
+    return abs_entries, spine_entries
+
+
+def assert_view_matches(view, want):
+    if want is None or isinstance(want, Abs):
+        assert view is want
+    else:
+        head, args = want
+        assert isinstance(view, SpineView) and view.head == head
+        assert len(view.args) == len(args)
+        assert all(a is b for a, b in zip(view.args, args))
+
+
+class TestClassifiedOnce:
+    """A variable or application keeps its whnf view and a ``Dist`` its
+    value split; what they keep is what a fresh computation gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dists())
+    def test_kept_views_and_splits_match_a_fresh_computation(self, d):
+        # every distribution and term met along the trajectory, after the
+        # library has classified them in stepping and evolving
+        trajectory = [d]
+        for _ in range(3):
+            trajectory.append(step(trajectory[-1]))
+        trajectory.append(evolve(d, 8).values)
+        for x in {id(x): x for cur in trajectory for x in reachable(cur)}.values():
+            if isinstance(x, Dist):
+                got = split_values(x)
+                assert split_values(x) is got
+                assert type(got[0]) is tuple and type(got[1]) is tuple
+                for block, want in zip(got, reference_split(x)):
+                    assert len(block) == len(want)
+                    for (t, n, view), (u, m, ref) in zip(block, want):
+                        assert t is u and n == m and view is whnf_view(t)
+                        assert_view_matches(view, ref)
+            else:
+                view = whnf_view(x)
+                assert whnf_view(x) is view
+                assert_view_matches(view, reference_view(x))
+
+    def test_split_values_refuses_what_is_not_a_dist(self):
+        for bad in (FIN_BOTTOM, 5, None):
+            with pytest.raises(LambError) as e:
+                split_values(bad)
+            assert str(e.value) == "not a Dist: %r" % (bad,)
 
 
 class TestLabelDiscipline:

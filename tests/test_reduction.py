@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import BINDERS, dists, gen_dist, gen_loop_program, gen_terminating
 from plamb import reduction
+from plamb.approximants import FIN_BOTTOM, OMEGA, FinAbs
 from plamb.laws import linearity, reduction_laws
 from plamb.reduction import (
     AbsView,
@@ -83,6 +84,17 @@ class TestWhnfView:
         with pytest.raises(LambError) as e:
             whnf_view(5)
         assert str(e.value) == "not a term: 5"
+
+    def test_finite_terms_are_not_terms(self):
+        for t in (OMEGA, FinAbs("x", FIN_BOTTOM)):
+            with pytest.raises(LambError) as e:
+                whnf_view(t)
+            assert str(e.value) == "not a term: %r" % (t,)
+
+    def test_a_term_is_classified_once(self):
+        for src in ("x", "x y z", r"(\x. x) y", r"({1/2: x}) z"):
+            t = term(src)
+            assert whnf_view(t) is whnf_view(t)
 
     def test_deep_spine_order(self):
         v = whnf_view(term("x y z"))

@@ -1147,3 +1147,29 @@ class TestTermIdentity:
         d = P(r"{1/2: \a. a, 1/4: y}")
         assert d.support() == (Var("y"), Abs("b", unit(Var("b"))))
 
+
+
+class TestCheckName:
+    """``check_name`` refuses what is not a name, remembering its answers
+    only for a bounded number of names."""
+
+    @pytest.mark.parametrize("bad", [None, ["x"], "", "1x", "#", 5])
+    def test_refuses_what_is_not_a_name(self, bad):
+        with pytest.raises(LambError) as e:
+            syntax.check_name(bad)
+        assert str(e.value) == "invalid variable name: %r" % (bad,)
+
+    def test_accepts_user_and_machine_names(self):
+        for name in ("x", "_", "f'", "x_1", "#0", "#a#b"):
+            assert syntax.check_name(name) is name
+
+    def test_memo_stays_bounded(self):
+        memo = syntax._valid_name
+        for i in range(5000):
+            assert syntax.check_name("n%d" % i) == "n%d" % i
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        # an answer still comes from the name, after the memo turned over
+        with pytest.raises(LambError):
+            syntax.check_name("1x")
+        assert syntax.check_name("n0") == "n0"

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = sorted(
-    w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
-)
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = sorted(w["name"] for w in BENCHMARK["workloads"])
+# metric name -> (unit, bound), as declared
+METRICS = {m["name"]: (m["unit"], m["bound"]) for m in BENCHMARK["end_to_end"]}
 FILES = sorted(ROOT.glob("BENCH_*.json"))
 
 
@@ -35,3 +36,17 @@ def test_each_file_holds_every_workload_correct(path):
 def test_all_files_share_one_seed_list():
     seeds = {tuple(entry["seeds"]) for path in FILES for entry in _load(path).values()}
     assert len(seeds) == 1
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.name for p in FILES])
+def test_each_workload_holds_the_declared_metrics(path):
+    for name, entry in _load(path).items():
+        runs = len(entry["seeds"])
+        assert len(entry["attempted"]) == runs, name
+        metrics = entry["metrics"]
+        assert sorted(metrics) == sorted(METRICS), name
+        for metric, summary in metrics.items():
+            where = "%s %s" % (name, metric)
+            assert (summary["unit"], summary["bound"]) == METRICS[metric], where
+            assert len(summary["values"]) == runs, where
+            assert summary["q1"] <= summary["median"] <= summary["q3"], where

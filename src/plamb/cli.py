@@ -93,12 +93,16 @@ def _check_numeral(text, what):
 def _fraction(text, what):
     """An exact rational from command-line or JSON input, or a LambError.
     Every number from outside is read here or, for a JSON integer, checked
-    by the same ``_check_numeral``."""
+    by the same ``_check_numeral``.  A plain ``n`` or ``n/d`` of ASCII
+    digits is read by ``int``, anything else by ``Fraction``'s parser."""
     if isinstance(text, bool):
         raise LambError("%s: not a rational number: %s" % (what, json.dumps(text)))
     try:
         if isinstance(text, str):
             _check_numeral(text, what)
+            n, slash, d = text.partition("/")
+            if text.isascii() and n.isdigit() and (d.isdigit() or not slash):
+                return Fraction(int(n), int(d or 1))
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise LambError("%s: not a rational number: %r" % (what, text)) from exc
@@ -285,10 +289,11 @@ def _lift_instance(text, default_slack):
     try:
         d = _lift_dist(obj, "source")
         e = _lift_dist(obj, "target")
-        relation = {
-            tuple(_json_array(pair, "relation entry", 2))
-            for pair in _json_array(obj.get("relation", []), "relation")
-        }
+        relation = set()
+        for pair in _json_array(obj.get("relation", []), "relation"):
+            if not isinstance(pair, list) or len(pair) != 2:
+                _json_array(pair, "relation entry", 2)
+            relation.add(tuple(pair))
     except (TypeError, ValueError) as exc:
         raise LambError("malformed lift instance: %s" % exc) from exc
     return d, e, relation, _fraction(obj.get("slack", default_slack), "slack")

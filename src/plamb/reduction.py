@@ -26,7 +26,11 @@ ranks, or a listed term's that it prints like), so a loop builds no
 ``Dist`` and reduces no term once it has gone round.  A kept distribution
 keeps the stepped part of its trajectory, since a term's slot holds its
 reduct; a caller that steps a long way and need not keep the start, as
-``plamb trace`` and ``plamb normalize`` do, drops it.
+``plamb trace`` and ``plamb normalize`` do, drops it.  Inside a
+``with sharing():`` block, as one simulation run opens, alike
+applications that are different objects share one reduct across every
+``evolve`` of the block: the two sides of a comparison often hold copies
+of one program.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
@@ -35,10 +39,30 @@ provide the reference schedule used by the property suite.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from fractions import Fraction
 
 from .syntax import Abs, App, Dist, LambError, Var, ZERO, mixture, names_alike, subst, unit
+
+
+# the run table of the innermost ``sharing`` block: residual class key ->
+# the first application of that class reduced in the block; None outside
+_shared = contextvars.ContextVar("shared_reducts", default=None)
+
+
+class sharing:
+    """A block within which ``evolve`` reduces each class of alike
+    applications once, through a table of the block's own that dies with
+    it and that no other thread or context sees."""
+
+    __slots__ = ("_token",)
+
+    def __enter__(self):
+        self._token = _shared.set({})
+
+    def __exit__(self, *exc):
+        _shared.reset(self._token)
 
 
 # The weak head normal form ``\binder. body`` is the abstraction itself.
@@ -106,8 +130,9 @@ def head_step(t):
     The reduct is computed once per object: the application keeps it in
     its ``_step`` slot for as long as the application lives, and every
     later call, the context rule's inner one included, returns that same
-    ``Dist``.  An alpha-equivalent copy that is another object has a slot
-    of its own.
+    ``Dist``.  Outside a ``sharing`` block an alpha-equivalent copy that
+    is another object has a slot of its own; inside one, ``evolve`` fills
+    an alike copy's slot with the reduct already made.
     """
     if not isinstance(t, App):
         raise LambError("head_step on a weak head normal form")
@@ -186,6 +211,10 @@ def evolve(d, fuel):
     term met before is found by identity; a new one takes the split of
     the first listed term that names every binder alike (``names_alike``,
     so both print, and reduce, the same), else it is stepped on its own.
+    Inside a ``sharing`` block, a term with no reduct yet is looked up by
+    its class key in the block's run table: the first term of the class
+    reduced in the block lends its reduct when the two are named alike;
+    else the term is reduced on its own, and only the first is recorded.
     The next residual shows a class by its first contributor in visit
     order, as ``step``'s mixture does, and a value class is named by
     ``step``'s display rule: a new class takes the first reduct into it;
@@ -223,6 +252,7 @@ def evolve(d, fuel):
     den = d._den
     total = sum(nums)
     rank = dict(zip(keys, res))
+    table = _shared.get()
     # rank -> [(term of its class met so far, the split it is stepped by)]
     met = [[] for _ in keys]
     seen, key = set(), None
@@ -241,6 +271,10 @@ def evolve(d, fuel):
                     if names_alike(u, t):
                         break
                 else:
+                    if t._step is None and table is not None:
+                        u = table.setdefault(keys[r], t)
+                        if u is not t and u._step is not None and names_alike(u, t):
+                            t._step = u._step
                     split = _split(head_step(t), values, rank, keys, met, steps)
                 terms.append((t, split))
             stepped.append(split)

@@ -14,7 +14,8 @@ pairs of one call family, the fresh ret symbol and the abstraction block's
 ret target are the transition system's own (``lts.split_values``,
 ``lts.call_pairs``, ``lts.fresh_symbol`` and ``lts.ret_block``); this
 module only decides how each pair is compared and how much mass each
-comparison may miss.
+comparison may miss.  One run evolves inside ``reduction.sharing``, so
+alike terms on either side share their head reducts.
 
 Depth therefore counts applicative (ret) unfoldings; spine argument edges
 do not consume depth, and re-entrant argument comparisons (possible only
@@ -50,7 +51,7 @@ from fractions import Fraction
 from .lifting import max_flow
 from .lifting import lift_check_flow  # unused here; perfbench/tracing.py rebinds it
 from .lts import Ret, call_pairs, fresh_symbol, ret_block, split_values
-from .reduction import evolve
+from .reduction import evolve, sharing
 from .syntax import LambError, print_weight
 from .syntax import subst  # unused here; perfbench/tracing.py rebinds it
 
@@ -278,7 +279,8 @@ def sim_check(m, n, params):
     cover.  ``NoCounterexample`` decides the stratum only when exact.
     """
     st = _SimState(params.fuel, params.slack_enabled)
-    wit = _sim(st, m, n, params.depth, 0, 1)
+    with sharing():
+        wit = _sim(st, m, n, params.depth, 0, 1)
     if wit is None:
         return NoCounterexample(params, st.exact)
     return Refuted(params, wit)

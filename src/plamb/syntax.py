@@ -33,7 +33,7 @@ cross-multiplication when denominators differ.  Outside any binder a term's
 key reuses its operands' keys, so the key of an application ``f a`` is
 ``("a", f.canon(), a.canon())`` and costs O(1).  Most distributions are
 built from distinct terms already in canonical order; construction checks
-that in one pass and merges through a dict and a sort only when it fails.
+that in one pass and sorts the entries once only when it fails.
 Machine-generated names live in the reserved ``#`` namespace, which the
 parser rejects.
 
@@ -400,7 +400,8 @@ class Distribution:
         the first one seen is kept for display, and zero weights are
         dropped.  Most callers pass distinct terms already in canonical
         order; that is checked in the one pass over the pairs, and only
-        when it fails are the keys merged through a dict and sorted.  One
+        when it fails are the entries sorted once, by a stable sort of
+        their positions on the keys, and equal neighbours added up.  One
         gcd of ``den`` and the numerators then reduces them to the least
         common denominator.  Raises MassError above total mass 1.
 
@@ -453,17 +454,19 @@ class Distribution:
             keys.append(key)
             nums.append(n)
         if not ordered:
-            merged, shown = {}, {}
-            for t, key, n in zip(display, keys, nums):
-                old = merged.get(key)
-                if old is None:
-                    merged[key] = n
-                    shown[key] = t
+            # one stable sort puts a class's terms side by side in the
+            # order seen; they add up under the first
+            shown, seen, ns = display, keys, nums
+            display, keys, nums, prev = [], [], [], ()
+            for i in sorted(range(len(seen)), key=seen.__getitem__):
+                key = seen[i]
+                if key == prev:
+                    nums[-1] += ns[i]
                 else:
-                    merged[key] = old + n
-            keys = sorted(merged)
-            display = [shown[k] for k in keys]
-            nums = [merged[k] for k in keys]
+                    display.append(shown[i])
+                    keys.append(key)
+                    nums.append(ns[i])
+                    prev = key
         total = sum(nums)
         if total > den:
             raise _mass_error("total mass%s exceeds 1", total, den)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -518,6 +519,57 @@ class TestMalformedInput:
         )
         code, _, _ = run(capsys, "lift", good)
         assert code == 0
+
+    @staticmethod
+    def fraction_reference(text, what):
+        """``cli._fraction`` with every string read by ``Fraction``."""
+        if isinstance(text, bool):
+            raise LambError("%s: not a rational number: %s" % (what, json.dumps(text)))
+        try:
+            if isinstance(text, str):
+                cli._check_numeral(text, what)
+            return F(text)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise LambError("%s: not a rational number: %r" % (what, text)) from exc
+
+    @staticmethod
+    def outcome(read, text):
+        try:
+            got = read(text, "weight")
+        except LambError as exc:
+            return "error", str(exc)
+        return type(got), got
+
+    NUMERALS = [
+        "0", "1", "3", "007", "1/2", "0/5", "6/4", "010/020", "1/0", "0/0", "00/000",
+        "1/", "/2", "/", "", "1/2/3", "1//2", "-1/2", "+3", "-0", " 1/2", "1/2 ",
+        "1 /2", "1_0/2", "1/2_0", "1.5", ".5", "1.", "1e3", "1E-2", "1/2e3", "1e",
+        "\u0661/\u0662", "\u00b2/3", "1/\u00b2", "\uff11/2", "0x10", "inf", "nan", "1/2\n", "9" * 999 + "/7",
+        "1" * MAX_NUMERAL, "1" * (MAX_NUMERAL + 1), "1/" + "3" * (MAX_NUMERAL - 2),
+        "1/" + "3" * (MAX_NUMERAL - 1), 3, F(1, 3), None, True, [1],
+    ]
+
+    def test_fast_numerals_read_as_fraction_does(self):
+        plain = 0
+        for text in self.NUMERALS:
+            want = self.outcome(self.fraction_reference, text)
+            assert self.outcome(cli._fraction, text) == want, text
+            plain += isinstance(text, str) and bool(re.fullmatch(r"[0-9]+(/0*[1-9][0-9]*)?", text))
+        assert plain >= 10
+
+    @pytest.mark.parametrize("relation, message", [
+        ([["a"]], "relation entry must be an array of 2"),
+        (["aa"], "relation entry must be an array of 2"),
+        ([None], "relation entry must be an array of 2"),
+        ([["a", "a"], ["a", "a", "a"]], "relation entry must be an array of 2"),
+        ([[["a"], "a"]], "unhashable type: 'list'"),
+        ("aa", "relation must be an array"),
+    ])
+    def test_relation_errors_name_the_entry(self, capsys, relation, message):
+        inst = dict(json.loads(self.lift(self.LIFT_TARGET)), relation=relation)
+        code, out, err = run(capsys, "lift", json.dumps(inst))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed lift instance: %s\n" % message
 
     REMOVED_OPTIONS = [
         ["trace", "I", "--format", "json"],

@@ -1,13 +1,15 @@
+import contextlib
 import json
 import random
+import threading
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import gen_dist, gen_terminating
-from plamb import laws, simulation
+from plamb import laws, reduction, simulation
 from plamb.cli import main
-from plamb.corpus import corpus
+from plamb.corpus import CORPUS_SOURCES, corpus
 from plamb.laws import divergence_least, reflexivity, rename_free, rename_invariance
 from plamb.lts import (
     CONVERGE,
@@ -19,7 +21,7 @@ from plamb.lts import (
     split_values,
     weak_max_transition,
 )
-from plamb.reduction import evolve
+from plamb.reduction import evolve, sharing
 from plamb.simulation import (
     NoCounterexample,
     Refuted,
@@ -492,3 +494,136 @@ class TestPrecongruence:
                 unit(App(m1, n1)), unit(App(m2, n2)), P(2, 24)
             )
             assert conclusion.holds, (m1, m2, n1, n2)
+
+
+def copy_pairs():
+    """Pairs built as the benchmark's simulate items are, each side from
+    its own parse of a corpus program: ``p*m <= m``, ``m <= p*m``, an
+    application against its scaled-argument variant, and two programs."""
+    srcs = CORPUS_SOURCES
+    pairs = []
+    for i, s in enumerate(srcs):
+        t = srcs[(7 * i + 3) % len(srcs)]
+        pairs += [
+            (dist_scale(F(1, 2), parse(s)), parse(s), 4),
+            (parse(s), dist_scale(F(3, 4), parse(s)), 4),
+            (unit(App(parse(s), dist_scale(F(3, 4), parse(t)))), unit(App(parse(s), parse(t))), 2),
+            (parse(s), parse(t), 4),
+        ]
+    return pairs
+
+
+def first_term(d):
+    (t, _), = d._ints
+    return t
+
+
+class TestSharedReducts:
+    """One simulation run reduces each class of alike applications once,
+    across both sides and every level, and changes no verdict."""
+
+    @staticmethod
+    def outcomes():
+        out = []
+        for m, n, depth in copy_pairs():
+            params = P(depth, 24)
+            one = sim_check(m, n, params)
+            fwd, bwd = bisim_check(m, n, params)
+            out.append([(repr(v), v.to_dict(), v.exact) for v in (one, fwd, bwd)])
+        return out
+
+    def test_sharing_changes_no_output(self, monkeypatch):
+        shared = self.outcomes()
+        monkeypatch.setattr(simulation, "sharing", contextlib.nullcontext)
+        apart = self.outcomes()
+        assert shared == apart
+        verdicts = [v for row in shared for v in row]
+        assert any(exact for _, _, exact in verdicts)
+        assert any(not d["holds_at_bound"] for _, d, _ in verdicts)
+
+    def test_one_reduct_per_alike_class(self, monkeypatch):
+        reduced = []
+        head_reduct = reduction._head_reduct
+
+        def counting(t):
+            reduced.append(t)
+            return head_reduct(t)
+
+        monkeypatch.setattr(reduction, "_head_reduct", counting)
+
+        def count(m, n):
+            del reduced[:]
+            sim_check(m, n, P(3, 16))
+            return len(reduced)
+
+        fewer = 0
+        for s in CORPUS_SOURCES:
+            one = parse(s)
+            shared_object = count(one, dist_scale(F(1, 2), one))
+            if not shared_object:
+                continue
+            copies = count(parse(s), dist_scale(F(1, 2), parse(s)))
+            assert copies <= shared_object, s
+            with monkeypatch.context() as mp:
+                mp.setattr(simulation, "sharing", contextlib.nullcontext)
+                apart = count(parse(s), dist_scale(F(1, 2), parse(s)))
+            fewer += copies < apart
+        assert fewer >= 10
+
+    def test_unalike_copies_keep_their_own_reducts(self):
+        a, b = parse(r"(\x. x) (\a. a)"), parse(r"(\x. x) (\b. b)")
+        assert a.canon() == b.canon()
+        assert sim_check(a, b, P(2, 8)).holds
+        ta, tb = first_term(a), first_term(b)
+        assert ta._step is not None and tb._step is not None and ta._step is not tb._step
+        assert repr(ta._step) == repr(parse(r"\a. a"))
+        assert repr(tb._step) == repr(parse(r"\b. b"))
+        c, e = parse(r"(\x. x) (\a. a)"), parse(r"(\x. x) (\a. a)")
+        sim_check(c, e, P(2, 8))
+        assert first_term(c)._step is first_term(e)._step
+
+    def test_no_table_outlives_a_run(self, monkeypatch):
+        assert reduction._shared.get() is None
+        sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
+        assert reduction._shared.get() is None
+        tables = []
+
+        def failing(d, fuel):
+            tables.append(reduction._shared.get())
+            if len(tables) == 2:
+                raise RuntimeError("injected")
+            return evolve(d, fuel)
+
+        monkeypatch.setattr(simulation, "evolve", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
+        assert isinstance(tables[0], dict) and tables[1] is tables[0]
+        assert reduction._shared.get() is None
+
+    @staticmethod
+    def evolve_copies(src="(\\x. x) y"):
+        a, b = parse(src), parse(src)
+        evolve(a, 4)
+        evolve(b, 4)
+        ta, tb = first_term(a), first_term(b)
+        assert ta._step is not None and tb._step is not None
+        return ta._step is tb._step
+
+    def test_copies_outside_a_run_reduce_apart(self):
+        assert not self.evolve_copies()
+        with sharing():
+            assert self.evolve_copies()
+        assert not self.evolve_copies()
+
+    def test_other_threads_see_no_table(self):
+        seen = []
+
+        def other():
+            seen.append((reduction._shared.get(), self.evolve_copies()))
+
+        with sharing():
+            assert isinstance(reduction._shared.get(), dict)
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+        assert seen == [(None, False)]

@@ -873,8 +873,9 @@ def binder_distance(d, env=None, depth=0):
 
 class TestMergePaths:
     """A distribution built from distinct terms in canonical order is
-    merged in one pass; any other input goes through a dict and a sort.
-    Both paths must build the same entries, display terms and key."""
+    merged in one pass; any other input is sorted once and its equal
+    neighbours added up.  Both paths must build the same entries, display
+    terms and key."""
 
     def samples(self, seed, n):
         rng = random.Random(seed)
@@ -902,9 +903,9 @@ class TestMergePaths:
     def test_both_paths_build_the_same_distribution(self, monkeypatch):
         sorts = []
 
-        def counting_sorted(xs):
+        def counting_sorted(xs, **kw):
             sorts.append(1)
-            return sorted(xs)
+            return sorted(xs, **kw)
 
         monkeypatch.setattr(syntax, "sorted", counting_sorted, raising=False)
         rng = random.Random(23)
@@ -935,6 +936,40 @@ class TestMergePaths:
                 assert all(got.weight_of(t) == F(n, den) for t, n in got._ints)
                 assert got.entries() == got.entries()
         assert shuffled_runs > 50
+
+    @staticmethod
+    def dict_merge(pairs, den):
+        """The reference merge: numerators added through a dict keyed by
+        class, each class shown by its first-seen term, then sorted."""
+        merged, shown = {}, {}
+        for t, n in pairs:
+            k = t.canon()
+            merged[k] = merged.get(k, 0) + n
+            shown.setdefault(k, t)
+        keys = sorted(merged)
+        g = math.gcd(den, *merged.values())
+        nums = [merged[k] // g for k in keys]
+        return [(shown[k], n) for k, n in zip(keys, nums)], DistKey(tuple(zip(keys, nums)), den // g)
+
+    def test_shuffled_alpha_copies_match_the_dict_merge(self):
+        rng = random.Random(25)
+        crowded = 0
+        for d in self.samples(26, 60):
+            pairs = list(d._ints)
+            once = [(alpha_copy(t), n) for t, n in pairs]
+            twice = [(alpha_copy(t), n) for t, n in once]
+            mixed = pairs + once + twice + rng.sample(pairs, len(pairs) // 2)
+            rng.shuffle(mixed)
+            den = 4 * d._den
+            got = Dist(mixed, den)
+            want, key = self.dict_merge(mixed, den)
+            crowded += len(mixed) >= 3 * len(want) > 3
+            assert len(got._ints) == len(want)
+            assert all(g is w for (g, _), (w, _) in zip(got._ints, want))
+            assert [n for _, n in got._ints] == [n for _, n in want]
+            assert got.canon() == key and got.canon().den == key.den
+            assert got.canon().pairs == key.pairs and got._den == key.den
+        assert crowded > 20
 
 
 class TestPointPaths:

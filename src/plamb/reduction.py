@@ -17,20 +17,21 @@ report of its last evolution, so evolving the same object again at the
 same fuel costs nothing; the cache lives as long as the object and holds
 the last fuel only.
 
-Each term is reduced once: an application keeps its head reduct, so
-``head_step``, ``step`` and ``evolve`` on the same object reuse it.  One
-``evolve`` runs on ints over a state table of its own: each residual
-class gets a rank listing the terms met in it, each with the split it is
-stepped by (its own reduct's, split once into value entries and successor
-ranks, or a listed term's that it prints like), so a loop builds no
-``Dist`` and reduces no term once it has gone round.  A kept distribution
-keeps the stepped part of its trajectory, since a term's slot holds its
-reduct; a caller that steps a long way and need not keep the start, as
-``plamb trace`` and ``plamb normalize`` do, drops it.  Inside a
-``with sharing():`` block, as one simulation run opens, alike
-applications that are different objects share one reduct across every
-``evolve`` of the block: the two sides of a comparison often hold copies
-of one program.
+Left-linearity builds its reduct unchecked (``Distribution._canonical``);
+``step`` returns a distribution with nothing to reduce itself, and ``vals``
+one that is all values.  Each term is reduced once: an application keeps
+its head reduct, so ``head_step``, ``step`` and ``evolve`` on the same
+object reuse it.  One ``evolve`` runs on ints over a state table of its
+own: each residual class gets a rank listing the terms met in it, each with
+the split it is stepped by (its own reduct's, split once into value entries
+and successor ranks, or a listed term's that it prints like), so a loop
+builds no ``Dist`` and reduces no term once it has gone round.  A kept
+distribution keeps the stepped part of its trajectory, since a term's slot
+holds its reduct; a caller that steps a long way and need not keep the
+start, as ``plamb trace`` and ``plamb normalize`` do, drops it.  Inside a
+``with sharing():`` block, as one simulation run opens, alike applications
+that are different objects share one reduct across every ``evolve`` of the
+block: the two sides of a comparison often hold copies of one program.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
@@ -43,7 +44,7 @@ import contextvars
 import math
 from fractions import Fraction
 
-from .syntax import Abs, App, Dist, LambError, Var, ZERO, mixture, names_alike, subst, unit
+from .syntax import EMPTY, Abs, App, Dist, LambError, Var, ZERO, mixture, names_alike, subst, unit
 
 
 # the run table of the innermost ``sharing`` block: residual class key ->
@@ -147,7 +148,14 @@ def _head_reduct(t):
     f = t.fun
     m = f.point()
     if m is None:
-        return Dist(((App(unit(m), t.arg), n) for m, n in f._ints), f._den)
+        # distinct operators in key order make distinct applications in order
+        arg, ints, keys = t.arg, [], []
+        for m, n in f._ints:
+            a = App(unit(m), arg)
+            a._canon = k = ("a", a.fun._canon, arg._canon)
+            ints.append((a, n))
+            keys.append(k)
+        return Dist._canonical(ints, keys, f._den, f._total)
     if isinstance(m, Abs):
         return subst(m.body, m.binder, t.arg)
     if isinstance(m, App):
@@ -157,15 +165,23 @@ def _head_reduct(t):
 
 def step(d):
     """One parallel step: every non-whnf entry is replaced by its head
-    reduction scaled by its weight; whnf entries pass through."""
+    reduction scaled by its weight; whnf entries pass through.  A ``d``
+    with nothing to reduce is its own step and is returned itself."""
+    if all(whnf_view(t) is not None for t, _ in d._ints):
+        return d
     return mixture(
         [(n, t if whnf_view(t) is not None else head_step(t)) for t, n in d._ints], d._den
     )
 
 
 def vals(d):
-    """Sub-distribution of ``d`` supported on weak head normal forms."""
-    return Dist([(t, n) for t, n in d._ints if whnf_view(t) is not None], d._den)
+    """Sub-distribution of ``d`` supported on weak head normal forms, in
+    ``d``'s order: ``d`` itself when all are values, ``EMPTY`` when none is."""
+    ints = [(t, n) for t, n in d._ints if whnf_view(t) is not None]
+    if len(ints) == len(d._ints):
+        return d
+    keys, nums = [t._canon for t, _ in ints], [n for _, n in ints]
+    return Dist._canonical(ints, keys, d._den, sum(nums)) if ints else EMPTY
 
 
 class EvolveReport:

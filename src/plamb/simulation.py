@@ -184,6 +184,10 @@ class _SimState:
         self.exact = True
 
 
+# what the memo answers for a pair not yet decided (None is a decision)
+_UNDECIDED = object()
+
+
 def _sim(st, m, n, k, sn, sd):
     """The witness refuting ``m`` against ``n`` at depth ``k`` with the
     slack ``sn / sd`` (ints in lowest terms), or None.  Witness paths are
@@ -191,8 +195,9 @@ def _sim(st, m, n, k, sn, sd):
     if k == 0:
         return None
     key = (m.canon(), n.canon(), k, sn, sd)
-    if key in st.memo:
-        return st.memo[key]
+    wit = st.memo.get(key, _UNDECIDED)
+    if wit is not _UNDECIDED:
+        return wit
     pos = st.inprog.get(key)
     if pos is not None:
         # re-entrant pair within a stratum: coinductive assumption

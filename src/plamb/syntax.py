@@ -32,8 +32,8 @@ their cached hash).  Keys order weights by exact value, by
 cross-multiplication when denominators differ.  Outside any binder a term's
 key reuses its operands' keys, so the key of an application ``f a`` is
 ``("a", f.canon(), a.canon())`` and costs O(1).  Most distributions are
-built from distinct terms already in canonical order; construction checks
-that in one pass and sorts the entries once only when it fails.
+built from distinct terms already in canonical order: construction checks
+that in one pass, or skips it where the library builds them in that order.
 Machine-generated names live in the reserved ``#`` namespace, which the
 parser rejects.
 
@@ -387,14 +387,17 @@ class Distribution:
     ``DistKey`` whose hash is computed once, so equality, hashing and use
     as a memo key are cheap.  Two distributions are equal when they are of
     the same concrete type and have equal keys.
+
+    Two ways in: ``_merge``, behind the constructors, checks and orders any
+    input; ``_canonical`` takes entries in canonical order, unchecked.
     """
 
     __slots__ = ("_ints", "_den", "_total", "_canon", "_fn")
 
     def _merge(self, pairs, den, term_type, what):
-        """Build this distribution from (term, numerator) pairs over the
-        int ``den``, or, when ``den`` is None, from (term, weight) pairs
-        read once over the lcm of the weights' denominators.
+        """Build this distribution, checked, from (term, numerator) pairs
+        over the int ``den``, or, when ``den`` is None, from (term, weight)
+        pairs read once over the lcm of the weights' denominators.
 
         Alpha-equivalent terms (equal ``canon()``) add their numerators,
         the first one seen is kept for display, and zero weights are
@@ -405,9 +408,9 @@ class Distribution:
         gcd of ``den`` and the numerators then reduces them to the least
         common denominator.  Raises MassError above total mass 1.
 
-        A one-entry list or tuple of positive weight, the most common
-        construction, is checked and reduced on its own, with the same
-        result as the general path.
+        A one-entry list or tuple of positive weight is checked and reduced
+        on its own, with the same result as the general path.  The way in
+        for outside input and unordered builds; see ``_canonical``.
         """
         if den is None:
             if isinstance(pairs, dict):
@@ -480,6 +483,31 @@ class Distribution:
         self._den = den
         self._total = total
         self._fn = None
+
+    @classmethod
+    def _canonical(cls, ints, keys, den, total):
+        """A distribution of entries known to be canonical, unchecked:
+        (term, positive int numerator) pairs ``ints`` of distinct classes in
+        strictly increasing key order, their class ``keys``, and ``total``,
+        the numerators' sum, at most ``den``.  Only the common factor of
+        ``den`` and the numerators is taken out; subclass caches start unset."""
+        g = math.gcd(den, total)
+        if g > 1:
+            # a factor of every numerator divides their sum
+            g = math.gcd(g, *[n for _, n in ints])
+            if g > 1:
+                den //= g
+                total //= g
+                ints = [(t, n // g) for t, n in ints]
+        d = cls.__new__(cls)
+        d._ints = ints = tuple(ints)
+        d._canon = DistKey(tuple([(k, n) for k, (_, n) in zip(keys, ints)]), den)
+        d._den = den
+        d._total = total
+        d._fn = None
+        for name in cls.__slots__:
+            setattr(d, name, None)
+        return d
 
     def entries(self):
         """Entries as (term, weight) pairs in canonical order, with
@@ -555,10 +583,16 @@ EMPTY = Dist()
 
 
 def unit(t):
-    """The point distribution {1: t}.  Weight 1 over denominator 1 takes
-    ``Distribution._merge``'s one-entry path: the term check and the key,
-    with no lists, order check or sum."""
-    return Dist(((t, 1),), 1)
+    """The point distribution {1: t}: the term check, then its one entry,
+    of weight 1 over denominator 1, filled directly."""
+    if not isinstance(t, Term):
+        raise LambError("distribution key must be a Term: %r" % (t,))
+    d = Dist.__new__(Dist)
+    d._ints = ((t, 1),)
+    d._canon = DistKey(((t.canon(), 1),), 1)
+    d._den = d._total = 1
+    d._fn = d._evolved = d._split = None
+    return d
 
 
 def free_names(d):
@@ -588,11 +622,16 @@ def dist_union(a, b):
 
 
 def dist_scale(p, d):
-    """Scale every weight by ``p``, dropping entries that become zero."""
+    """Scale every weight by ``p``, dropping entries that become zero; a
+    ``Dist`` is scaled in its own key order (``Distribution._canonical``)."""
     p = check_weight(p)
     if p == 0:
         return EMPTY
-    return mixture(((p.numerator, d),), p.denominator)
+    if type(d) is not Dist:
+        return mixture(((p.numerator, d),), p.denominator)
+    a = p.numerator
+    return Dist._canonical([(t, a * n) for t, n in d._ints], [k for k, _ in d._canon.pairs],
+                           d._den * p.denominator, d._total * a)
 
 
 def dist_leq(a, b):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -89,6 +90,37 @@ def dists(draw, depth=3):
 def terminating_dists(draw, depth=3, fuel=32):
     seed = draw(st.integers(0, 2**32 - 1))
     return gen_terminating(random.Random(seed), depth, fuel)
+
+
+@pytest.fixture
+def canonical_contract(monkeypatch):
+    """``Distribution._canonical`` wrapped with its whole contract, on what
+    it is given and on what it builds; the fixture is the list of the
+    distributions built so far."""
+    canonical = syntax.Distribution._canonical.__func__
+    built = []
+
+    def checked(cls, ints, keys, den, total):
+        ints, keys = list(ints), list(keys)
+        nums = [n for _, n in ints]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        # each key is the one canon() computes for its term
+        assert keys == [t._key({}, 0) for t, _ in ints]
+        assert all(n > 0 for n in nums)
+        assert total == sum(nums) <= den
+        d = canonical(cls, ints, keys, den, total)
+        got = [n for _, n in d._ints]
+        assert [t for t, _ in d._ints] == [t for t, _ in ints]
+        assert all(s is t for (s, _), (t, _) in zip(d._ints, ints))
+        assert math.gcd(d._den, *got) == 1
+        assert d._total == sum(got) <= d._den
+        assert got == [n * d._den // den for n in nums]
+        assert d._canon.pairs == tuple(zip(keys, got)) and d._canon.den == d._den
+        built.append(d)
+        return d
+
+    monkeypatch.setattr(syntax.Distribution, "_canonical", classmethod(checked))
+    return built
 
 
 def expand_prelude(src, prelude):

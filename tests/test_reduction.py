@@ -5,9 +5,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
+import test_syntax
+from test_syntax import assert_as_validated
 from conftest import BINDERS, dists, gen_dist, gen_loop_program, gen_terminating
-from plamb import reduction
-from plamb.approximants import FIN_BOTTOM, OMEGA, FinAbs
+from plamb import reduction, syntax
+from plamb.approximants import FIN_BOTTOM, OMEGA, FinAbs, approx_check, approx_generate
+from plamb.corpus import CORPUS_SOURCES
 from plamb.laws import linearity, reduction_laws
 from plamb.reduction import (
     AbsView,
@@ -21,7 +24,9 @@ from plamb.reduction import (
     vals,
     whnf_view,
 )
+from plamb.simulation import SimParams, sim_check
 from plamb.syntax import (
+    EMPTY,
     Abs,
     App,
     Dist,
@@ -136,6 +141,87 @@ class TestStep:
         got = step(parse(r"({1/2: \x. x}) z"))
         assert got == parse(r"{1/2: (\x. x) z}")
         assert got.mass() == F(1, 2)
+
+
+class TestCanonicalPaths:
+    """``vals``, left-linearity and ``step`` build through
+    ``Distribution._canonical``, unchecked, or return their input: each
+    result is what the validating constructor builds, both from the same
+    input and from the result's own entries."""
+
+    @staticmethod
+    def samples(seed):
+        return test_syntax.TestMergePaths().samples(seed, 30)
+
+    def test_vals(self, canonical_contract):
+        kinds = set()
+        for d in self.samples(51):
+            got = vals(d)
+            kept = [(t, n) for t, n in d._ints if is_whnf(t)]
+            assert_as_validated(got, kept, d._den)
+            assert_as_validated(got, got._ints, got._den)
+            if len(kept) == len(d):
+                assert got is d
+                kinds.add("all")
+            elif not kept:
+                assert got is EMPTY
+                kinds.add("none")
+            else:
+                kinds.add("some")
+        assert kinds == {"all", "none", "some"}
+        assert canonical_contract
+
+    def test_left_linearity(self, canonical_contract):
+        dists = self.samples(52)
+        ops = [f for f in dists if f.point() is None][:200] + [EMPTY]
+        assert sum(len(f) > 1 for f in ops) > 50
+        for f in ops:
+            for a in dists[:4]:
+                got = head_step(App(f, a))
+                assert [(s.fun.point(), s.arg) for s in got.support()] == [(m, a) for m in f.support()]
+                assert all(s.fun.point() is m and s.arg is a for s, m in zip(got.support(), f.support()))
+                assert_as_validated(got, [(s, n) for s, (_, n) in zip(got.support(), f._ints)], f._den)
+                assert_as_validated(got, got._ints, got._den)
+                fresh = Dist([(App(unit(m), a), n) for m, n in f._ints], f._den)
+                assert got == fresh and print_dist(got) == print_dist(fresh)
+        assert len(canonical_contract) >= len(ops) * 4
+
+    def test_step(self, canonical_contract):
+        kinds = set()
+        for d in self.samples(53):
+            reducible = not all(is_whnf(t) for t in d.support())
+            got = step(d)
+            want = mixture([(n, t if is_whnf(t) else head_step(t)) for t, n in d._ints], d._den)
+            assert_as_validated(got, want._ints, want._den)
+            assert_as_validated(got, got._ints, got._den)
+            assert (got is d) is not reducible
+            kinds.add(reducible)
+        assert kinds == {True, False}
+
+    def test_public_contracts_unchanged(self):
+        values = parse(r"{1/2: \x. x, 1/3: y z}")
+        assert step(values) is values and vals(values) is values
+        assert vals(EMPTY) is EMPTY and step(EMPTY) is EMPTY
+        mixed = parse(r"{1/2: (\x. x) y, 1/3: z}")
+        stepped = step(mixed)
+        assert stepped is not mixed and stepped == parse(r"{1/2: y, 1/3: z}")
+        assert vals(mixed) == parse(r"{1/3: z}") and vals(parse(r"(\x. x) y")) is EMPTY
+
+
+def test_corpus_runs_under_the_canonical_contract(canonical_contract):
+    for src in CORPUS_SOURCES:
+        evolve(parse(src), 32)
+        cur = parse(src)
+        for _ in range(4):
+            cur = step(cur)
+        sim_check(dist_scale(F(1, 2), parse(src)), parse(src), SimParams(3, 16))
+        for c in approx_generate(parse(src), 2, 16, F(1, 8)):
+            assert approx_check(c, parse(src), 2, 16)
+    # the left-linearity reducts are among the builds checked
+    assert any(
+        len(d) > 1 and all(isinstance(t, App) and t.fun.point() for t in d.support())
+        for d in canonical_contract
+    )
 
 
 class TestEvolve:
@@ -387,19 +473,28 @@ class TestEvolveMatchesStep:
         # on the README loop and the two variant-naming loops, neither the
         # Dists built nor the head reducts computed grow with the fuel (in
         # the variant-state loop, a b and q copy is reduced once, and its
-        # reduct, a new b and q copy, takes its split from then on)
+        # reduct, a new b and q copy, takes its split from then on).  Dists
+        # are counted at both ways in, the constructor and ``_canonical``;
+        # ``unit`` fills its own, and within ``evolve`` runs only inside a
+        # head reduction, which the reduct count covers
         counts = {"dists": 0, "reducts": 0}
-        dist, head_reduct = reduction.Dist, reduction._head_reduct
+        init, canonical = Dist.__init__, Dist._canonical.__func__
+        head_reduct = reduction._head_reduct
 
-        def counting_dist(*args):
+        def counting_init(self, *args):
             counts["dists"] += 1
-            return dist(*args)
+            init(self, *args)
+
+        def counting_canonical(cls, *args):
+            counts["dists"] += 1
+            return canonical(cls, *args)
 
         def counting_reduct(t):
             counts["reducts"] += 1
             return head_reduct(t)
 
-        monkeypatch.setattr(reduction, "Dist", counting_dist)
+        monkeypatch.setattr(Dist, "__init__", counting_init)
+        monkeypatch.setattr(syntax.Distribution, "_canonical", classmethod(counting_canonical))
         monkeypatch.setattr(reduction, "_head_reduct", counting_reduct)
         for src, reducts in ((YT_SRC, 4), (VARIANT_STATE_SRC, 3), (VARIANT_SUCCESSOR_SRC, 8)):
             seen = []

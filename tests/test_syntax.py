@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -17,7 +18,7 @@ from conftest import (
 from plamb import syntax
 from plamb.corpus import CORPUS_SOURCES
 from plamb.prelude import DEFAULT_PRELUDE
-from plamb.approximants import FinDist, parse_fin, print_fin_dist
+from plamb.approximants import FIN_BOTTOM, FinAbs, FinDist, parse_fin, print_fin_dist
 from plamb.laws import roundtrip
 from plamb.reduction import evolve, head_step, is_whnf, step
 from plamb.syntax import (
@@ -1021,6 +1022,61 @@ class TestPointPaths:
             FinDist([(t, 1)], 1)
         empty = Dist([(t, 0)], 5)
         assert empty.is_empty() and empty == EMPTY and empty._den == 1
+
+
+def assert_as_validated(got, pairs, den):
+    """``got`` is what the validating constructor builds from ``pairs``
+    over ``den``: the same display terms, by identity, and the same
+    numerators, denominator, mass, key and hash."""
+    want = Dist(list(pairs), den)
+    assert len(got._ints) == len(want._ints)
+    assert all(g is w for (g, _), (w, _) in zip(got._ints, want._ints))
+    assert got._ints == want._ints
+    assert (got._den, got._total) == (want._den, want._total)
+    assert got._canon == want._canon and got._canon.pairs == want._canon.pairs
+    assert hash(got) == hash(want) and got == want
+
+
+class TestCanonicalPaths:
+    """``unit`` fills its one entry directly and ``dist_scale`` builds
+    through ``Distribution._canonical``, unchecked: each result is what the
+    validating constructor builds, both from the same input and from the
+    result's own entries."""
+
+    WEIGHTS = [F(1), F(1, 2), F(2, 3), F(3, 4), F(1, 7), F(5, 12), F(2**40, 2**41 + 1)]
+
+    def test_unit(self):
+        for t in [t for d in TestMergePaths().samples(41, 20) for t in d.support()]:
+            got = unit(t)
+            assert_as_validated(got, [(t, 1)], 1)
+            assert_as_validated(got, got._ints, got._den)
+            assert got.point() is t and got._evolved is got._split is got._fn is None
+
+    def test_dist_scale(self, canonical_contract):
+        dists = TestMergePaths().samples(42, 20)
+        for d in dists:
+            for p in self.WEIGHTS:
+                got = dist_scale(p, d)
+                assert_as_validated(got, [(t, p.numerator * n) for t, n in d._ints],
+                                    d._den * p.denominator)
+                assert_as_validated(got, got._ints, got._den)
+                assert got.mass() == p * d.mass()
+        assert len(canonical_contract) == len(dists) * len(self.WEIGHTS)
+
+    def test_public_contracts_unchanged(self):
+        for bad in (5, FinAbs("x", FIN_BOTTOM)):
+            with pytest.raises(LambError, match=r"^distribution key must be a Term: %s$"
+                               % re.escape(repr(bad))):
+                unit(bad)
+        d = P(r"{1/2: x, 1/3: \y. y}")
+        with pytest.raises(MassError, match="outside"):
+            dist_scale(F(3, 2), d)
+        assert dist_scale(0, d) is EMPTY and dist_scale(F(0), EMPTY) is EMPTY
+        assert dist_scale(F(2, 5), Var("x")) == Dist([(Var("x"), F(2, 5))])
+        assert print_dist(dist_scale(F(2, 5), Var("x"))) == "{2/5: x}"
+        assert dist_scale(F(1, 2), EMPTY) == EMPTY
+        with pytest.raises(LambError, match="must be a Term"):
+            dist_scale(F(1, 2), FIN_BOTTOM)
 
 
 # Fraction reference of the integer representation: construction, step and

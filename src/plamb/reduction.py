@@ -21,17 +21,18 @@ Left-linearity builds its reduct unchecked (``Distribution._canonical``);
 ``step`` returns a distribution with nothing to reduce itself, and ``vals``
 one that is all values.  Each term is reduced once: an application keeps
 its head reduct, so ``head_step``, ``step`` and ``evolve`` on the same
-object reuse it.  One ``evolve`` runs on ints over a state table of its
-own: each residual class gets a rank listing the terms met in it, each with
-the split it is stepped by (its own reduct's, split once into value entries
-and successor ranks, or a listed term's that it prints like), so a loop
-builds no ``Dist`` and reduces no term once it has gone round.  A kept
-distribution keeps the stepped part of its trajectory, since a term's slot
-holds its reduct; a caller that steps a long way and need not keep the
-start, as ``plamb trace`` and ``plamb normalize`` do, drops it.  Inside a
-``with sharing():`` block, as one simulation run opens, alike applications
-that are different objects share one reduct across every ``evolve`` of the
-block: the two sides of a comparison often hold copies of one program.
+object reuse it.  ``evolve`` also lends a reduct between objects: its
+alike table maps a residual class key to the terms of the class reduced so
+far, and a term not yet reduced takes the reduct of a listed term that
+prints like it.  One call uses a table of its own unless it is given one;
+one simulation run passes the same table to every call, since the two
+sides of a comparison often hold copies of one program.  Within a call,
+``evolve`` runs on ints: each reduct is split once into value entries and
+successor ranks, so a loop builds no ``Dist`` and reduces no term once it
+has gone round.  A kept distribution keeps the stepped part of its
+trajectory, since a term's slot holds its reduct; a caller that steps a
+long way and need not keep the start, as ``plamb trace`` and
+``plamb normalize`` do, drops it.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
@@ -40,30 +41,10 @@ provide the reference schedule used by the property suite.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from fractions import Fraction
 
 from .syntax import EMPTY, Abs, App, Dist, LambError, Var, ZERO, mixture, names_alike, subst, unit
-
-
-# the run table of the innermost ``sharing`` block: residual class key ->
-# the first application of that class reduced in the block; None outside
-_shared = contextvars.ContextVar("shared_reducts", default=None)
-
-
-class sharing:
-    """A block within which ``evolve`` reduces each class of alike
-    applications once, through a table of the block's own that dies with
-    it and that no other thread or context sees."""
-
-    __slots__ = ("_token",)
-
-    def __enter__(self):
-        self._token = _shared.set({})
-
-    def __exit__(self, *exc):
-        _shared.reset(self._token)
 
 
 # The weak head normal form ``\binder. body`` is the abstraction itself.
@@ -117,10 +98,6 @@ def _spine_view(t):
     return None
 
 
-def is_whnf(t):
-    return whnf_view(t) is not None
-
-
 def head_step(t):
     """One head reduction of a non-whnf term, as a distribution.
 
@@ -131,9 +108,9 @@ def head_step(t):
     The reduct is computed once per object: the application keeps it in
     its ``_step`` slot for as long as the application lives, and every
     later call, the context rule's inner one included, returns that same
-    ``Dist``.  Outside a ``sharing`` block an alpha-equivalent copy that
-    is another object has a slot of its own; inside one, ``evolve`` fills
-    an alike copy's slot with the reduct already made.
+    ``Dist``.  An alpha-equivalent copy that is another object has a slot
+    of its own, which ``evolve`` fills with the reduct already made when
+    its alike table lists a copy that prints the same.
     """
     if not isinstance(t, App):
         raise LambError("head_step on a weak head normal form")
@@ -209,7 +186,7 @@ class EvolveReport:
         )
 
 
-def evolve(d, fuel):
+def evolve(d, fuel, table=None):
     """Iterate the parallel step up to ``fuel`` times, stopping early when
     all mass is on values or the trajectory repeats.
 
@@ -221,16 +198,14 @@ def evolve(d, fuel):
     each step multiplies by the lcm of the denominators of the reducts it
     reads.  A class gets a rank the first time it is seen.
 
-    Each rank lists every term of its class met in this call with the
-    split it is stepped by, a head reduct split once (``_split``) into
-    value entries and successor ranks, so a step is int arithmetic.  A
-    term met before is found by identity; a new one takes the split of
-    the first listed term that names every binder alike (``names_alike``,
-    so both print, and reduce, the same), else it is stepped on its own.
-    Inside a ``sharing`` block, a term with no reduct yet is looked up by
-    its class key in the block's run table: the first term of the class
-    reduced in the block lends its reduct when the two are named alike;
-    else the term is reduced on its own, and only the first is recorded.
+    ``table`` is the alike table, residual class key -> the terms of that
+    class reduced so far; without one, the call uses a fresh one.  A term
+    with no reduct yet takes the reduct of the first listed term that
+    names every binder alike (``names_alike``, so both print, and reduce,
+    the same); else it reduces itself and joins its class's list, so every
+    unalike variant is kept.  Each reduct is split once per call
+    (``_split``) into value entries and successor ranks, so a step is int
+    arithmetic and a loop builds no ``Dist`` once it has gone round.
     The next residual shows a class by its first contributor in visit
     order, as ``step``'s mixture does, and a value class is named by
     ``step``'s display rule: a new class takes the first reduct into it;
@@ -242,7 +217,8 @@ def evolve(d, fuel):
     shrink, so a recurring residual brings back the same values, and the
     whole distribution repeats exactly when the residual does.  The
     residual mass never grows either, so once it falls no residual seen
-    before can recur and the table is cleared to hold one run of equal mass.
+    before can recur and the residuals seen are cleared to hold one run of
+    equal mass.
 
     The report is stored on ``d`` and returned as it is when ``d`` itself
     is evolved again at the same fuel; a new fuel replaces it.  A ``d``
@@ -265,12 +241,13 @@ def evolve(d, fuel):
             nums.append(n)
     if not res:
         return EvolveReport(d, ZERO, 0, True, True)
+    if table is None:
+        table = {}
     den = d._den
     total = sum(nums)
     rank = dict(zip(keys, res))
-    table = _shared.get()
-    # rank -> [(term of its class met so far, the split it is stepped by)]
-    met = [[] for _ in keys]
+    # id of a reduct -> its split, which holds the reduct
+    splits = {}
     seen, key = set(), None
     steps = 0
     cycled = False
@@ -278,31 +255,32 @@ def evolve(d, fuel):
         stepped = []
         lcm = 1
         for r, (t, _) in res.items():
-            terms = met[r]
-            for u, split in terms:
-                if u is t:
-                    break
-            else:
-                for u, split in terms:
+            h = t._step
+            if h is None:
+                k = keys[r]
+                alike = table.get(k)
+                if alike is None:
+                    alike = table[k] = []
+                for u in alike:
                     if names_alike(u, t):
+                        h = t._step = u._step
                         break
                 else:
-                    if t._step is None and table is not None:
-                        u = table.setdefault(keys[r], t)
-                        if u is not t and u._step is not None and names_alike(u, t):
-                            t._step = u._step
-                    split = _split(head_step(t), values, rank, keys, met, steps)
-                terms.append((t, split))
+                    h = head_step(t)
+                    alike.append(t)
+            split = splits.get(id(h))
+            if split is None:
+                split = splits[id(h)] = _split(h, values, rank, keys, steps)
             stepped.append(split)
-            if lcm % split[0]:
-                lcm = math.lcm(lcm, split[0])
+            if lcm % h._den:
+                lcm = math.lcm(lcm, h._den)
         if lcm > 1:
             den *= lcm
             for slot in values.values():
                 slot[1] *= lcm
         nxt = {}
-        for r, n, (h_den, found, succ) in zip(res, nums, stepped):
-            s = n * (lcm // h_den)
+        for r, n, (h, found, succ) in zip(res, nums, stepped):
+            s = n * (lcm // h._den)
             if found:
                 at = keys[r]
                 for slot, rt, c, k in found:
@@ -353,11 +331,11 @@ def _state(res, nums, den):
     return (*res, *[n // g for n in nums], den // g)
 
 
-def _split(h, values, rank, keys, met, stamp):
-    """The head reduct ``h`` as (its denominator, value entries (value
-    slot, display term, numerator, key), successors (rank, display term,
-    numerator)), opening a slot for a new value class in step ``stamp``
-    and a rank and an empty ``met`` list for a new residual class."""
+def _split(h, values, rank, keys, stamp):
+    """The head reduct ``h`` as (``h``, value entries (value slot, display
+    term, numerator, key), successors (rank, display term, numerator)),
+    opening a slot for a new value class in step ``stamp`` and a rank for
+    a new residual class."""
     found, succ = [], []
     for rt, rn in h._ints:
         k = rt._canon
@@ -371,9 +349,8 @@ def _split(h, values, rank, keys, met, stamp):
             if j is None:
                 j = rank[k] = len(keys)
                 keys.append(k)
-                met.append([])
             succ.append((j, rt, rn))
-    return h._den, found, succ
+    return h, found, succ
 
 
 def step_entry(d, index):
@@ -382,7 +359,7 @@ def step_entry(d, index):
     parts = []
     seen = -1
     for t, n in d._ints:
-        if not is_whnf(t):
+        if whnf_view(t) is None:
             seen += 1
             if seen == index:
                 t = head_step(t)
@@ -397,7 +374,7 @@ def evolve_sequential(d, max_steps, rng=None):
     order; used to cross-check confluence of the parallel step."""
     cur = d
     for steps in range(max_steps):
-        pending = sum(1 for t, _ in cur._ints if not is_whnf(t))
+        pending = sum(1 for t, _ in cur._ints if whnf_view(t) is None)
         if pending == 0:
             return EvolveReport(vals(cur), ZERO, steps, True, True)
         index = rng.randrange(pending) if rng is not None else 0

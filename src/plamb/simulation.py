@@ -14,8 +14,8 @@ pairs of one call family, the fresh ret symbol and the abstraction block's
 ret target are the transition system's own (``lts.split_values``,
 ``lts.call_pairs``, ``lts.fresh_symbol`` and ``lts.ret_block``); this
 module only decides how each pair is compared and how much mass each
-comparison may miss.  One run evolves inside ``reduction.sharing``, so
-alike terms on either side share their head reducts.
+comparison may miss.  One run passes one alike table to every ``evolve``,
+so alike terms on either side share their head reducts.
 
 Depth therefore counts applicative (ret) unfoldings; spine argument edges
 do not consume depth, and re-entrant argument comparisons (possible only
@@ -51,7 +51,7 @@ from fractions import Fraction
 from .lifting import max_flow
 from .lifting import lift_check_flow  # unused here; perfbench/tracing.py rebinds it
 from .lts import Ret, call_pairs, fresh_symbol, ret_block, split_values
-from .reduction import evolve, sharing
+from .reduction import evolve
 from .syntax import LambError, print_weight
 from .syntax import subst  # unused here; perfbench/tracing.py rebinds it
 
@@ -171,9 +171,10 @@ class _SimState:
     or None; ``inprog`` maps each in-progress pair to its stack position,
     and ``low`` is the lowest position assumed by the pair now being
     decided.  ``exact`` stays true until an evolution leaves residual mass:
-    the run then claims no more than "no counterexample at these bounds"."""
+    the run then claims no more than "no counterexample at these bounds".
+    ``table`` is the run's alike table, passed to every ``evolve``."""
 
-    __slots__ = ("fuel", "slack_enabled", "memo", "inprog", "low", "exact")
+    __slots__ = ("fuel", "slack_enabled", "memo", "inprog", "low", "exact", "table")
 
     def __init__(self, fuel, slack_enabled):
         self.fuel = fuel
@@ -182,6 +183,7 @@ class _SimState:
         self.inprog = {}
         self.low = 0
         self.exact = True
+        self.table = {}
 
 
 # what the memo answers for a pair not yet decided (None is a decision)
@@ -216,8 +218,8 @@ def _sim(st, m, n, k, sn, sd):
 
 
 def _sim_level(st, m, n, k, sn, sd):
-    rm = evolve(m, st.fuel)
-    rn = evolve(n, st.fuel)
+    rm = evolve(m, st.fuel, st.table)
+    rn = evolve(n, st.fuel, st.table)
     if rm.residual or rn.residual:
         st.exact = False
     if st.slack_enabled and not rn.limit_exact:
@@ -284,8 +286,7 @@ def sim_check(m, n, params):
     cover.  ``NoCounterexample`` decides the stratum only when exact.
     """
     st = _SimState(params.fuel, params.slack_enabled)
-    with sharing():
-        wit = _sim(st, m, n, params.depth, 0, 1)
+    wit = _sim(st, m, n, params.depth, 0, 1)
     if wit is None:
         return NoCounterexample(params, st.exact)
     return Refuted(params, wit)

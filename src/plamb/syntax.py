@@ -623,12 +623,13 @@ def dist_union(a, b):
 
 def dist_scale(p, d):
     """Scale every weight by ``p``, dropping entries that become zero; a
-    ``Dist`` is scaled in its own key order (``Distribution._canonical``)."""
+    term stands for its point distribution.  ``d`` is scaled in its own key
+    order (``Distribution._canonical``)."""
     p = check_weight(p)
     if p == 0:
         return EMPTY
-    if type(d) is not Dist:
-        return mixture(((p.numerator, d),), p.denominator)
+    if not isinstance(d, Dist):
+        d = unit(d)
     a = p.numerator
     return Dist._canonical([(t, a * n) for t, n in d._ints], [k for k, _ in d._canon.pairs],
                            d._den * p.denominator, d._total * a)

@@ -18,7 +18,6 @@ from plamb.reduction import (
     evolve,
     evolve_sequential,
     head_step,
-    is_whnf,
     step,
     step_entry,
     vals,
@@ -157,7 +156,7 @@ class TestCanonicalPaths:
         kinds = set()
         for d in self.samples(51):
             got = vals(d)
-            kept = [(t, n) for t, n in d._ints if is_whnf(t)]
+            kept = [(t, n) for t, n in d._ints if whnf_view(t) is not None]
             assert_as_validated(got, kept, d._den)
             assert_as_validated(got, got._ints, got._den)
             if len(kept) == len(d):
@@ -189,9 +188,11 @@ class TestCanonicalPaths:
     def test_step(self, canonical_contract):
         kinds = set()
         for d in self.samples(53):
-            reducible = not all(is_whnf(t) for t in d.support())
+            reducible = any(whnf_view(t) is None for t in d.support())
             got = step(d)
-            want = mixture([(n, t if is_whnf(t) else head_step(t)) for t, n in d._ints], d._den)
+            want = mixture(
+                [(n, t if whnf_view(t) is not None else head_step(t)) for t, n in d._ints], d._den
+            )
             assert_as_validated(got, want._ints, want._den)
             assert_as_validated(got, got._ints, got._den)
             assert (got is d) is not reducible
@@ -283,8 +284,8 @@ class TestEvolve:
 
     def test_met_table_is_bounded_in_fuel(self):
         # the variant-state loop recurs as a b and q copy of a state met
-        # first as an a and p copy; once listed, that copy's split serves
-        # every later step, so the table of met terms stops growing
+        # first as an a and p copy; once listed in the alike table, that
+        # copy lends its reduct to every later one, so the table stops growing
         peaks = self.traced_peaks(VARIANT_STATE_SRC)
         assert peaks[1] - peaks[0] < 50_000, peaks
 
@@ -308,7 +309,9 @@ def uncached_head_step(t, reduced=None):
 def uncached_step(d, reduced=None):
     """``step`` through ``uncached_head_step``."""
     return mixture(
-        [(n, t if is_whnf(t) else uncached_head_step(t, reduced)) for t, n in d._ints], d._den
+        [(n, t if whnf_view(t) is not None else uncached_head_step(t, reduced))
+         for t, n in d._ints],
+        d._den,
     )
 
 
@@ -444,7 +447,7 @@ class TestEvolveMatchesStep:
 
     def test_variant_state_stepped_under_its_own_names(self):
         # the loop state is met first with binders a and p; from step 1 on,
-        # only a copy named b and q recurs, and it is stepped by the split
+        # only a copy named b and q recurs, and it is stepped by the reduct
         # of a b and q copy, never by the a and p one
         want = self.check_fuels(VARIANT_STATE_SRC, 12)
         assert "\\q. q" in want[12][0] and "\\p" not in want[12][0]
@@ -452,7 +455,7 @@ class TestEvolveMatchesStep:
     def test_variant_successor_stepped_under_its_own_names(self):
         # a four-state loop whose redex (\a. \p. p) u first comes in with
         # one state and comes back as (\b. \q. q) u from another; stepped
-        # by the first copy's split it would show \p. p where step shows \q. q
+        # by the first copy's reduct it would show \p. p where step shows \q. q
         want = self.check_fuels(VARIANT_SUCCESSOR_SRC, 16)
         assert [want[fuel][0] for fuel in (14, 16)] == [r"{26/27: \q. q}", r"{53/54: \p. p}"]
 
@@ -472,8 +475,8 @@ class TestEvolveMatchesStep:
     def test_recurring_loops_build_no_dist_per_step(self, monkeypatch):
         # on the README loop and the two variant-naming loops, neither the
         # Dists built nor the head reducts computed grow with the fuel (in
-        # the variant-state loop, a b and q copy is reduced once, and its
-        # reduct, a new b and q copy, takes its split from then on).  Dists
+        # the variant-state loop, a b and q copy is reduced once, and the
+        # new b and q copy in its reduct borrows that reduct).  Dists
         # are counted at both ways in, the constructor and ``_canonical``;
         # ``unit`` fills its own, and within ``evolve`` runs only inside a
         # head reduction, which the reduct count covers
@@ -542,7 +545,7 @@ def subterms(d):
 
 class TestHeadStepCache:
     """An application keeps its head reduct, and ``evolve`` steps a term
-    that recurs by the split of a term met before that prints the same."""
+    that recurs by the reduct of a term reduced before that prints the same."""
 
     def test_reduct_is_stored(self):
         t = term(r"(\x. x) y")
@@ -558,7 +561,7 @@ class TestHeadStepCache:
         for seed in range(100):
             d = gen_dist(random.Random(seed), 3)
             for t in subterms(d):
-                if isinstance(t, App) and not is_whnf(t):
+                if isinstance(t, App) and whnf_view(t) is None:
                     want = print_dist(uncached_head_step(t), explicit=True)
                     assert print_dist(head_step(t), explicit=True) == want
                     assert print_dist(head_step(t), explicit=True) == want
@@ -596,6 +599,71 @@ class TestHeadStepCache:
                             alike += same
                             unlike += not same
         assert alike > 100 and unlike > 100
+
+
+class TestAlikeTable:
+    """``evolve``'s alike table maps a residual class key to the terms of
+    the class reduced so far, every unalike variant listed; each reduct is
+    split once per call."""
+
+    def test_unalike_variants_recurring_in_one_loop_are_each_reduced_once(self, monkeypatch):
+        # the variant-state loop meets its state first named a and p, then
+        # as a new b and q copy on every step; the four-state loop brings
+        # back (\a. \p. p) u and (\b. \q. q) u on every turn.  A table
+        # listing only the first term of a class would reduce every new b
+        # and q copy of the state again
+        reduced = []
+        head_reduct = reduction._head_reduct
+
+        def counting(t):
+            reduced.append(t)
+            return head_reduct(t)
+
+        monkeypatch.setattr(reduction, "_head_reduct", counting)
+        for src, variants in (
+            (VARIANT_STATE_SRC, ["%s %s" % (WA, WA), "%s %s" % (WB, WB)]),
+            (VARIANT_SUCCESSOR_SRC, [r"(\a. \p. p) u", r"(\b. \q. q) u"]),
+        ):
+            assert term(variants[0]).canon() == term(variants[1]).canon()
+            for fuel in (40, 400):
+                del reduced[:]
+                assert evolve(parse(src), fuel).steps_used == fuel
+                shown = [print_term(t) for t in reduced]
+                assert [shown.count(v) for v in variants] == [1, 1], (src, fuel)
+                assert len(shown) == len(set(shown)), (src, fuel)
+
+    def test_split_once_per_distinct_reduct(self, monkeypatch):
+        split_reducts = []
+        split = reduction._split
+
+        def counting(h, *args):
+            split_reducts.append(h)
+            return split(h, *args)
+
+        monkeypatch.setattr(reduction, "_split", counting)
+        for src in (YT_SRC, VARIANT_STATE_SRC, VARIANT_SUCCESSOR_SRC):
+            del split_reducts[:]
+            assert evolve(parse(src), 40).steps_used == 40
+            # the list keeps every reduct alive, so no two share an id;
+            # forty steps of new term objects are split by a few reducts
+            assert len({id(h) for h in split_reducts}) == len(split_reducts) < 10
+
+    def test_one_table_lends_reducts_across_calls(self):
+        src_a, src_b = r"(\x. x) (\a. a)", r"(\x. x) (\b. b)"
+
+        def reducts(table):
+            ds = [parse(src_a), parse(src_b), parse(src_a)]
+            for d in ds:
+                evolve(d, 4, table)
+            return [d.point()._step for d in ds]
+
+        a, b, c = reducts(None)
+        assert a is not b and a is not c and print_dist(c) == print_dist(a)
+        table = {}
+        a, b, c = reducts(table)
+        assert c is a and b is not a and print_dist(b) == r"\b. b"
+        (listed,) = table.values()
+        assert [print_term(t) for t in listed] == [src_a, src_b]
 
 
 class TestEvolveCache:

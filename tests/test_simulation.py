@@ -1,7 +1,5 @@
-import contextlib
 import json
 import random
-import threading
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +19,7 @@ from plamb.lts import (
     split_values,
     weak_max_transition,
 )
-from plamb.reduction import evolve, sharing
+from plamb.reduction import evolve
 from plamb.simulation import (
     NoCounterexample,
     Refuted,
@@ -316,8 +314,8 @@ class TestVerdictProperties:
     def test_exact_iff_no_evolution_left_residual(self, monkeypatch, depth, fuel):
         residuals = []
 
-        def recording(d, f):
-            report = evolve(d, f)
+        def recording(d, f, table=None):
+            report = evolve(d, f, table)
             residuals.append(report.residual)
             return report
 
@@ -532,9 +530,14 @@ class TestSharedReducts:
             out.append([(repr(v), v.to_dict(), v.exact) for v in (one, fwd, bwd)])
         return out
 
+    @staticmethod
+    def without_table(d, fuel, table=None):
+        """``evolve`` as a run calls it, but each call on a table of its own."""
+        return evolve(d, fuel)
+
     def test_sharing_changes_no_output(self, monkeypatch):
         shared = self.outcomes()
-        monkeypatch.setattr(simulation, "sharing", contextlib.nullcontext)
+        monkeypatch.setattr(simulation, "evolve", self.without_table)
         apart = self.outcomes()
         assert shared == apart
         verdicts = [v for row in shared for v in row]
@@ -565,7 +568,7 @@ class TestSharedReducts:
             copies = count(parse(s), dist_scale(F(1, 2), parse(s)))
             assert copies <= shared_object, s
             with monkeypatch.context() as mp:
-                mp.setattr(simulation, "sharing", contextlib.nullcontext)
+                mp.setattr(simulation, "evolve", self.without_table)
                 apart = count(parse(s), dist_scale(F(1, 2), parse(s)))
             fewer += copies < apart
         assert fewer >= 10
@@ -582,48 +585,34 @@ class TestSharedReducts:
         sim_check(c, e, P(2, 8))
         assert first_term(c)._step is first_term(e)._step
 
-    def test_no_table_outlives_a_run(self, monkeypatch):
-        assert reduction._shared.get() is None
-        sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
-        assert reduction._shared.get() is None
+    def test_two_runs_never_share_a_table(self, monkeypatch):
         tables = []
 
-        def failing(d, fuel):
-            tables.append(reduction._shared.get())
-            if len(tables) == 2:
-                raise RuntimeError("injected")
-            return evolve(d, fuel)
+        def recording(d, fuel, table=None):
+            tables.append(table)
+            return evolve(d, fuel, table)
 
-        monkeypatch.setattr(simulation, "evolve", failing)
-        with pytest.raises(RuntimeError, match="injected"):
-            sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
-        assert isinstance(tables[0], dict) and tables[1] is tables[0]
-        assert reduction._shared.get() is None
+        monkeypatch.setattr(simulation, "evolve", recording)
+        runs = []
+        for _ in range(2):
+            del tables[:]
+            m = parse(r"I (\x. x)")
+            sim_check(m, parse(r"I (\x. x)"), P(2, 8))
+            assert isinstance(tables[0], dict) and all(t is tables[0] for t in tables)
+            runs.append((tables[0], first_term(m)._step))
+        # each run's copy reduced itself, lending nothing to the other run
+        assert runs[0][0] is not runs[1][0] and runs[0][1] is not runs[1][1]
 
     @staticmethod
-    def evolve_copies(src="(\\x. x) y"):
+    def evolve_copies(table=None, src="(\\x. x) y"):
         a, b = parse(src), parse(src)
-        evolve(a, 4)
-        evolve(b, 4)
+        evolve(a, 4, table)
+        evolve(b, 4, table)
         ta, tb = first_term(a), first_term(b)
         assert ta._step is not None and tb._step is not None
         return ta._step is tb._step
 
     def test_copies_outside_a_run_reduce_apart(self):
         assert not self.evolve_copies()
-        with sharing():
-            assert self.evolve_copies()
+        assert self.evolve_copies({})
         assert not self.evolve_copies()
-
-    def test_other_threads_see_no_table(self):
-        seen = []
-
-        def other():
-            seen.append((reduction._shared.get(), self.evolve_copies()))
-
-        with sharing():
-            assert isinstance(reduction._shared.get(), dict)
-            thread = threading.Thread(target=other)
-            thread.start()
-            thread.join()
-        assert seen == [(None, False)]

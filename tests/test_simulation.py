@@ -1,5 +1,6 @@
 import json
 import random
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -585,6 +586,32 @@ class TestSharedReducts:
         sim_check(c, e, P(2, 8))
         assert first_term(c)._step is first_term(e)._step
 
+    def test_no_table_outlives_a_run(self, monkeypatch):
+        tables = []
+
+        def failing(d, fuel, table=None):
+            tables.append((table, len(table)))
+            if len(tables) == 2:
+                raise RuntimeError("injected")
+            return evolve(d, fuel, table)
+
+        monkeypatch.setattr(simulation, "evolve", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
+        (failed, size), (again, _) = tables
+        assert isinstance(failed, dict) and again is failed and size == 0
+        del tables[:]
+
+        def recording(d, fuel, table=None):
+            tables.append((table, len(table)))
+            return evolve(d, fuel, table)
+
+        monkeypatch.setattr(simulation, "evolve", recording)
+        sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
+        # the next run starts on an empty table of its own
+        fresh, size = tables[0]
+        assert isinstance(fresh, dict) and fresh is not failed and size == 0
+
     def test_two_runs_never_share_a_table(self, monkeypatch):
         tables = []
 
@@ -616,3 +643,22 @@ class TestSharedReducts:
         assert not self.evolve_copies()
         assert self.evolve_copies({})
         assert not self.evolve_copies()
+
+    def test_other_threads_see_no_table(self, monkeypatch):
+        seen = []
+
+        def other():
+            seen.append(self.evolve_copies())
+
+        def in_run(d, fuel, table=None):
+            if not seen:
+                assert isinstance(table, dict)
+                thread = threading.Thread(target=other)
+                thread.start()
+                thread.join(timeout=60)
+            return evolve(d, fuel, table)
+
+        monkeypatch.setattr(simulation, "evolve", in_run)
+        sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
+        # copies reduced in another thread during a run borrow nothing
+        assert seen == [False]

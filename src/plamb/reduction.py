@@ -25,8 +25,7 @@ object reuse it.  ``evolve`` also lends a reduct between objects: its
 alike table maps a residual class key to the terms of the class reduced so
 far, and a term not yet reduced takes the reduct of a listed term that
 prints like it.  One call uses a table of its own unless it is given one;
-one simulation run passes the same table to every call, since the two
-sides of a comparison often hold copies of one program.  Within a call,
+a table passed to several calls lends reducts across them.  Within a call,
 ``evolve`` runs on ints: each reduct is split once into value entries and
 successor ranks, so a loop builds no ``Dist`` and reduces no term once it
 has gone round.  A kept distribution keeps the stepped part of its

@@ -14,8 +14,9 @@ pairs of one call family, the fresh ret symbol and the abstraction block's
 ret target are the transition system's own (``lts.split_values``,
 ``lts.call_pairs``, ``lts.fresh_symbol`` and ``lts.ret_block``); this
 module only decides how each pair is compared and how much mass each
-comparison may miss.  One run passes one alike table to every ``evolve``,
-so alike terms on either side share their head reducts.
+comparison may miss.  Each ``evolve`` call keeps an alike table of its
+own, so alike terms share their head reducts within a call, not across
+the calls of a run.
 
 Depth therefore counts applicative (ret) unfoldings; spine argument edges
 do not consume depth, and re-entrant argument comparisons (possible only
@@ -171,10 +172,9 @@ class _SimState:
     or None; ``inprog`` maps each in-progress pair to its stack position,
     and ``low`` is the lowest position assumed by the pair now being
     decided.  ``exact`` stays true until an evolution leaves residual mass:
-    the run then claims no more than "no counterexample at these bounds".
-    ``table`` is the run's alike table, passed to every ``evolve``."""
+    the run then claims no more than "no counterexample at these bounds"."""
 
-    __slots__ = ("fuel", "slack_enabled", "memo", "inprog", "low", "exact", "table")
+    __slots__ = ("fuel", "slack_enabled", "memo", "inprog", "low", "exact")
 
     def __init__(self, fuel, slack_enabled):
         self.fuel = fuel
@@ -183,7 +183,6 @@ class _SimState:
         self.inprog = {}
         self.low = 0
         self.exact = True
-        self.table = {}
 
 
 # what the memo answers for a pair not yet decided (None is a decision)
@@ -218,8 +217,8 @@ def _sim(st, m, n, k, sn, sd):
 
 
 def _sim_level(st, m, n, k, sn, sd):
-    rm = evolve(m, st.fuel, st.table)
-    rn = evolve(n, st.fuel, st.table)
+    rm = evolve(m, st.fuel)
+    rn = evolve(n, st.fuel)
     if rm.residual or rn.residual:
         st.exact = False
     if st.slack_enabled and not rn.limit_exact:

@@ -315,8 +315,8 @@ class TestVerdictProperties:
     def test_exact_iff_no_evolution_left_residual(self, monkeypatch, depth, fuel):
         residuals = []
 
-        def recording(d, f, table=None):
-            report = evolve(d, f, table)
+        def recording(d, f):
+            report = evolve(d, f)
             residuals.append(report.residual)
             return report
 
@@ -518,8 +518,10 @@ def first_term(d):
 
 
 class TestSharedReducts:
-    """One simulation run reduces each class of alike applications once,
-    across both sides and every level, and changes no verdict."""
+    """An alike table passed to every ``evolve`` of a simulation run
+    reduces each class of alike applications once, across both sides and
+    every level, and changes no verdict; a run itself passes no table, so
+    its calls reduce apart."""
 
     @staticmethod
     def outcomes():
@@ -532,14 +534,17 @@ class TestSharedReducts:
         return out
 
     @staticmethod
-    def without_table(d, fuel, table=None):
-        """``evolve`` as a run calls it, but each call on a table of its own."""
-        return evolve(d, fuel)
+    def one_table(mp):
+        """Make ``simulation.evolve`` pass one alike table to every call;
+        the table is returned, to be cleared between runs."""
+        table = {}
+        mp.setattr(simulation, "evolve", lambda d, fuel: evolve(d, fuel, table))
+        return table
 
     def test_sharing_changes_no_output(self, monkeypatch):
-        shared = self.outcomes()
-        monkeypatch.setattr(simulation, "evolve", self.without_table)
         apart = self.outcomes()
+        self.one_table(monkeypatch)
+        shared = self.outcomes()
         assert shared == apart
         verdicts = [v for row in shared for v in row]
         assert any(exact for _, _, exact in verdicts)
@@ -562,19 +567,21 @@ class TestSharedReducts:
 
         fewer = 0
         for s in CORPUS_SOURCES:
-            one = parse(s)
-            shared_object = count(one, dist_scale(F(1, 2), one))
-            if not shared_object:
-                continue
-            copies = count(parse(s), dist_scale(F(1, 2), parse(s)))
-            assert copies <= shared_object, s
+            apart = count(parse(s), dist_scale(F(1, 2), parse(s)))
             with monkeypatch.context() as mp:
-                mp.setattr(simulation, "evolve", self.without_table)
-                apart = count(parse(s), dist_scale(F(1, 2), parse(s)))
+                table = self.one_table(mp)
+                one = parse(s)
+                shared_object = count(one, dist_scale(F(1, 2), one))
+                if not shared_object:
+                    continue
+                table.clear()
+                copies = count(parse(s), dist_scale(F(1, 2), parse(s)))
+            assert copies <= shared_object, s
             fewer += copies < apart
         assert fewer >= 10
 
-    def test_unalike_copies_keep_their_own_reducts(self):
+    def test_unalike_copies_keep_their_own_reducts(self, monkeypatch):
+        self.one_table(monkeypatch)
         a, b = parse(r"(\x. x) (\a. a)"), parse(r"(\x. x) (\b. b)")
         assert a.canon() == b.canon()
         assert sim_check(a, b, P(2, 8)).holds
@@ -587,48 +594,41 @@ class TestSharedReducts:
         assert first_term(c)._step is first_term(e)._step
 
     def test_no_table_outlives_a_run(self, monkeypatch):
-        tables = []
+        calls = []
 
-        def failing(d, fuel, table=None):
-            tables.append((table, len(table)))
-            if len(tables) == 2:
+        def failing(d, fuel):
+            calls.append(d)
+            if len(calls) == 2:
                 raise RuntimeError("injected")
-            return evolve(d, fuel, table)
+            return evolve(d, fuel)
 
         monkeypatch.setattr(simulation, "evolve", failing)
+        failed = parse(r"I (\x. x)")
         with pytest.raises(RuntimeError, match="injected"):
-            sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
-        (failed, size), (again, _) = tables
-        assert isinstance(failed, dict) and again is failed and size == 0
-        del tables[:]
-
-        def recording(d, fuel, table=None):
-            tables.append((table, len(table)))
-            return evolve(d, fuel, table)
-
-        monkeypatch.setattr(simulation, "evolve", recording)
-        sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
-        # the next run starts on an empty table of its own
-        fresh, size = tables[0]
-        assert isinstance(fresh, dict) and fresh is not failed and size == 0
+            sim_check(failed, parse(r"I (\x. x)"), P(2, 8))
+        assert calls[0] is failed and first_term(failed)._step is not None
+        monkeypatch.undo()
+        # the next run's copy reduces itself, borrowing nothing
+        m = parse(r"I (\x. x)")
+        sim_check(m, parse(r"I (\x. x)"), P(2, 8))
+        assert first_term(m)._step is not first_term(failed)._step
 
     def test_two_runs_never_share_a_table(self, monkeypatch):
-        tables = []
+        calls = []
 
-        def recording(d, fuel, table=None):
-            tables.append(table)
-            return evolve(d, fuel, table)
+        def recording(d, fuel):
+            calls.append(d)
+            return evolve(d, fuel)
 
         monkeypatch.setattr(simulation, "evolve", recording)
-        runs = []
+        steps = []
         for _ in range(2):
-            del tables[:]
-            m = parse(r"I (\x. x)")
-            sim_check(m, parse(r"I (\x. x)"), P(2, 8))
-            assert isinstance(tables[0], dict) and all(t is tables[0] for t in tables)
-            runs.append((tables[0], first_term(m)._step))
-        # each run's copy reduced itself, lending nothing to the other run
-        assert runs[0][0] is not runs[1][0] and runs[0][1] is not runs[1][1]
+            m, n = parse(r"I (\x. x)"), parse(r"I (\x. x)")
+            sim_check(m, n, P(2, 8))
+            steps.append((first_term(m)._step, first_term(n)._step))
+        assert calls
+        # no reduct is lent between the calls of a run or between runs
+        assert len({id(h) for pair in steps for h in pair}) == 4
 
     @staticmethod
     def evolve_copies(table=None, src="(\\x. x) y"):
@@ -650,13 +650,12 @@ class TestSharedReducts:
         def other():
             seen.append(self.evolve_copies())
 
-        def in_run(d, fuel, table=None):
+        def in_run(d, fuel):
             if not seen:
-                assert isinstance(table, dict)
                 thread = threading.Thread(target=other)
                 thread.start()
                 thread.join(timeout=60)
-            return evolve(d, fuel, table)
+            return evolve(d, fuel)
 
         monkeypatch.setattr(simulation, "evolve", in_run)
         sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))

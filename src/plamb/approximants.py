@@ -3,25 +3,12 @@
 An approximant is a finite tree over a bottom element, abstractions, and
 open applications, with rational weights.  ``approx_check`` decides
 fuel-bounded membership at an index k on the candidate's embedding into
-the calculus (bottom becomes the divergent redex ``DIVERGE``), so both
-sides are read through ``plamb.lts``: the value split of each, the spine
-pairs of one call family (``call_pairs``), and for abstractions the
-``ret`` target under one symbol fresh for both blocks (``fresh_symbol``).
-The candidate's value mass must match strictly below the evolved value
-mass of the program (strictly, on every set of entries), with ``ret``
-targets and spine arguments checked recursively one index down.  The
-strict matching is one exact max-flow of ``plamb.lifting``, with every
-supply raised by a bump too small to undo any strict inequality and large
-enough to break every tie.  The embedded bottom is a redex, affords no
-label and so needs no support at all: the bottom-only candidates
-approximate every program at every index.
-
-Every level first tests the set of all candidate entries alone: a
-candidate whose value mass is not strictly below the program's is
-rejected before it is embedded and before any ``ret`` target, nested
-membership or flow is computed.  A flow never exceeds the total demand, so
-such a candidate could not flow in full either; the bound decides no
-verdict the flow would not.
+the calculus (bottom becomes the divergent redex ``DIVERGE``) as a strict
+run of ``plamb.simulation``'s check.  Abstractions are compared as one
+block, as the simulation compares them; index <= 0 admits no value; and
+``ret`` blocks and spine arguments are compared one index down, whereas
+the simulation's spine arguments keep their depth.  ``approx_check``
+states the rule in full.
 
 ``approx_generate`` produces approximants constructively: evolve, truncate
 the value trees at a depth, and round every weight strictly down to a
@@ -62,9 +49,8 @@ from .syntax import (
     print_dist,
     unit,
 )
-from .lifting import max_flow
-from .lts import call_pairs, fresh_symbol, ret_target, split_values
 from .reduction import AbsView, SpineView, evolve, whnf_view
+from .simulation import _SimState, _sim
 
 
 class GranularityError(LambError):
@@ -197,75 +183,29 @@ def embed(c):
 def approx_check(c, m, k, fuel):
     """Fuel-bounded membership of candidate ``c`` at index ``k``.
 
-    Both sides are read through ``plamb.lts``: the candidate's embedding as
-    it stands (its bottom is a redex and affords no label), the program
-    after ``evolve``.  Bottom-only candidates pass at any index.  Otherwise
-    the evolved value mass of ``m`` must strictly dominate the candidate:
-    every nonempty set of candidate value entries must weigh strictly less
-    than the value entries compatible with it (strict Hall).  Abstractions
-    are compatible when their ``ret`` targets, under a symbol fresh for
-    both, are members at k-1; spines when head and arity agree and every
-    argument is a member at k-1.
-
-    Strict Hall is decided by one max-flow on integers.  Every weight is a
-    multiple of 1/L, for L the lcm of the two sides' common denominators,
-    so a set that fits strictly fits with room 1/L to spare.  Scaled by nL,
-    for n candidate entries, every weight is an integer and that room is n;
-    a bump of +1 on each of the n supplies raises a nonempty set's weight
-    by at most n and by more than 0, so it turns strict Hall into ordinary
-    Hall: membership holds iff the bumped supplies flow in full, i.e. the
-    flow equals nL times the candidate's value mass, plus n.
-
-    Before any embedding, ``ret`` target, nested membership or flow, each
-    level tests strict Hall on the set of all candidate entries and rejects
-    when the candidate's value mass (its non-bottom mass) is not strictly
-    below the program's evolved value mass V.  In the bumped integers the
-    test reads ``sum(supplies) > nL * V``: the supplies exceed the total
-    demand, which no flow exceeds, so the flow would reject too.  The
-    bound changes no verdict, only what is computed to reach it.  An
-    unrounded truncation, whose value mass equals the program's, is
-    rejected here without being embedded.
+    The embedded bottom affords no label and needs no support, so
+    bottom-only candidates pass at any index; index <= 0 admits no value.
+    A candidate whose value (non-bottom) mass is not strictly below the
+    program's evolved value mass is rejected before it is embedded, as the
+    check would reject it.  Otherwise a strict run of ``simulation._sim``
+    compares the embedded candidate, as it stands, with the program: its
+    abstractions form one block, whose mass must lie strictly below the
+    program's block and whose ``ret`` block (``lts.ret_block``) must be a
+    member of the program's at k-1; its spine points must match by strict
+    Hall, along pairs of one call family whose arguments are members at
+    k-1.  No residual slack is granted.
     """
     if not isinstance(c, FinDist):
         raise LambError("candidate must be a FinDist")
     mass = sum([n for t, n in c._ints if not isinstance(t, Omega)])
-    if mass and k > 0 and _too_heavy(mass, c._den, evolve(m, fuel).values):
-        return False
-    return _member(embed(c), m, k, fuel)
-
-
-def _too_heavy(mass, den, values):
-    """Strict Hall fails on the set of all candidate entries: their value
-    mass ``mass / den`` is not strictly below the mass of ``values``."""
-    return mass * values._den >= values._total * den
-
-
-def _member(c, m, k, fuel):
-    c_abs, c_spines = split_values(c)
-    if not c_abs and not c_spines:
+    if not mass:
         return True
     if k <= 0:
         return False
     values = evolve(m, fuel).values
-    entries = c_abs + c_spines
-    if _too_heavy(sum([x for _, x, _ in entries]), c._den, values):
+    if mass * values._den >= values._total * c._den:
         return False
-    m_abs, m_spines = split_values(values)
-    edges = []
-    sym = fresh_symbol(c_abs, m_abs)
-    for i, (_, _, cv) in enumerate(c_abs):
-        for j, (_, _, mv) in enumerate(m_abs):
-            if _member(ret_target(cv, sym), ret_target(mv, sym), k - 1, fuel):
-                edges.append((i, j))
-    for i, j, args in call_pairs(c_spines, m_spines):
-        if all(_member(a, b, k - 1, fuel) for a, b in args):
-            edges.append((i + len(c_abs), j + len(m_abs)))
-    n = len(entries)
-    lcm = math.lcm(c._den, values._den)
-    fc, fm = n * (lcm // c._den), n * (lcm // values._den)
-    supplies = [x * fc + 1 for _, x, _ in entries]
-    demands = [x * fm for _, x, _ in m_abs + m_spines]
-    return max_flow(supplies, demands, edges)[0] == sum(supplies)
+    return _sim(_SimState(fuel, False, strict=True), embed(c), m, k, 0, 1) is None
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,20 @@ evolution that leaves residual mass clears.  A verdict with ``exact=True``
 had zero residual everywhere and decides its stratum precisely; a non-exact
 ``NoCounterexample`` deliberately claims nothing beyond "no counterexample
 at these bounds".
+
+A strict run decides approximant membership (``approximants.approx_check``):
+it grants no slack, depth 0 admits no value (the left side is compared with
+the empty distribution), ``ret`` blocks and spine arguments are compared
+one depth down, and every comparison is strict.  For that, a level with p
+spine points on the left scales its masses by p + 1 and bumps every supply
+by 1.  Masses are then multiples of p + 1, so a set of points that fits
+strictly has room p + 1, which its bump (at most p, or 1 for the block)
+cannot use up, while a set that does not fit strictly overflows by its
+bump: the bumped supplies flow in full, and the bumped block fits, exactly
+when the comparison is strict.  The left side of a strict run is an
+embedded candidate, a ``ret`` block of one or an argument of one, so it
+holds only values and the shared ``DIVERGE``: evolving it would change
+nothing it affords, and its split is read as it stands.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ from .lifting import max_flow
 from .lifting import lift_check_flow  # unused here; perfbench/tracing.py rebinds it
 from .lts import Ret, call_pairs, fresh_symbol, ret_block, split_values
 from .reduction import evolve
-from .syntax import LambError, print_weight
+from .syntax import EMPTY, LambError, print_weight
 from .syntax import subst  # unused here; perfbench/tracing.py rebinds it
 
 
@@ -172,13 +186,15 @@ class _SimState:
     or None; ``inprog`` maps each in-progress pair to its stack position,
     and ``low`` is the lowest position assumed by the pair now being
     decided.  ``exact`` stays true until an evolution leaves residual mass:
-    the run then claims no more than "no counterexample at these bounds"."""
+    the run then claims no more than "no counterexample at these bounds".
+    ``strict`` marks a membership run (see the module docstring)."""
 
-    __slots__ = ("fuel", "slack_enabled", "memo", "inprog", "low", "exact")
+    __slots__ = ("fuel", "slack_enabled", "strict", "memo", "inprog", "low", "exact")
 
-    def __init__(self, fuel, slack_enabled):
+    def __init__(self, fuel, slack_enabled, strict=False):
         self.fuel = fuel
         self.slack_enabled = slack_enabled
+        self.strict = strict
         self.memo = {}
         self.inprog = {}
         self.low = 0
@@ -194,7 +210,10 @@ def _sim(st, m, n, k, sn, sd):
     slack ``sn / sd`` (ints in lowest terms), or None.  Witness paths are
     relative to this pair; callers prepend their own label."""
     if k == 0:
-        return None
+        if not st.strict:
+            return None
+        # index 0 of a strict run admits no value, as if the right were empty
+        n = EMPTY
     key = (m.canon(), n.canon(), k, sn, sd)
     wit = st.memo.get(key, _UNDECIDED)
     if wit is not _UNDECIDED:
@@ -217,10 +236,14 @@ def _sim(st, m, n, k, sn, sd):
 
 
 def _sim_level(st, m, n, k, sn, sd):
-    rm = evolve(m, st.fuel)
-    rn = evolve(n, st.fuel)
-    if rm.residual or rn.residual:
-        st.exact = False
+    if st.strict:
+        # values and the shared DIVERGE only: the split is read as it stands
+        d, rn = m, evolve(n, st.fuel)
+    else:
+        rm, rn = evolve(m, st.fuel), evolve(n, st.fuel)
+        d = rm.values
+        if rm.residual or rn.residual:
+            st.exact = False
     if st.slack_enabled and not rn.limit_exact:
         live = rn.residual
         sn, sd = sn * live.denominator + live.numerator * sd, sd * live.denominator
@@ -228,22 +251,28 @@ def _sim_level(st, m, n, k, sn, sd):
         sn, sd = sn // g, sd // g
 
     # masses and the slack as ints over one common denominator
-    dd, de = rm.values._den, rn.values._den
+    dd, de = d._den, rn.values._den
     den = math.lcm(dd, de, sd)
     fd, fe, slack = den // dd, den // de, sn * (den // sd)
-    d_abs, d_app = split_values(rm.values)
+    d_abs, d_app = split_values(d)
     e_abs, e_app = split_values(rn.values)
+    bump = 0
+    if st.strict:
+        # p + 1 points, each supply bumped by 1: the module docstring says
+        # why the comparisons below are then strict
+        scale, bump = len(d_app) + 1, 1
+        den, fd, fe = den * scale, fd * scale, fe * scale
 
     # (a) abstraction block: convergence mass, then the shared applicative test
-    gap = sum(w for _, w, _ in d_abs) * fd - sum(w for _, w, _ in e_abs) * fe
-    if gap > slack:
-        return Witness(
-            (),
-            WitnessKind.CONVERGE_DEFICIT,
-            tuple(t for t, _, _ in d_abs),
-            Fraction(gap - slack, den),
-        )
     if d_abs:
+        gap = sum(w for _, w, _ in d_abs) * fd + bump - sum(w for _, w, _ in e_abs) * fe
+        if gap > slack:
+            return Witness(
+                (),
+                WitnessKind.CONVERGE_DEFICIT,
+                tuple(t for t, _, _ in d_abs),
+                Fraction(gap - slack, den),
+            )
         sym = fresh_symbol(d_abs, e_abs)
         d_body = ret_block(d_abs, dd, sym)
         e_body = ret_block(e_abs, de, sym)
@@ -252,18 +281,19 @@ def _sim_level(st, m, n, k, sn, sd):
             return wit.prepend(Ret(sym))
 
     # (b) spine points, matched by exact max flow over the pairs of one call
-    # family whose arguments pass at the current depth and unit scale;
+    # family whose arguments pass at unit scale, at the current depth (one
+    # index down in a strict run);
     # points are entry indices, whose order is the canonical order, and the
     # witness cut is the residual-reachable side of the minimum cut
     if d_app:
         edges = []
         for i, j, args in call_pairs(d_app, e_app):
             for a, b in args:
-                if _sim(st, a, b, k, 0, 1) is not None:
+                if _sim(st, a, b, k - 1 if st.strict else k, 0, 1) is not None:
                     break
             else:
                 edges.append((i, j))
-        supplies = [w * fd for _, w, _ in d_app]
+        supplies = [w * fd + bump for _, w, _ in d_app]
         value, reached = max_flow(supplies, [w * fe for _, w, _ in e_app], edges)
         gap = sum(supplies) - value
         if gap > slack:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import os
 import random
@@ -11,7 +12,7 @@ import plamb
 import pytest
 
 from conftest import gen_dist, gen_terminating, print_dist_oracle, print_term_oracle
-from plamb import approximants
+from plamb import simulation
 from plamb.approximants import (
     DIVERGE,
     FIN_BOTTOM,
@@ -29,15 +30,15 @@ from plamb.approximants import (
     truncate,
 )
 from plamb.cli import main
-from plamb.corpus import CORPUS_SOURCES
+from plamb.corpus import CORPUS_SOURCES, corpus
 from plamb.laws import approximant_soundness, approximant_strictness
 from plamb.lifting import max_flow
-from plamb.lts import ret_target, split_values
+from plamb.lts import split_values
 from plamb.reduction import evolve
-from plamb.simulation import SimParams, sim_check
+from plamb.simulation import SimParams, bisim_check, sim_check
 from plamb.syntax import (
-    EMPTY, Abs, Dist, LambError, ParseError, dist_scale, fresh_name, parse, print_dist,
-    print_term,
+    EMPTY, Abs, Dist, LambError, ParseError, Var, dist_scale, dist_union, fresh_name, parse,
+    print_dist, print_term, subst, unit,
 )
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
@@ -239,8 +240,10 @@ class TestStrictMatching:
 
 
 def member_by_flow(c, m, k, fuel):
-    """Reference membership decided by the flow alone, without the
-    value-mass bound: an embedded candidate ``c`` against program ``m``."""
+    """Reference membership decided by flows alone, without the value-mass
+    gate, under the block rule: an embedded candidate ``c`` against program
+    ``m``.  Each side's abstractions are one point, whose ``ret`` target is
+    every body applied to one fresh symbol and scaled by its weight."""
     c_abs, c_spines = split_values(c)
     if not c_abs and not c_spines:
         return True
@@ -248,23 +251,34 @@ def member_by_flow(c, m, k, fuel):
         return False
     values = evolve(m, fuel).values
     m_abs, m_spines = split_values(values)
+    sym = fresh_name(c.free_names() | values.free_names())
+
+    def block(entries, den):
+        out = EMPTY
+        for _, w, view in entries:
+            body = subst(view.body, view.binder, unit(Var(sym)))
+            out = dist_union(out, dist_scale(F(w, den), body))
+        return out
+
+    c_points = [sum(w for _, w, _ in c_abs)] if c_abs else []
+    m_points = [sum(w for _, w, _ in m_abs)] if m_abs else []
     edges = []
-    for i, (ct, _, cv) in enumerate(c_abs):
-        for j, (mt, _, mv) in enumerate(m_abs):
-            sym = fresh_name(ct.free_names() | mt.free_names())
-            if member_by_flow(ret_target(cv, sym), ret_target(mv, sym), k - 1, fuel):
-                edges.append((i, j))
-    for i, (_, _, cv) in enumerate(c_spines, len(c_abs)):
-        for j, (_, _, mv) in enumerate(m_spines, len(m_abs)):
+    if c_points and m_points and member_by_flow(
+        block(c_abs, c._den), block(m_abs, values._den), k - 1, fuel
+    ):
+        edges.append((0, 0))
+    for i, (_, _, cv) in enumerate(c_spines, len(c_points)):
+        for j, (_, _, mv) in enumerate(m_spines, len(m_points)):
             if (cv.head, len(cv.args)) == (mv.head, len(mv.args)) and all(
                 member_by_flow(ca, ma, k - 1, fuel) for ca, ma in zip(cv.args, mv.args)
             ):
                 edges.append((i, j))
-    n = len(c_abs) + len(c_spines)
+    # strict Hall: n points, scaled by n and each supply bumped by 1
+    n = len(c_points) + len(c_spines)
     lcm = math.lcm(c._den, values._den)
     fc, fm = n * (lcm // c._den), n * (lcm // values._den)
-    supplies = [x * fc + 1 for _, x, _ in c_abs + c_spines]
-    demands = [x * fm for _, x, _ in m_abs + m_spines]
+    supplies = [x * fc + 1 for x in c_points + [x for _, x, _ in c_spines]]
+    demands = [x * fm for x in m_points + [x for _, x, _ in m_spines]]
     return max_flow(supplies, demands, edges)[0] == sum(supplies)
 
 
@@ -326,19 +340,21 @@ class TestValueMassBound:
         assert c._embedded is None
 
     def test_nested_bound_decides(self, monkeypatch):
-        # the top level passes the bound (1/2 < 1); the ret targets are
-        # {1: y} against {1: y}, which only the bound inside rejects
+        # the top level passes the bound (1/2 < 1); the abstraction block's
+        # ret target {1/2: y} lies strictly below {1: y}, which one spine
+        # flow one index down decides
         calls = []
 
         def counting_flow(supplies, demands, edges):
             calls.append(len(edges))
             return max_flow(supplies, demands, edges)
 
-        monkeypatch.setattr(approximants, "max_flow", counting_flow)
+        monkeypatch.setattr(simulation, "max_flow", counting_flow)
         c, m = parse_fin("{1/2: \\x. y}"), parse(r"\x. y")
-        assert not any(approx_check(c, m, k, 8) for k in range(5))
-        # one top-level flow per k >= 1, each without an edge
-        assert calls == [0, 0, 0, 0]
+        assert [approx_check(c, m, k, 8) for k in range(5)] == [False, False, True, True, True]
+        # none at k = 0; one per k >= 1 on the ret target, without an edge at
+        # index 0 (which admits no value) and with y against y from index 1
+        assert calls == [0, 1, 1, 1]
 
     def test_truncations_are_members_nowhere(self):
         programs = [gen_terminating(random.Random(1600 + i)) for i in range(20)]
@@ -411,6 +427,89 @@ class TestApproxGenerate:
             if sim.holds and sim.exact:
                 pairs.append((m, n))
         assert not approximant_soundness(pairs, 2, 16, F(1, 8))
+
+
+# exactly bisimilar: a context sees (sum p_i M_i) N as sum p_i (M_i N)
+SPLIT_LAMBDAS = parse(r"{1/2: \x. y, 1/2: \x. z}")
+LAMBDA_OF_SPLIT = parse(r"\x. {1/2: y, 1/2: z}")
+
+
+def exactly(verdict):
+    return verdict.holds and verdict.exact
+
+
+def membership_sweep():
+    """The corpus and the two programs above, the pairs of distinct
+    programs among them that are exactly bisimilar at (4, 12), and every
+    candidate ``approx_generate(., 2, 12, 1/8)`` yields for them."""
+    programs = corpus() + [SPLIT_LAMBDAS, LAMBDA_OF_SPLIT]
+    pairs = [
+        (m, n) for m, n in itertools.combinations(programs, 2)
+        if m != n and all(map(exactly, bisim_check(m, n, SimParams(4, 12))))
+    ]
+    cands = set().union(*[approx_generate(p, 2, 12, F(1, 8)) for p in programs])
+    return programs, pairs, sorted(cands, key=lambda c: c.canon())
+
+
+class TestMembershipRespectsBisimilarity:
+    """Membership compares a side's abstractions as one block, as the
+    simulation does, so exactly bisimilar programs have the same members."""
+
+    def test_split_lambdas_and_lambda_of_split(self):
+        assert all(map(exactly, bisim_check(SPLIT_LAMBDAS, LAMBDA_OF_SPLIT, SimParams(4, 8))))
+        c = parse_fin(r"{1/4: \x. {1/2: y}}")
+        verdicts = [approx_check(c, SPLIT_LAMBDAS, k, 8) for k in range(5)]
+        assert verdicts == [approx_check(c, LAMBDA_OF_SPLIT, k, 8) for k in range(5)]
+        assert verdicts == [False, False, True, True, True]
+
+    def test_corpus_sweep(self):
+        _, pairs, cands = membership_sweep()
+        assert (len(pairs), len(cands)) == (19, 53)
+        split = [
+            (c, m, n, k) for m, n in pairs for c in cands for k in (1, 2, 3)
+            if approx_check(c, m, k, 12) != approx_check(c, n, k, 12)
+        ]
+        assert not split
+
+
+class TestMembershipAndSimulation:
+    def test_transfer_over_exactly_simulated_corpus_pairs(self):
+        programs = corpus()
+        pairs = [
+            (m, n) for i, m in enumerate(programs) for j, n in enumerate(programs)
+            if i != j and exactly(sim_check(m, n, SimParams(2, 12)))
+        ]
+        assert len(pairs) == 203
+        assert not approximant_soundness(pairs, 2, 12, F(1, 8))
+
+    def test_every_member_is_simulated(self):
+        programs, _, cands = membership_sweep()
+        members = [
+            (c, m, k) for m in programs for c in cands for k in (1, 2, 3)
+            if approx_check(c, m, k, 12)
+        ]
+        assert len(members) == 2638
+        assert not [
+            (c, m, k) for c, m, k in members
+            if not sim_check(embed(c), m, SimParams(k, 12)).holds
+        ]
+
+
+class TestSyntacticCut:
+    """Generation cuts the value tree as written, so a body that is still
+    a redex becomes bottom; membership reduces at every level, so the two
+    programs' candidates are still members of each other."""
+
+    def test_redex_body_is_cut(self):
+        ident, eta = parse(r"\x. x"), parse(r"\x. I x")
+        cut = {FIN_BOTTOM, parse_fin(r"{7/8: \x. _|_}")}
+        assert approx_generate(eta, 3, 12, F(1, 8)) == cut
+        assert approx_generate(ident, 3, 12, F(1, 8)) == cut | {
+            parse_fin(r"{7/8: \x. {7/8: x}}")
+        }
+        for m, n in ((ident, eta), (eta, ident)):
+            for c in approx_generate(m, 3, 12, F(1, 8)):
+                assert any(approx_check(c, n, k, 12) for k in range(5)), (c, n)
 
 
 class TestTruncateDepthZero:

@@ -273,6 +273,13 @@ class TestApprox:
         )
         assert code == 1 and out.strip() == "false"
 
+    def test_check_compares_abstractions_as_one_block(self, capsys, tmp_path):
+        # a member of {1/2: \x. y, 1/2: \x. z}, which is exactly bisimilar
+        f = tmp_path / "cand.fin"
+        f.write_text("{1/4: \\x. {1/2: y}}\n", encoding="utf-8")
+        code, out, _ = run(capsys, "approx", r"\x. {1/2: y, 1/2: z}", "--check", str(f))
+        assert code == 0 and out == "true\n"
+
     @pytest.mark.parametrize("src", [r"(\x. x) y", "_|_ y", r"\x. (\y. y) x"])
     def test_check_file_with_a_redex_exit_2(self, capsys, tmp_path, src):
         f = tmp_path / "cand.fin"

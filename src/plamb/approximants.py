@@ -157,7 +157,7 @@ def embed(c):
     """Structural image of a finite distribution in the full calculus, with
     the bottom element mapped to the divergent self-application.  The
     distribution keeps its image, so asking again returns the same ``Dist``
-    (and its cached ``ret`` targets and evolution)."""
+    (and its cached ``ret`` block and evolution)."""
     if c._embedded is None:
         pairs = []
         for t, n in c._ints:

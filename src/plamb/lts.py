@@ -15,7 +15,10 @@ the silent step would fire immediately anyway.
 This module alone knows which labels a whnf affords (``split_values``,
 ``call_pairs``), the ``ret`` symbol fresh for both sides (``fresh_symbol``)
 and the targets (``strong_target``, ``ret_target``, ``ret_block``); the
-simulation check and approximant membership take theirs from here.
+simulation check and approximant membership take theirs from here.  A
+distribution keeps its value split and its last ``ret`` block, so a
+program compared with several candidates, or at several indices, is
+split and unfolded once.
 """
 
 from __future__ import annotations
@@ -139,15 +142,10 @@ def fresh_symbol(*blocks):
 
 def ret_target(view, sym):
     """Strong ``ret sym`` target of one abstraction, at unit weight: its
-    body with the binder replaced by ``sym``.  The abstraction keeps its
-    last target, so asking again for the same ``sym`` returns the same
-    ``Dist`` (and that ``Dist``'s cached evolution).  Every abstraction
-    substitutes the one shared ``unit(Var(sym))`` of its symbol
-    (``_symbol``)."""
-    cached = view._ret
-    if cached is None or cached[0] != sym:
-        cached = view._ret = (sym, subst(view.body, view.binder, _symbol(sym)))
-    return cached[1]
+    body with the binder replaced by ``sym``, built afresh on each call.
+    Every abstraction substitutes the one shared ``unit(Var(sym))`` of its
+    symbol (``_symbol``)."""
+    return subst(view.body, view.binder, _symbol(sym))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -158,11 +156,18 @@ def _symbol(sym):
     return unit(Var(sym))
 
 
-def ret_block(abs_entries, den, sym):
-    """Strong ``ret sym`` target of an abstraction block, the abstraction
-    entries of ``split_values`` over ``den``: every body applied to
-    ``sym``, scaled by its entry weight."""
-    return mixture([(n, ret_target(view, sym)) for _, n, view in abs_entries], den)
+def ret_block(d, sym):
+    """Strong ``ret sym`` target of the abstraction block of the ``Dist``
+    ``d``: every abstraction body of ``split_values(d)`` applied to
+    ``sym``, scaled by its entry weight.  The distribution keeps its last
+    block in its ``_ret`` slot, so asking again for the same ``sym``
+    returns the same ``Dist`` (and that ``Dist``'s cached evolution)."""
+    cached = d._ret
+    if cached is None or cached[0] != sym:
+        abs_entries = split_values(d)[0]
+        block = mixture([(n, ret_target(view, sym)) for _, n, view in abs_entries], d._den)
+        cached = d._ret = (sym, block)
+    return cached[1]
 
 
 def _unit_target(view, label):
@@ -188,7 +193,7 @@ def strong_target(d, label):
     if isinstance(label, Ret):
         if any(label.sym in t.free_names() for t, _, _ in hit):
             raise FreshNameCollisionError("%r occurs free in the term" % label.sym)
-        return ret_block(hit, d._den, label.sym)
+        return ret_block(d, label.sym)
     return mixture([(n, _unit_target(view, label)) for _, n, view in hit], d._den)
 
 

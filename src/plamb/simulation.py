@@ -12,9 +12,10 @@ nested check at the same depth; merging spine points instead would conflate
 behaviorally different sums, so they stay separate.  The split, the spine
 pairs of one call family, the fresh ret symbol and the abstraction block's
 ret target are the transition system's own (``lts.split_values``,
-``lts.call_pairs``, ``lts.fresh_symbol`` and ``lts.ret_block``); this
-module only decides how each pair is compared and how much mass each
-comparison may miss.  Each ``evolve`` call keeps an alike table of its
+``lts.call_pairs``, ``lts.fresh_symbol`` and ``lts.ret_block``, which a
+distribution keeps, so runs against one program share its unfolding);
+this module only decides how each pair is compared and how much mass
+each comparison may miss.  Each ``evolve`` call keeps an alike table of its
 own, so alike terms share their head reducts within a call, not across
 the calls of a run.
 
@@ -274,9 +275,7 @@ def _sim_level(st, m, n, k, sn, sd):
                 Fraction(gap - slack, den),
             )
         sym = fresh_symbol(d_abs, e_abs)
-        d_body = ret_block(d_abs, dd, sym)
-        e_body = ret_block(e_abs, de, sym)
-        wit = _sim(st, d_body, e_body, k - 1, sn, sd)
+        wit = _sim(st, ret_block(d, sym), ret_block(rn.values, sym), k - 1, sn, sd)
         if wit is not None:
             return wit.prepend(Ret(sym))
 

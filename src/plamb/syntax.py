@@ -218,15 +218,14 @@ def _name_set(name):
 
 
 class Abs(Term):
-    # _ret caches (sym, ret target) for plamb.lts.ret_target
-    __slots__ = ("binder", "body", "_ret")
+    __slots__ = ("binder", "body")
 
     def __init__(self, binder, body):
         self.binder = check_name(binder)
         if not isinstance(body, Dist):
             raise LambError("abstraction body must be a Dist")
         self.body = body
-        self._canon = self._fn = self._ret = None
+        self._canon = self._fn = None
 
     def _key(self, env, depth):
         inner = dict(env)
@@ -415,9 +414,19 @@ class Distribution:
         if den is None:
             if isinstance(pairs, dict):
                 pairs = pairs.items()
-            pairs = [(t, check_weight(w)) for t, w in pairs]
-            den = math.lcm(*[w.denominator for _, w in pairs])
-            pairs = [(t, w.numerator * (den // w.denominator)) for t, w in pairs]
+            # one pass checks each weight as check_weight does and builds
+            # the lcm; a second scales the numerators to it
+            read, den = [], 1
+            for t, w in pairs:
+                if not isinstance(w, Fraction):
+                    w = Fraction(w)
+                n, d = w.numerator, w.denominator
+                if not 0 <= n <= d:
+                    raise _mass_error("weight%s outside [0, 1]", n, d)
+                read.append((t, n, d))
+                if den % d:
+                    den = math.lcm(den, d)
+            pairs = [(t, n * (den // d)) for t, n, d in read]
         if type(pairs) in (tuple, list) and len(pairs) == 1 and pairs[0][1] > 0:
             (t, n), = pairs
             if not isinstance(t, term_type):
@@ -571,12 +580,13 @@ class Dist(Distribution):
     """
 
     # _evolved caches (fuel, report) for plamb.reduction.evolve, _split
-    # the value split of plamb.lts.split_values
-    __slots__ = ("_evolved", "_split")
+    # the value split of plamb.lts.split_values, _ret (sym, ret block) for
+    # plamb.lts.ret_block
+    __slots__ = ("_evolved", "_split", "_ret")
 
     def __init__(self, pairs=(), den=None):
         self._merge(pairs, den, Term, "distribution")
-        self._evolved = self._split = None
+        self._evolved = self._split = self._ret = None
 
 
 EMPTY = Dist()
@@ -591,7 +601,7 @@ def unit(t):
     d._ints = ((t, 1),)
     d._canon = DistKey(((t.canon(), 1),), 1)
     d._den = d._total = 1
-    d._fn = d._evolved = d._split = None
+    d._fn = d._evolved = d._split = d._ret = None
     return d
 
 

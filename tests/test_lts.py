@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import dists, gen_dist, reachable
-from plamb.approximants import FIN_BOTTOM
+from plamb import lts, reduction, simulation
+from plamb.approximants import FIN_BOTTOM, embed, parse_fin
+from plamb.corpus import CORPUS_SOURCES
 from plamb.lts import (
     CONVERGE,
     Call,
@@ -17,13 +19,15 @@ from plamb.lts import (
     TAU,
     available_labels,
     call_pairs,
+    ret_block,
     ret_target,
     split_values,
     strong_target,
     weak_max_transition,
 )
 from plamb.reduction import AbsView, SpineView, evolve, head_step, step, vals, whnf_view
-from plamb.syntax import Abs, App, Dist, LambError, parse, print_dist, subst, unit, Var
+from plamb.simulation import SimParams, bisim_check, sim_check
+from plamb.syntax import Abs, App, Dist, LambError, mixture, parse, print_dist, subst, unit, Var
 
 
 def term(src):
@@ -123,11 +127,12 @@ class TestWeakMaxTransitions:
 
 
 class TestRetTargetCache:
-    """An abstraction keeps its last ``ret`` target."""
+    """A distribution keeps its last ``ret`` block; an abstraction's
+    ``ret`` target is a plain substitution."""
 
     def test_same_symbol_returns_the_same_target(self):
-        t = term(r"\x. {1/2: x, 1/2: \y. x y}")
-        assert ret_target(t, "#0") is ret_target(t, "#0")
+        d = parse(r"\x. {1/2: x, 1/2: \y. x y}")
+        assert ret_block(d, "#0") is ret_block(d, "#0")
 
     def test_alternating_symbols(self):
         t = term(r"\x. {1/2: x, 1/2: \y. x y}")
@@ -154,6 +159,91 @@ class TestRetTargetCache:
         # both targets hold the one variable of the symbol
         (sym, _), _ = ta._ints
         assert isinstance(sym, Var) and tb.point().fun.point() is sym
+
+
+def fresh_ret_block(d, sym):
+    """``lts.ret_block`` built afresh on each call, keeping nothing."""
+    abs_entries = split_values(d)[0]
+    return mixture([(n, ret_target(view, sym)) for _, n, view in abs_entries], d._den)
+
+
+class TestRetBlockCache:
+    """A distribution keeps its last ``ret`` block, so a program's
+    unfolding is built and evolved once across candidates and indices,
+    and nothing printed changes."""
+
+    def test_alternating_symbols_match_a_fresh_block(self):
+        d = parse(r"{1/2: \x. {1/2: x, 1/2: \y. x y}, 1/4: \z. z z, 1/4: y}")
+        for sym in ("#0", "#1", "#0", "#0", "#1"):
+            got = ret_block(d, sym)
+            want = fresh_ret_block(d, sym)
+            assert got == want and print_dist(got) == print_dist(want)
+            assert print_dist(got) == "{1/4: %s %s, 1/4: %s, 1/4: \\y. %s y}" % ((sym,) * 4)
+            assert ret_block(d, sym) is got
+
+    def test_second_candidate_reuses_the_program_side(self, monkeypatch):
+        m = parse(r"\x. (\y. \z. {1/2: y, 1/2: (\w. w) z}) x")
+        first = embed(parse_fin(r"{7/8: \x. {3/4: \z. {1/2: x, 1/4: _|_}}}"))
+        second = embed(parse_fin(r"{3/4: \x. {1/2: \z. {1/4: x}}}"))
+        params = SimParams(3, 12)
+        rights, seen, reduced = [], [], []
+        inside = [False]
+        sim_level, evolve_ = simulation._sim_level, simulation.evolve
+        head_reduct = reduction._head_reduct
+
+        def level(st, m, n, k, sn, sd):
+            rights.append(n)
+            return sim_level(st, m, n, k, sn, sd)
+
+        def evolving(d, fuel):
+            if not any(d is n for n in rights):
+                return evolve_(d, fuel)
+            seen.append((d, d._evolved is not None and d._evolved[0] == fuel))
+            inside[0] = True
+            try:
+                return evolve_(d, fuel)
+            finally:
+                inside[0] = False
+
+        def counting(t):
+            if inside[0]:
+                reduced.append(t)
+            return head_reduct(t)
+
+        monkeypatch.setattr(simulation, "_sim_level", level)
+        monkeypatch.setattr(simulation, "evolve", evolving)
+        monkeypatch.setattr(reduction, "_head_reduct", counting)
+        assert sim_check(first, m, params).holds
+        before = [d for d, _ in seen]
+        assert reduced and len(before) >= 3
+        del rights[:], seen[:], reduced[:]
+        assert sim_check(second, m, params).holds
+        assert not reduced
+        # every program-side input was met before, and the ret blocks
+        # that had anything to reduce answer from their kept evolution
+        assert all(any(d is b for b in before) for d, _ in seen)
+        assert sum(hit for _, hit in seen) >= 2
+
+    def test_corpus_verdicts_match_fresh_blocks(self, monkeypatch):
+        params = SimParams(3, 12)
+
+        def outcomes():
+            terms = [parse(src) for src in CORPUS_SOURCES]
+            out = []
+            for a in terms:
+                for b in terms:
+                    for v in (sim_check(a, b, params), *bisim_check(a, b, params)):
+                        out.append((repr(v), v.to_dict(), v.exact))
+            return out
+
+        kept = outcomes()
+        monkeypatch.setattr(lts, "ret_block", fresh_ret_block)
+        monkeypatch.setattr(simulation, "ret_block", fresh_ret_block)
+        fresh = outcomes()
+        assert kept == fresh
+        assert any(exact for _, _, exact in kept)
+        assert any(not d["holds_at_bound"] for _, d, _ in kept)
+        assert any(d["witness"] and d["witness"]["path"] for _, d, _ in kept)
 
 
 def reference_view(t):

@@ -973,6 +973,65 @@ class TestMergePaths:
         assert crowded > 20
 
 
+def three_pass_read(pairs):
+    """The reference reading of (term, weight) pairs: every weight checked
+    by ``check_weight``, then the lcm of the denominators, then the
+    numerators over it."""
+    if isinstance(pairs, dict):
+        pairs = pairs.items()
+    pairs = [(t, check_weight(w)) for t, w in pairs]
+    den = math.lcm(*[w.denominator for _, w in pairs])
+    return [(t, w.numerator * (den // w.denominator)) for t, w in pairs], den
+
+
+class TestWeightReading:
+    """``Dist(pairs)`` reads ``Fraction`` and int weights in one loop, with
+    the same result and the same ``MassError`` text as the three-pass
+    reference."""
+
+    INPUTS = [
+        lambda: [(Var("x"), 1)],
+        lambda: [(Var("x"), 0), (Var("y"), 1)],
+        lambda: [(Var("x"), F(1, 3)), (Var("y"), F(1, 6)), (Var("z"), F(1, 4))],
+        lambda: [(Var("x"), F(2, 4)), (Var("y"), 0), (Var("x"), F(1, 10))],
+        lambda: {Var("y"): F(1, 7), Var("x"): F(2, 5), Var("z"): 0},
+        lambda: ((Var("x%d" % p), F(1, p)) for p in (2, 3, 5, 7, 11)),
+        lambda: [],
+        lambda: [(Var("x"), F(1, 2)), (Var("y"), -1)],
+        lambda: [(Var("x"), F(-1, 3)), (Var("y"), F(5, 4))],
+        lambda: [(Var("x"), F(1, 2)), (Var("y"), F(7, 6))],
+        lambda: {Var("x"): 2},
+        lambda: ((Var("x"), w) for w in (F(1, 3), F(4, 3))),
+        lambda: [(Var("x"), F(2, 3)), (Var("y"), F(1, 2))],
+    ]
+
+    IDS = [
+        "int", "int-zero", "fractions", "fraction-merge", "dict", "generator", "empty",
+        "negative-int", "negative-fraction", "fraction-above-1", "dict-above-1",
+        "generator-above-1", "total-above-1",
+    ]
+
+    @pytest.mark.parametrize("make", INPUTS, ids=IDS)
+    def test_matches_three_pass_reference(self, make):
+        try:
+            pairs, den = three_pass_read(make())
+        except MassError as err:
+            with pytest.raises(MassError) as got:
+                Dist(make())
+            assert str(got.value) == str(err) and "outside [0, 1]" in str(err)
+            return
+        try:
+            want = Dist(pairs, den)
+        except MassError as err:
+            with pytest.raises(MassError) as got:
+                Dist(make())
+            assert str(got.value) == str(err)
+            return
+        got = Dist(make())
+        assert got == want and got._ints == want._ints and got._den == want._den
+        assert got.canon().pairs == want.canon().pairs
+
+
 class TestPointPaths:
     """``unit`` and the one-entry path of ``Distribution._merge`` build the
     same fields, key and hash as the general path, and keep its checks."""

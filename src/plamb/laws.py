@@ -114,8 +114,15 @@ def lift_agreement(instances):
 
 
 def reflexivity(programs, params):
-    """Every program simulates itself."""
+    """Every program simulates itself: ``sim_check`` settles such a pair
+    without a comparison, so this checks that shortcut and its ``exact``."""
     return [m for m in programs if not sim_check(m, m, params).holds]
+
+
+def half_below(programs, params):
+    """Every program simulates its half, a comparison whose top and ``ret``
+    levels are not reflexive (its spine arguments are)."""
+    return [m for m in programs if not sim_check(dist_scale(Fraction(1, 2), m), m, params).holds]
 
 
 def divergence_least(programs, params):
@@ -213,7 +220,8 @@ def _exactly_simulated(pairs, params):
 
 def _simulation_basics(programs):
     params = SimParams(2, 8)
-    bad = reflexivity(programs, params) + divergence_least(programs, params)
+    bad = reflexivity(programs, params) + half_below(programs, params)
+    bad += divergence_least(programs, params)
     om, lam = parse("omega"), parse(r"\x. omega")
     if sim_check(lam, om, params).holds:
         bad.append((lam, om))

@@ -42,6 +42,16 @@ had zero residual everywhere and decides its stratum precisely; a non-exact
 ``NoCounterexample`` deliberately claims nothing beyond "no counterexample
 at these bounds".
 
+Reflexive pairs: a non-strict pair whose sides have equal keys holds at
+once.  Alpha-equal sides evolve alike, with abstraction gap 0, alpha-equal
+``ret`` blocks at the shared symbol and, at every spine point, a diagonal
+edge whose arguments are again such pairs; by induction on depth the full
+comparison holds under any slack, and neither refuting nor assuming, it
+changes no witness or memo, only ``exact``.  It evolves parts of the left
+side's unfolding or alike copies (at most under another fresh ``ret``
+symbol: no residual changes), which ``_settle`` evolves on one side.  Keys
+too deep to compare are compared in full; strict runs always are.
+
 A strict run decides approximant membership (``approximants.approx_check``):
 it grants no slack, depth 0 admits no value (the left side is compared with
 the empty distribution), ``ret`` blocks and spine arguments are compared
@@ -188,9 +198,10 @@ class _SimState:
     and ``low`` is the lowest position assumed by the pair now being
     decided.  ``exact`` stays true until an evolution leaves residual mass:
     the run then claims no more than "no counterexample at these bounds".
+    ``settled`` holds the ``(key, depth)`` parts ``_settle`` has walked, and
     ``strict`` marks a membership run (see the module docstring)."""
 
-    __slots__ = ("fuel", "slack_enabled", "strict", "memo", "inprog", "low", "exact")
+    __slots__ = ("fuel", "slack_enabled", "strict", "memo", "inprog", "low", "exact", "settled")
 
     def __init__(self, fuel, slack_enabled, strict=False):
         self.fuel = fuel
@@ -200,6 +211,7 @@ class _SimState:
         self.inprog = {}
         self.low = 0
         self.exact = True
+        self.settled = set()
 
 
 # what the memo answers for a pair not yet decided (None is a decision)
@@ -215,7 +227,11 @@ def _sim(st, m, n, k, sn, sd):
             return None
         # index 0 of a strict run admits no value, as if the right were empty
         n = EMPTY
-    key = (m.canon(), n.canon(), k, sn, sd)
+    mk, nk = m.canon(), n.canon()
+    if not st.strict and _equal_keys(mk, nk):
+        _settle(st, m, k)
+        return None
+    key = (mk, nk, k, sn, sd)
     wit = st.memo.get(key, _UNDECIDED)
     if wit is not _UNDECIDED:
         return wit
@@ -234,6 +250,32 @@ def _sim(st, m, n, k, sn, sd):
     if wit is not None or low >= pos:
         st.memo[key] = wit
     return wit
+
+
+def _equal_keys(mk, nk):
+    """Whether two keys are known equal (not if too deep to compare)."""
+    try:
+        return mk == nk
+    except RecursionError:
+        return False
+
+
+def _settle(st, m, k):
+    """Clear ``st.exact`` if comparing ``m`` with a copy at depth ``k`` would:
+    walk ``m``'s unfolding one-sided, until an evolution leaves residual."""
+    if not st.exact or k == 0 or (key := (m.canon(), k)) in st.settled:
+        return
+    st.settled.add(key)
+    rm = evolve(m, st.fuel)
+    if rm.residual:
+        st.exact = False
+        return
+    d_abs, d_app = split_values(rm.values)
+    if d_abs:
+        _settle(st, ret_block(rm.values, fresh_symbol(d_abs)), k - 1)
+    for _, _, view in d_app:
+        for a in view.args:
+            _settle(st, a, k)
 
 
 def _sim_level(st, m, n, k, sn, sd):

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import gen_dist, gen_terminating
+from conftest import gen_dist, gen_loop_program, gen_terminating
 from plamb import laws, reduction, simulation
 from plamb.cli import main
 from plamb.corpus import CORPUS_SOURCES, corpus
-from plamb.laws import divergence_least, reflexivity, rename_free, rename_invariance
+from plamb.laws import divergence_least, half_below, reflexivity, rename_free, rename_invariance
 from plamb.lts import (
     CONVERGE,
     Call,
@@ -32,7 +32,9 @@ from plamb.simulation import (
     bisim_check,
     sim_check,
 )
-from plamb.syntax import EMPTY, ZERO, App, LambError, dist_scale, dist_union, parse, unit
+from plamb.syntax import (
+    EMPTY, ZERO, App, LambError, dist_scale, dist_union, parse, print_dist, unit,
+)
 
 YT = parse(r"Y (\x. {1/2: I, 1/2: x})")
 XOR_A = parse("{1/2: x tt ff, 1/2: x ff tt}")
@@ -53,6 +55,16 @@ class TestBasics:
     def test_reflexivity(self):
         srcs = (r"\x. x", "y z", "{1/2: tt, 1/4: omega}", "Y I")
         assert not reflexivity([parse(src) for src in srcs], P(3, 8))
+
+    def test_half_below(self):
+        # m against half of itself compares, unlike m against m, and is
+        # refuted exactly when m has value mass (all but three programs)
+        terms = corpus()
+        assert not half_below(terms, P(3, 8))
+        refuted = [m for m in terms if not sim_check(m, dist_scale(F(1, 2), m), P(3, 8)).holds]
+        massless = [m for m in terms if evolve(m, 8).values.is_empty()]
+        assert len(refuted) == 55 and len(massless) == 3
+        assert set(refuted) == set(terms) - set(massless)
 
     def test_divergence_is_least(self):
         srcs = (r"\x. x", "y", "x tt ff", "{}", "{1/2: y, 1/2: omega}")
@@ -521,7 +533,9 @@ class TestSharedReducts:
     """An alike table passed to every ``evolve`` of a simulation run
     reduces each class of alike applications once, across both sides and
     every level, and changes no verdict; a run itself passes no table, so
-    its calls reduce apart."""
+    its calls reduce apart.  A run never evolves the right side of an
+    alpha-equivalent pair, so the tests that watch both copies reduce put
+    one copy at half weight (``dist_scale`` keeps its term objects)."""
 
     @staticmethod
     def outcomes():
@@ -584,13 +598,13 @@ class TestSharedReducts:
         self.one_table(monkeypatch)
         a, b = parse(r"(\x. x) (\a. a)"), parse(r"(\x. x) (\b. b)")
         assert a.canon() == b.canon()
-        assert sim_check(a, b, P(2, 8)).holds
+        assert sim_check(dist_scale(F(1, 2), a), b, P(2, 8)).holds
         ta, tb = first_term(a), first_term(b)
         assert ta._step is not None and tb._step is not None and ta._step is not tb._step
         assert repr(ta._step) == repr(parse(r"\a. a"))
         assert repr(tb._step) == repr(parse(r"\b. b"))
         c, e = parse(r"(\x. x) (\a. a)"), parse(r"(\x. x) (\a. a)")
-        sim_check(c, e, P(2, 8))
+        sim_check(dist_scale(F(1, 2), c), e, P(2, 8))
         assert first_term(c)._step is first_term(e)._step
 
     def test_no_table_outlives_a_run(self, monkeypatch):
@@ -624,7 +638,7 @@ class TestSharedReducts:
         steps = []
         for _ in range(2):
             m, n = parse(r"I (\x. x)"), parse(r"I (\x. x)")
-            sim_check(m, n, P(2, 8))
+            sim_check(dist_scale(F(1, 2), m), n, P(2, 8))
             steps.append((first_term(m)._step, first_term(n)._step))
         assert calls
         # no reduct is lent between the calls of a run or between runs
@@ -661,3 +675,117 @@ class TestSharedReducts:
         sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
         # copies reduced in another thread during a run borrow nothing
         assert seen == [False]
+
+
+def generated_pairs():
+    """Pairs whose comparison meets alpha-equal sides, each a side against a
+    separately parsed copy: seeded ``gen_dist`` programs against themselves
+    and their halves both ways, applications of two programs to copies of
+    one argument, and half-and-half mixtures with a loop, against their
+    copies and halves; with random depth, fuel and slack."""
+    rng = random.Random(39)
+    half = F(1, 2)
+    pairs = []
+
+    def copy(d):
+        return parse(print_dist(d), prelude={})
+
+    for _ in range(40):
+        m, a, f = gen_dist(rng, 2), gen_dist(rng, 2), gen_dist(rng, 2)
+        loop = parse(gen_loop_program(rng))
+        mixed = dist_union(dist_scale(half, loop), dist_scale(half, m))
+        sides = [
+            (m, copy(m)),
+            (dist_scale(half, m), copy(m)),
+            (m, dist_scale(half, copy(m))),
+            (unit(App(f, a)), unit(App(m, copy(a)))),
+            (unit(App(dist_scale(half, m), a)), unit(App(copy(m), copy(a)))),
+            (mixed, copy(mixed)),
+            (dist_scale(half, mixed), copy(mixed)),
+            (mixed, dist_scale(half, copy(mixed))),
+        ]
+        pairs += [(l, r, P(rng.randint(2, 4), rng.choice((8, 16)), rng.random() < 0.5))
+                  for l, r in sides]
+    return pairs
+
+
+class TestReflexivePairs:
+    """A non-strict pair of alpha-equal sides holds without a comparison,
+    and the left side's one-sided walk keeps ``exact`` as the full
+    comparison would set it."""
+
+    @staticmethod
+    def verdicts(pairs):
+        return [(repr(v), v.to_dict(), v.exact)
+                for v in (sim_check(m, n, params) for m, n, params in pairs)]
+
+    def differential(self, monkeypatch, make_pairs):
+        short = self.verdicts(make_pairs())
+        with monkeypatch.context() as mp:
+            mp.setattr(simulation, "_equal_keys", lambda mk, nk: False)
+            full = self.verdicts(make_pairs())
+        assert short == full
+        return short
+
+    @pytest.mark.parametrize("depth, fuel", [(2, 12), (3, 16)])
+    def test_corpus_pairs_match_the_full_comparison(self, monkeypatch, depth, fuel):
+        def make_pairs():
+            copies = [parse(s) for s in CORPUS_SOURCES]
+            return [(m, n, P(depth, fuel)) for m in corpus() for n in copies]
+
+        self.differential(monkeypatch, make_pairs)
+
+    def test_generated_pairs_match_the_full_comparison(self, monkeypatch):
+        got = self.differential(monkeypatch, generated_pairs)
+        holding = [exact for _, d, exact in got if d["holds_at_bound"]]
+        assert len(holding) < len(got)
+        assert any(holding) and not all(holding)
+
+    def test_walk_finds_residual_where_the_comparison_would(self):
+        # residual at the top, under two ret levels and in a spine argument
+        yt = r"Y (\x. {1/2: I, 1/2: x})"
+        for src, depth, exact in [
+            (yt, 2, False),
+            (r"\a. \b. {1/2: %s, 1/2: tt}" % yt, 2, True),
+            (r"\a. \b. {1/2: %s, 1/2: tt}" % yt, 3, False),
+            (r"y tt (%s)" % yt, 1, False),
+            (r"y tt (\a. %s)" % yt, 1, True),
+        ]:
+            v = sim_check(parse(src), parse(src), P(depth, 8))
+            assert v.holds and v.exact is exact, src
+
+    @staticmethod
+    def recording(monkeypatch):
+        calls = []
+
+        def record(d, fuel):
+            calls.append(d)
+            return evolve(d, fuel)
+
+        monkeypatch.setattr(simulation, "evolve", record)
+        return calls
+
+    def test_right_side_of_a_reflexive_pair_is_not_evolved(self, monkeypatch):
+        calls = self.recording(monkeypatch)
+        for i, m in enumerate(corpus()):
+            n = parse(print_dist(m), prelude={})
+            assert n is not m and n.canon() == m.canon()
+            del calls[:]
+            v = sim_check(m, n, P(3, 8))
+            assert v.holds and calls[0] is m, i
+            assert all(d is not n for d in calls)
+            assert n._evolved is n._split is n._ret is None
+
+    def test_reflexive_pair_after_exact_went_false_evolves_nothing(self, monkeypatch):
+        calls = self.recording(monkeypatch)
+        src = r"{1/2: Y (\x. {1/2: I, 1/2: x}), %s: y (\a. a) (u v)}"
+        m, n = parse(src % "1/4"), parse(src % "1/2")
+        v = sim_check(m, n, P(3, 8))
+        # the ret blocks and the spine arguments are alpha-equal pairs
+        assert v.holds and not v.exact
+        assert calls == [m, n]
+        st = _SimState(8, True)
+        st.exact = False
+        del calls[:]
+        assert _sim(st, m, parse(src % "1/4"), 3, 0, 1) is None
+        assert calls == [] and not st.memo and not st.settled

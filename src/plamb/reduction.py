@@ -24,14 +24,13 @@ its head reduct, so ``head_step``, ``step`` and ``evolve`` on the same
 object reuse it.  ``evolve`` also lends a reduct between objects: its
 alike table maps a residual class key to the terms of the class reduced so
 far, and a term not yet reduced takes the reduct of a listed term that
-prints like it.  One call uses a table of its own unless it is given one;
-a table passed to several calls lends reducts across them.  Within a call,
-``evolve`` runs on ints: each reduct is split once into value entries and
-successor ranks, so a loop builds no ``Dist`` and reduces no term once it
-has gone round.  A kept distribution keeps the stepped part of its
-trajectory, since a term's slot holds its reduct; a caller that steps a
-long way and need not keep the start, as ``plamb trace`` and
-``plamb normalize`` do, drops it.
+prints like it.  Each call makes a table of its own, so calls lend no
+reducts to one another.  Within a call, ``evolve`` runs on ints: each
+reduct is split once into value entries and successor ranks, so a loop
+builds no ``Dist`` and reduces no term once it has gone round.  A kept
+distribution keeps the stepped part of its trajectory, since a term's slot
+holds its reduct; a caller that steps a long way and need not keep the
+start, as ``plamb trace`` and ``plamb normalize`` do, drops it.
 
 The parallel step and any sequential one-redex-at-a-time schedule reach the
 same value distribution in the limit; ``step_entry``/``evolve_sequential``
@@ -185,7 +184,7 @@ class EvolveReport:
         )
 
 
-def evolve(d, fuel, table=None):
+def evolve(d, fuel):
     """Iterate the parallel step up to ``fuel`` times, stopping early when
     all mass is on values or the trajectory repeats.
 
@@ -197,19 +196,19 @@ def evolve(d, fuel, table=None):
     each step multiplies by the lcm of the denominators of the reducts it
     reads.  A class gets a rank the first time it is seen.
 
-    ``table`` is the alike table, residual class key -> the terms of that
-    class reduced so far; without one, the call uses a fresh one.  A term
-    with no reduct yet takes the reduct of the first listed term that
-    names every binder alike (``names_alike``, so both print, and reduce,
-    the same); else it reduces itself and joins its class's list, so every
-    unalike variant is kept.  Each reduct is split once per call
-    (``_split``) into value entries and successor ranks, so a step is int
-    arithmetic and a loop builds no ``Dist`` once it has gone round.
-    The next residual shows a class by its first contributor in visit
-    order, as ``step``'s mixture does, and a value class is named by
-    ``step``'s display rule: a new class takes the first reduct into it;
-    after that only the first reduct into it in a step renames it, and
-    only when the stepped class sorts before it.
+    The call's alike table, made new on every call, maps a residual class
+    key to the terms of that class reduced so far.  A term with no reduct
+    yet takes the reduct of the first listed term that names every binder
+    alike (``names_alike``, so both print, and reduce, the same); else it
+    reduces itself and joins its class's list, so every unalike variant is
+    kept.  Each reduct is split once per call (``_split``) into value
+    entries and successor ranks, so a step is int arithmetic and a loop
+    builds no ``Dist`` once it has gone round.  The next residual shows a
+    class by its first contributor in visit order, as ``step``'s mixture
+    does, and a value class is named by ``step``'s display rule: a new
+    class takes the first reduct into it; after that only the first reduct
+    into it in a step renames it, and only when the stepped class sorts
+    before it.
 
     The cycle check is keyed on the residual alone (ranks, numerators and
     denominator, reduced): the total mass never grows and the values never
@@ -240,8 +239,7 @@ def evolve(d, fuel, table=None):
             nums.append(n)
     if not res:
         return EvolveReport(d, ZERO, 0, True, True)
-    if table is None:
-        table = {}
+    table = {}
     den = d._den
     total = sum(nums)
     rank = dict(zip(keys, res))

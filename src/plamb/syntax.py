@@ -39,16 +39,16 @@ parser rejects.
 
 All values are immutable after construction and safe to share between
 threads; every function here is pure.  The cache slots (a node's key and
-free names, a distribution's free names, an abstraction's last ``ret``
-target, an application's head reduct, a variable's or application's whnf
-view, a ``Dist``'s last evolution and its value split, a ``FinDist``'s
-embedding) are written from the object alone, and a given key always
-yields the same value, so writing one is idempotent: concurrent threads at
-worst compute it twice.  A slot lives as long as its object; an
-application's head reduct holds the terms it reduces to, whose own slots
-hold theirs, so a term keeps alive the part of its trajectory that has been
-stepped.  ``names_alike`` tells whether two terms with equal keys also
-print the same, so that one may stand for the other.
+free names, a distribution's free names, an application's head reduct, a
+variable's or application's whnf view, a ``Dist``'s last evolution, its
+value split and its last ``ret`` block, a ``FinDist``'s embedding) are
+written from the object alone, and a given key always yields the same
+value, so writing one is idempotent: concurrent threads at worst compute it
+twice.  A slot lives as long as its object; an application's head reduct
+holds the terms it reduces to, whose own slots hold theirs, so a term keeps
+alive the part of its trajectory that has been stepped.  ``names_alike``
+tells whether two terms with equal keys also print the same, so that one
+may stand for the other.
 
 ``parse`` resolves a prelude name to its definition: the prelude's table,
 ``_Definitions``, keeps each definition's parse and whether a use needs

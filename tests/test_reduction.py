@@ -648,23 +648,6 @@ class TestAlikeTable:
             # forty steps of new term objects are split by a few reducts
             assert len({id(h) for h in split_reducts}) == len(split_reducts) < 10
 
-    def test_one_table_lends_reducts_across_calls(self):
-        src_a, src_b = r"(\x. x) (\a. a)", r"(\x. x) (\b. b)"
-
-        def reducts(table):
-            ds = [parse(src_a), parse(src_b), parse(src_a)]
-            for d in ds:
-                evolve(d, 4, table)
-            return [d.point()._step for d in ds]
-
-        a, b, c = reducts(None)
-        assert a is not b and a is not c and print_dist(c) == print_dist(a)
-        table = {}
-        a, b, c = reducts(table)
-        assert c is a and b is not a and print_dist(b) == r"\b. b"
-        (listed,) = table.values()
-        assert [print_term(t) for t in listed] == [src_a, src_b]
-
 
 class TestEvolveCache:
     """A ``Dist`` keeps the report of its last evolution."""

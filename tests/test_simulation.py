@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import gen_dist, gen_loop_program, gen_terminating
-from plamb import laws, reduction, simulation
+from plamb import laws, simulation
 from plamb.cli import main
 from plamb.corpus import CORPUS_SOURCES, corpus
 from plamb.laws import divergence_least, half_below, reflexivity, rename_free, rename_invariance
@@ -507,105 +507,18 @@ class TestPrecongruence:
             assert conclusion.holds, (m1, m2, n1, n2)
 
 
-def copy_pairs():
-    """Pairs built as the benchmark's simulate items are, each side from
-    its own parse of a corpus program: ``p*m <= m``, ``m <= p*m``, an
-    application against its scaled-argument variant, and two programs."""
-    srcs = CORPUS_SOURCES
-    pairs = []
-    for i, s in enumerate(srcs):
-        t = srcs[(7 * i + 3) % len(srcs)]
-        pairs += [
-            (dist_scale(F(1, 2), parse(s)), parse(s), 4),
-            (parse(s), dist_scale(F(3, 4), parse(s)), 4),
-            (unit(App(parse(s), dist_scale(F(3, 4), parse(t)))), unit(App(parse(s), parse(t))), 2),
-            (parse(s), parse(t), 4),
-        ]
-    return pairs
-
-
 def first_term(d):
     (t, _), = d._ints
     return t
 
 
 class TestSharedReducts:
-    """An alike table passed to every ``evolve`` of a simulation run
-    reduces each class of alike applications once, across both sides and
-    every level, and changes no verdict; a run itself passes no table, so
-    its calls reduce apart.  A run never evolves the right side of an
-    alpha-equivalent pair, so the tests that watch both copies reduce put
-    one copy at half weight (``dist_scale`` keeps its term objects)."""
-
-    @staticmethod
-    def outcomes():
-        out = []
-        for m, n, depth in copy_pairs():
-            params = P(depth, 24)
-            one = sim_check(m, n, params)
-            fwd, bwd = bisim_check(m, n, params)
-            out.append([(repr(v), v.to_dict(), v.exact) for v in (one, fwd, bwd)])
-        return out
-
-    @staticmethod
-    def one_table(mp):
-        """Make ``simulation.evolve`` pass one alike table to every call;
-        the table is returned, to be cleared between runs."""
-        table = {}
-        mp.setattr(simulation, "evolve", lambda d, fuel: evolve(d, fuel, table))
-        return table
-
-    def test_sharing_changes_no_output(self, monkeypatch):
-        apart = self.outcomes()
-        self.one_table(monkeypatch)
-        shared = self.outcomes()
-        assert shared == apart
-        verdicts = [v for row in shared for v in row]
-        assert any(exact for _, _, exact in verdicts)
-        assert any(not d["holds_at_bound"] for _, d, _ in verdicts)
-
-    def test_one_reduct_per_alike_class(self, monkeypatch):
-        reduced = []
-        head_reduct = reduction._head_reduct
-
-        def counting(t):
-            reduced.append(t)
-            return head_reduct(t)
-
-        monkeypatch.setattr(reduction, "_head_reduct", counting)
-
-        def count(m, n):
-            del reduced[:]
-            sim_check(m, n, P(3, 16))
-            return len(reduced)
-
-        fewer = 0
-        for s in CORPUS_SOURCES:
-            apart = count(parse(s), dist_scale(F(1, 2), parse(s)))
-            with monkeypatch.context() as mp:
-                table = self.one_table(mp)
-                one = parse(s)
-                shared_object = count(one, dist_scale(F(1, 2), one))
-                if not shared_object:
-                    continue
-                table.clear()
-                copies = count(parse(s), dist_scale(F(1, 2), parse(s)))
-            assert copies <= shared_object, s
-            fewer += copies < apart
-        assert fewer >= 10
-
-    def test_unalike_copies_keep_their_own_reducts(self, monkeypatch):
-        self.one_table(monkeypatch)
-        a, b = parse(r"(\x. x) (\a. a)"), parse(r"(\x. x) (\b. b)")
-        assert a.canon() == b.canon()
-        assert sim_check(dist_scale(F(1, 2), a), b, P(2, 8)).holds
-        ta, tb = first_term(a), first_term(b)
-        assert ta._step is not None and tb._step is not None and ta._step is not tb._step
-        assert repr(ta._step) == repr(parse(r"\a. a"))
-        assert repr(tb._step) == repr(parse(r"\b. b"))
-        c, e = parse(r"(\x. x) (\a. a)"), parse(r"(\x. x) (\a. a)")
-        sim_check(dist_scale(F(1, 2), c), e, P(2, 8))
-        assert first_term(c)._step is first_term(e)._step
+    """Each ``evolve`` call of a simulation run makes an alike table of its
+    own, so a run's calls never lend reducts to one another, and no table
+    outlives a run or is seen by another thread.  A run never evolves the
+    right side of an alpha-equivalent pair, so the tests that watch both
+    copies reduce put one copy at half weight (``dist_scale`` keeps its
+    term objects)."""
 
     def test_no_table_outlives_a_run(self, monkeypatch):
         calls = []
@@ -645,18 +558,17 @@ class TestSharedReducts:
         assert len({id(h) for pair in steps for h in pair}) == 4
 
     @staticmethod
-    def evolve_copies(table=None, src="(\\x. x) y"):
+    def evolve_copies(src="(\\x. x) y"):
         a, b = parse(src), parse(src)
-        evolve(a, 4, table)
-        evolve(b, 4, table)
+        evolve(a, 4)
+        evolve(b, 4)
         ta, tb = first_term(a), first_term(b)
         assert ta._step is not None and tb._step is not None
         return ta._step is tb._step
 
     def test_copies_outside_a_run_reduce_apart(self):
         assert not self.evolve_copies()
-        assert self.evolve_copies({})
-        assert not self.evolve_copies()
+        assert not self.evolve_copies(r"(\x. x) (\a. a)")
 
     def test_other_threads_see_no_table(self, monkeypatch):
         seen = []

@@ -17,6 +17,7 @@ file (``name = source`` lines).
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import os
@@ -128,18 +129,7 @@ def _dist_json(d):
 # Normalization report
 
 
-class NormalizationReport:
-    """Per-step normalized value distributions and their total-variation
-    drift; convergence is flagged after three consecutive steps whose drift
-    stays under 1/1024, and ``converged_at`` is the step at which the final
-    normalized distribution first appeared."""
-
-    __slots__ = ("rows", "converged", "converged_at")
-
-    def __init__(self, rows, converged, converged_at):
-        self.rows = rows
-        self.converged = converged
-        self.converged_at = converged_at
+NormalizationReport = collections.namedtuple("NormalizationReport", "rows converged converged_at")
 
 
 def total_variation(a, b):
@@ -154,8 +144,12 @@ def total_variation(a, b):
 
 
 def normalize(m, fuel):
-    """Evolve step by step, renormalizing the value mass at each fuel step;
-    raises on programs whose value mass stays zero throughout.
+    """Evolve step by step, renormalizing the value numerators over their
+    total at each fuel step into a row (step, distribution, total-variation
+    drift from the previous row); raises on programs whose value mass stays
+    zero throughout.  Convergence is flagged, in the same pass, after three
+    consecutive steps whose drift stays under 1/1024, and ``converged_at``
+    is the step at which the final normalized distribution first appeared.
 
     Only the current distribution is held: each step replaces ``m``, since
     a term keeps its head reduct and a kept start would keep every step
@@ -165,29 +159,20 @@ def normalize(m, fuel):
     for s in range(1, fuel + 1):
         m = step(m)
         v = vals(m)
-        mass = v.mass()
-        if mass == 0:
+        if not v._total:
             continue
-        normalized = Dist((t, w / mass) for t, w in v.entries())
+        normalized = Dist(v._ints, v._total)
         tvd = total_variation(normalized, rows[-1][1]) if rows else None
         rows.append((s, normalized, tvd))
-        if tvd is not None and tvd < TV_EPSILON:
-            small_run += 1
-            if small_run >= 3:
-                break
-        elif tvd is not None:
-            small_run = 0
+        # the first row, and every row that moved, starts a run of equal rows
+        if tvd != 0:
+            converged_at = s
+        small_run = small_run + 1 if tvd is not None and tvd < TV_EPSILON else 0
+        if small_run == 3:
+            break
     if not rows:
         raise LambError("no value mass within %d steps" % fuel)
-    final = rows[-1][1]
-    converged = small_run >= 3
-    converged_at = rows[-1][0]
-    for s, d, _ in reversed(rows):
-        if d == final:
-            converged_at = s
-        else:
-            break
-    return NormalizationReport(rows, converged, converged_at)
+    return NormalizationReport(rows, small_run == 3, converged_at)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +276,7 @@ def _lift_instance(text, default_slack):
         e = _lift_dist(obj, "target")
         relation = set()
         for pair in _json_array(obj.get("relation", []), "relation"):
-            if not isinstance(pair, list) or len(pair) != 2:
-                _json_array(pair, "relation entry", 2)
-            relation.add(tuple(pair))
+            relation.add(tuple(_json_array(pair, "relation entry", 2)))
     except (TypeError, ValueError) as exc:
         raise LambError("malformed lift instance: %s" % exc) from exc
     return d, e, relation, _fraction(obj.get("slack", default_slack), "slack")

@@ -86,12 +86,6 @@ def dists(draw, depth=3):
     return gen_dist(random.Random(seed), depth)
 
 
-@st.composite
-def terminating_dists(draw, depth=3, fuel=32):
-    seed = draw(st.integers(0, 2**32 - 1))
-    return gen_terminating(random.Random(seed), depth, fuel)
-
-
 @pytest.fixture
 def canonical_contract(monkeypatch):
     """``Distribution._canonical`` wrapped with its whole contract, on what

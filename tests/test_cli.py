@@ -19,7 +19,9 @@ from conftest import (
 from plamb import cli, laws
 from plamb.cli import MAX_NUMERAL, main, normalize, total_variation
 from plamb.approximants import parse_fin
+from plamb.corpus import CORPUS_SOURCES
 from plamb.prelude import DEFAULT_PRELUDE
+from plamb.reduction import step, vals
 from plamb.syntax import Dist, LambError, Var, parse, print_dist
 
 YT_SRC = r"Y (\x. {1/2: I, 1/2: x})"
@@ -337,6 +339,57 @@ class TestNormalize:
         report = normalize(parse(r"({1/2: \x. x, 1/4: y}) z"), 8)
         for _, d, _ in report.rows:
             assert d.mass() == 1
+
+    @staticmethod
+    def two_pass(m, fuel):
+        """The rows (step, printed distribution, TV distance), ``converged``
+        and ``converged_at`` as two passes find them: each step's value
+        mass divided out weight by weight, then a backward scan over the
+        rows for the first step of the final distribution; None when no
+        step has value mass."""
+        rows, dists, small_run = [], [], 0
+        for s in range(1, fuel + 1):
+            m = step(m)
+            v = vals(m)
+            mass = v.mass()
+            if mass == 0:
+                continue
+            d = Dist((t, w / mass) for t, w in v.entries())
+            tvd = None
+            if dists:
+                a, b = ({t.canon(): w for t, w in e.entries()} for e in (d, dists[-1]))
+                tvd = sum(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()) / 2
+            rows.append((s, print_dist(d, explicit=True), tvd))
+            dists.append(d)
+            if tvd is not None and tvd < F(1, 1024):
+                small_run += 1
+                if small_run >= 3:
+                    break
+            elif tvd is not None:
+                small_run = 0
+        if not rows:
+            return None
+        converged_at = rows[-1][0]
+        for (s, _, _), d in zip(reversed(rows), reversed(dists)):
+            if d != dists[-1]:
+                break
+            converged_at = s
+        return rows, small_run >= 3, converged_at
+
+    @pytest.mark.parametrize("src", list(CORPUS_SOURCES) + [
+        # geometric convergence; stable from step 1; no value before step 2
+        YT_SRC, "I", r"{1/2: (\x. x) ((\y. y) tt), 1/4: omega}",
+    ])
+    def test_one_pass_matches_the_two_pass_oracle(self, src):
+        for fuel in range(1, 25):
+            want = self.two_pass(parse(src), fuel)
+            try:
+                report = normalize(parse(src), fuel)
+            except LambError:
+                assert want is None, (src, fuel)
+                continue
+            got = [(s, print_dist(d, explicit=True), tvd) for s, d, tvd in report.rows]
+            assert (got, report.converged, report.converged_at) == want, (src, fuel)
 
 
 class TestNormalizeMemory:

@@ -195,13 +195,13 @@ class TestRetBlockCache:
             rights.append(n)
             return sim_level(st, m, n, k, sn, sd)
 
-        def evolving(d, fuel):
+        def evolving(d, fuel, *args):
             if not any(d is n for n in rights):
-                return evolve_(d, fuel)
+                return evolve_(d, fuel, *args)
             seen.append((d, d._evolved is not None and d._evolved[0] == fuel))
             inside[0] = True
             try:
-                return evolve_(d, fuel)
+                return evolve_(d, fuel, *args)
             finally:
                 inside[0] = False
 

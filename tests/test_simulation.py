@@ -327,8 +327,8 @@ class TestVerdictProperties:
     def test_exact_iff_no_evolution_left_residual(self, monkeypatch, depth, fuel):
         residuals = []
 
-        def recording(d, f):
-            report = evolve(d, f)
+        def recording(d, *args):
+            report = evolve(d, *args)
             residuals.append(report.residual)
             return report
 
@@ -523,11 +523,11 @@ class TestSharedReducts:
     def test_no_table_outlives_a_run(self, monkeypatch):
         calls = []
 
-        def failing(d, fuel):
+        def failing(d, *args):
             calls.append(d)
             if len(calls) == 2:
                 raise RuntimeError("injected")
-            return evolve(d, fuel)
+            return evolve(d, *args)
 
         monkeypatch.setattr(simulation, "evolve", failing)
         failed = parse(r"I (\x. x)")
@@ -543,9 +543,9 @@ class TestSharedReducts:
     def test_two_runs_never_share_a_table(self, monkeypatch):
         calls = []
 
-        def recording(d, fuel):
+        def recording(d, *args):
             calls.append(d)
-            return evolve(d, fuel)
+            return evolve(d, *args)
 
         monkeypatch.setattr(simulation, "evolve", recording)
         steps = []
@@ -576,12 +576,12 @@ class TestSharedReducts:
         def other():
             seen.append(self.evolve_copies())
 
-        def in_run(d, fuel):
+        def in_run(d, *args):
             if not seen:
                 thread = threading.Thread(target=other)
                 thread.start()
                 thread.join(timeout=60)
-            return evolve(d, fuel)
+            return evolve(d, *args)
 
         monkeypatch.setattr(simulation, "evolve", in_run)
         sim_check(parse(r"I (\x. x)"), parse(r"I (\x. x)"), P(2, 8))
@@ -670,9 +670,9 @@ class TestReflexivePairs:
     def recording(monkeypatch):
         calls = []
 
-        def record(d, fuel):
+        def record(d, *args):
             calls.append(d)
-            return evolve(d, fuel)
+            return evolve(d, *args)
 
         monkeypatch.setattr(simulation, "evolve", record)
         return calls
